@@ -1,0 +1,174 @@
+"""Byte-for-byte pins of the determinism contract.
+
+A design depends only on (seed, kind, sizes, params), and trial r of arm a at
+T runs with seed ``mix64(master_seed, a, T, r)``. A refactor of the design,
+outcome or decoder plumbing must therefore leave the design JSON, the
+``simulate`` CSV and the SSS search unchanged to the byte. The digests and the
+CSV below were computed with the tuple-of-tuples design representation that
+preceded the CSR arrays.
+"""
+
+import hashlib
+import io
+import math
+
+import pytest
+
+from grouptest import (
+    DesignArm,
+    ExperimentConfig,
+    design_from_json,
+    design_to_json,
+    gen_bernoulli,
+    gen_exact_constant,
+    gen_near_constant,
+    regenerate_design,
+    run_success_curve,
+    run_tests,
+    sample_defective_set,
+)
+from grouptest import decoders
+from grouptest.simlab import build_design, trial_seed
+
+LN2 = math.log(2)
+P_FIG2 = LN2 / 10  # nu = ln 2 at K = 10
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# (factory, SHA-256 of design_to_json(design))
+DESIGN_PINS = [
+    (
+        lambda: gen_bernoulli(20, 10, 0.2, 7),
+        "45869fbd36babe33f3f372f2f75a2c6420f9eaf659b51bd74803dfaf8a07b6a3",
+    ),
+    (
+        lambda: gen_bernoulli(500, 50, P_FIG2, 11, nu=LN2),
+        "e50bdfcabb7e72937c42bc49eb501c1646ebff2c9662c74e2b37a75abb1f8867",
+    ),
+    (
+        lambda: gen_bernoulli(500, 400, P_FIG2, 11, nu=LN2),
+        "0b27b527bf8f4afffcd5f7d6e3b71a7b28eb69fe1a8b3199215a44fe4648e484",
+    ),
+    (
+        lambda: gen_near_constant(20, 10, 3, 7),
+        "b2483afe2cb2aeff76ed18ba94f4886de07c2af021610d24f11a5b15a000705d",
+    ),
+    (
+        lambda: gen_near_constant(500, 50, 3, 11, nu=LN2),
+        "93797dd12da0791df9abb7009af11d9e1376f7989bdba9831a8da6959a41da2a",
+    ),
+    (
+        lambda: gen_near_constant(500, 400, 28, 11, nu=LN2),
+        "8a8933796d7184e09163ece808e77ecfc09bc5672b736f1c3d286584be2843c4",
+    ),
+    (
+        lambda: gen_exact_constant(20, 10, 3, 7),
+        "d6210aad78fd5b370a57de0de53a2cf55536f2494188deac572bfb15be27230b",
+    ),
+    (
+        lambda: gen_exact_constant(500, 50, 3, 11, nu=LN2),
+        "9772365f723325a89a0716ad4ca4cad4936acf48340869fa156d670134d0bb37",
+    ),
+    (
+        lambda: gen_exact_constant(500, 400, 28, 11, nu=LN2),
+        "a66c59ad21d6f09c2a1848d26fc5b30f7441b0f1976a3c5ff0a2d11364a5668b",
+    ),
+    (
+        lambda: gen_near_constant(10_000, 384, 17, 3, nu=LN2),
+        "66106194e738c331e36810b3db67b6967f60307910a06766f3d59dc80b6c2c8c",
+    ),
+]
+
+
+@pytest.mark.parametrize("factory,expected", DESIGN_PINS)
+def test_design_json_digest(factory, expected):
+    design = factory()
+    text = design_to_json(design)
+    assert _sha256(text) == expected
+    assert design_from_json(text) == design
+    assert regenerate_design(design) == design
+
+
+def _reference_config(**overrides):
+    kwargs = dict(
+        n_items=60,
+        k=4,
+        t_grid=(8, 16, 24, 32),
+        designs=(DesignArm("ncc", LN2), DesignArm("bernoulli", LN2)),
+        decoders=("comp", "dd", "scomp", "sss"),
+        trials=30,
+        master_seed=2016,
+        sss_node_budget=20,
+    )
+    kwargs.update(overrides)
+    return ExperimentConfig(**kwargs)
+
+
+# The small budget sends some SSS searches to the unresolved column, so the
+# node count of each search is pinned too.
+REFERENCE_CSV = """\
+design,decoder,nu,N,K,T,trials,successes,unresolved,p_hat,ci_lo,ci_hi
+near_constant,comp,0.693147,60,4,8,30,0,0,0.000000,0.000000,0.113513
+near_constant,comp,0.693147,60,4,16,30,0,0,0.000000,0.000000,0.113513
+near_constant,comp,0.693147,60,4,24,30,2,0,0.066667,0.018477,0.213235
+near_constant,comp,0.693147,60,4,32,30,7,0,0.233333,0.117924,0.409283
+near_constant,dd,0.693147,60,4,8,30,0,0,0.000000,0.000000,0.113513
+near_constant,dd,0.693147,60,4,16,30,0,0,0.000000,0.000000,0.113513
+near_constant,dd,0.693147,60,4,24,30,5,0,0.166667,0.073365,0.335644
+near_constant,dd,0.693147,60,4,32,30,24,0,0.800000,0.626943,0.904949
+near_constant,scomp,0.693147,60,4,8,30,0,0,0.000000,0.000000,0.113513
+near_constant,scomp,0.693147,60,4,16,30,2,0,0.066667,0.018477,0.213235
+near_constant,scomp,0.693147,60,4,24,30,14,0,0.466667,0.302324,0.638577
+near_constant,scomp,0.693147,60,4,32,30,28,0,0.933333,0.786765,0.981523
+near_constant,sss,0.693147,60,4,8,30,0,27,0.000000,0.000000,0.113513
+near_constant,sss,0.693147,60,4,16,30,1,7,0.033333,0.005909,0.166704
+near_constant,sss,0.693147,60,4,24,30,15,0,0.500000,0.331541,0.668459
+near_constant,sss,0.693147,60,4,32,30,28,0,0.933333,0.786765,0.981523
+bernoulli,comp,0.693147,60,4,8,30,0,0,0.000000,0.000000,0.113513
+bernoulli,comp,0.693147,60,4,16,30,0,0,0.000000,0.000000,0.113513
+bernoulli,comp,0.693147,60,4,24,30,1,0,0.033333,0.005909,0.166704
+bernoulli,comp,0.693147,60,4,32,30,0,0,0.000000,0.000000,0.113513
+bernoulli,dd,0.693147,60,4,8,30,0,0,0.000000,0.000000,0.113513
+bernoulli,dd,0.693147,60,4,16,30,0,0,0.000000,0.000000,0.113513
+bernoulli,dd,0.693147,60,4,24,30,1,0,0.033333,0.005909,0.166704
+bernoulli,dd,0.693147,60,4,32,30,12,0,0.400000,0.245906,0.576796
+bernoulli,scomp,0.693147,60,4,8,30,0,0,0.000000,0.000000,0.113513
+bernoulli,scomp,0.693147,60,4,16,30,1,0,0.033333,0.005909,0.166704
+bernoulli,scomp,0.693147,60,4,24,30,8,0,0.266667,0.141827,0.444480
+bernoulli,scomp,0.693147,60,4,32,30,18,0,0.600000,0.423204,0.754094
+bernoulli,sss,0.693147,60,4,8,30,0,3,0.000000,0.000000,0.113513
+bernoulli,sss,0.693147,60,4,16,30,0,3,0.000000,0.000000,0.113513
+bernoulli,sss,0.693147,60,4,24,30,8,0,0.266667,0.141827,0.444480
+bernoulli,sss,0.693147,60,4,32,30,18,0,0.600000,0.423204,0.754094
+"""
+
+
+def test_reference_success_curve_csv():
+    buf = io.StringIO()
+    run_success_curve(_reference_config(), check_invariants=True).write_csv(buf)
+    assert buf.getvalue().replace("\r\n", "\n") == REFERENCE_CSV
+
+
+def test_reference_sss_searches():
+    """Estimate and node count of every full-budget SSS search in the
+    reference config, as one digest (5818 nodes in all, 512 at most)."""
+    config = _reference_config()
+    rows = []
+    for arm_id, arm in enumerate(config.designs):
+        for t in config.t_grid:
+            for r in range(config.trials):
+                seed = trial_seed(config.master_seed, arm_id, t, r)
+                design = build_design(arm, config.n_items, config.k, t, seed)
+                truth = sample_defective_set(config.n_items, config.k, seed)
+                res = decoders.sss(design, run_tests(design, truth))
+                kind = "ncc" if arm_id == 0 else "bernoulli"
+                estimate = " ".join(map(str, res.estimate))
+                rows.append(f"{kind},{t},{r},{res.search_nodes},{estimate}")
+    nodes = [int(row.split(",")[3]) for row in rows]
+    assert (sum(nodes), max(nodes)) == (5818, 512)
+    assert _sha256("\n".join(rows)) == (
+        "46be3932688ec264258eb830be66321fed07c9d2bb3d2f997f9c56f55dd8e7cc"
+    )
