@@ -13,7 +13,9 @@ test; survivors are the Possible Defectives, PD):
 * ``sss``   -- exact smallest satisfying set, by branch and bound.
 
 A candidate set is *satisfying* when it touches no negative test and hits
-every positive one. All decoders are pure functions of (design, outcome).
+every positive one. All decoders are pure functions of (design, outcome), and
+all four raise :class:`MalformedOutcomeError` when a positive test contains
+no PD item.
 """
 
 from __future__ import annotations
@@ -72,47 +74,65 @@ def _check_outcome(design: TestDesign, outcome: OutcomeVector) -> None:
         )
 
 
+def _explained_pd(design: TestDesign, outcome: OutcomeVector) -> list[int]:
+    """The PD set, after checking that it explains every positive test."""
+    _check_outcome(design, outcome)
+    pd = possible_defectives(design, outcome)
+    masks = design.item_masks
+    union = 0
+    for i in pd:
+        union |= masks[i]
+    if outcome.positive_mask & ~union:
+        raise MalformedOutcomeError("positive test with no possible-defective member")
+    return pd
+
+
 def comp(design: TestDesign, outcome: OutcomeVector) -> DecodeResult:
     """Declare every possible defective item defective."""
-    _check_outcome(design, outcome)
-    pd = tuple(possible_defectives(design, outcome))
+    pd = tuple(_explained_pd(design, outcome))
     return DecodeResult("comp", pd, pd)
 
 
-def _definite_defectives(design: TestDesign, pd: list[int]) -> list[int]:
-    pd_counts = [0] * design.n_tests
-    for i in pd:
-        for t in design.columns[i]:
-            pd_counts[t] += 1
-    # every test containing a PD item is positive, so no positivity check needed
-    return [i for i in pd if any(pd_counts[t] == 1 for t in design.columns[i])]
+def _definite_defectives(masks: tuple[int, ...], pd: list[int]) -> list[int]:
+    """PD items in some test no other PD item is in.
+
+    Every test containing a PD item is positive, so no positivity check is
+    needed. The other PD items' union comes from prefix and suffix ORs.
+    """
+    suffix = [0] * (len(pd) + 1)
+    for idx in range(len(pd) - 1, -1, -1):
+        suffix[idx] = suffix[idx + 1] | masks[pd[idx]]
+    definite = []
+    prefix = 0
+    for idx, i in enumerate(pd):
+        if masks[i] & ~(prefix | suffix[idx + 1]):
+            definite.append(i)
+        prefix |= masks[i]
+    return definite
 
 
 def dd(design: TestDesign, outcome: OutcomeVector) -> DecodeResult:
     """Declare PD items that are the sole PD member of some positive test."""
-    _check_outcome(design, outcome)
-    pd = possible_defectives(design, outcome)
-    definite = _definite_defectives(design, pd)
+    pd = _explained_pd(design, outcome)
+    definite = _definite_defectives(design.item_masks, pd)
     return DecodeResult("dd", tuple(definite), tuple(pd), tuple(definite))
 
 
-def scomp(design: TestDesign, outcome: OutcomeVector) -> DecodeResult:
-    """DD plus greedy cover of the positive tests DD leaves unexplained.
+def _scomp_estimate(
+    masks: tuple[int, ...], positive_mask: int, pd: list[int], definite: list[int]
+) -> tuple[int, ...]:
+    """DD's set plus greedy picks from an explaining PD set, sorted.
 
     While some positive test contains no declared item, add the PD item
-    covering the most unexplained tests (ties broken by lowest item index).
+    covering the most unexplained tests (ties broken by lowest item index);
+    one exists as long as the PD set explains every positive test.
     """
-    _check_outcome(design, outcome)
-    masks = design.item_masks
-    pd = possible_defectives(design, outcome)
-    definite = _definite_defectives(design, pd)
-
     estimate = list(definite)
     chosen = set(definite)
     covered = 0
     for i in estimate:
         covered |= masks[i]
-    uncovered = outcome.positive_mask & ~covered
+    uncovered = positive_mask & ~covered
     while uncovered:
         best_item = -1
         best_gain = 0
@@ -123,14 +143,19 @@ def scomp(design: TestDesign, outcome: OutcomeVector) -> DecodeResult:
             if gain > best_gain:
                 best_gain = gain
                 best_item = i
-        if best_item < 0:
-            raise MalformedOutcomeError(
-                "positive test with no possible-defective member"
-            )
         chosen.add(best_item)
         estimate.append(best_item)
         uncovered &= ~masks[best_item]
-    return DecodeResult("scomp", tuple(sorted(estimate)), tuple(pd), tuple(definite))
+    return tuple(sorted(estimate))
+
+
+def scomp(design: TestDesign, outcome: OutcomeVector) -> DecodeResult:
+    """DD plus greedy cover of the positive tests DD leaves unexplained."""
+    pd = _explained_pd(design, outcome)
+    masks = design.item_masks
+    definite = _definite_defectives(masks, pd)
+    estimate = _scomp_estimate(masks, outcome.positive_mask, pd, definite)
+    return DecodeResult("scomp", estimate, tuple(pd), tuple(definite))
 
 
 def is_satisfying(
@@ -182,11 +207,10 @@ def sss(
     incumbent. Expanding more than `node_budget` nodes raises
     :class:`UnresolvedSearchError` carrying the best incumbent.
     """
-    _check_outcome(design, outcome)
     if node_budget < 1:
         raise ValueError(f"node_budget must be >= 1, got {node_budget}")
+    pd = _explained_pd(design, outcome)
     masks = design.item_masks
-    pd = possible_defectives(design, outcome)
     pos = outcome.positive_mask
     if pos == 0:
         return DecodeResult("sss", (), tuple(pd), search_nodes=0)
@@ -203,14 +227,8 @@ def sss(
         if m:
             cover[i] = m
     candidates = sorted(cover)
-    all_cover = 0
-    for m in cover.values():
-        all_cover |= m
-    if all_cover != target:
-        raise MalformedOutcomeError("positive test with no possible-defective member")
 
-    incumbent = scomp(design, outcome).estimate
-    best = tuple(incumbent)
+    best = _scomp_estimate(masks, pos, pd, _definite_defectives(masks, pd))
     best_size = len(best)
 
     # per-positive-test candidate lists, used to pick a branching test

@@ -1,8 +1,14 @@
 """Group-testing instances: pooling designs, defective sets, outcomes, per-item counts.
 
-A design is a binary T x N incidence structure stored column-wise: for each
-item, the sorted set of tests that contain it. Three random constructions are
-provided:
+A design is a binary T x N incidence structure stored as compressed sparse
+rows (CSR), one row per item: item i is in the tests
+``indices[indptr[i]:indptr[i + 1]]``, strictly increasing. ``indptr`` is an
+int64 array of N + 1 row pointers; ``indices`` holds all rows back to back in
+the narrowest unsigned type that fits T. Every constructor (the generators,
+hand-written per-item lists, the JSON loader) ends in one vectorised
+validation. The per-item views, ``columns`` (tuples of test indices) and
+``item_masks`` (Python-int bitmasks), are built from the arrays on first use,
+never through a dense N x T matrix. Three random constructions are provided:
 
 * ``bernoulli``       -- every (test, item) cell is included independently
                          with probability p.
@@ -20,7 +26,9 @@ order or concurrently with identical results.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -41,11 +49,33 @@ _STREAM_DEFECTIVE = 4
 
 _SEED_LIMIT = 1 << 64
 
+# Dense bool cells per row chunk when item masks are packed (256 kB).
+_MASK_CHUNK_CELLS = 1 << 18
+
+
+def _is_integer(value: object) -> bool:
+    """True for Python and numpy integers; bools are not integers here."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
 
 def _check_seed(seed: int) -> int:
-    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < _SEED_LIMIT:
+    if not _is_integer(seed) or not 0 <= seed < _SEED_LIMIT:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
     return int(seed)
+
+
+def _check_size(value: int, name: str) -> int:
+    if not _is_integer(value) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
+def _index_dtype(n_tests: int) -> type[np.integer]:
+    """The narrowest unsigned type holding every index of a `n_tests`-test design."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if n_tests <= np.iinfo(dtype).max + 1:
+            return dtype
+    return np.uint64
 
 
 @dataclass(frozen=True)
@@ -61,52 +91,165 @@ class DesignParams:
     nu: float | None = None
 
 
-@dataclass
 class TestDesign:
-    """A pooling design stored as per-item sorted test-index sets."""
+    """A pooling design: per item, the strictly increasing tests containing it.
+
+    ``TestDesign(kind, n_items, n_tests, params, seed, columns)`` takes one
+    sequence of test indices per item; the generators build the CSR arrays
+    directly through :meth:`from_csr`. Both go through the same validation.
+    The arrays are read-only, so the lazily built views stay valid.
+    """
 
     __test__ = False  # the name matches pytest's collector; this is not a test
+    __hash__ = None  # compared by value, like the arrays it holds
 
-    kind: str
-    n_items: int
-    n_tests: int
-    params: DesignParams
-    seed: int
-    columns: tuple[tuple[int, ...], ...]
-    _masks: tuple[int, ...] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    def __init__(
+        self,
+        kind: str,
+        n_items: int,
+        n_tests: int,
+        params: DesignParams,
+        seed: int,
+        columns: Sequence[Sequence[int]],
+    ) -> None:
+        indptr, indices = _csr_from_columns(columns)
+        self._init(kind, n_items, n_tests, params, seed, indptr, indices)
 
-    def __post_init__(self) -> None:
-        if self.kind not in DESIGN_KINDS:
-            raise ValueError(f"unknown design kind {self.kind!r}")
-        if self.n_items < 1 or self.n_tests < 1:
-            raise ValueError("n_items and n_tests must be positive")
-        _check_seed(self.seed)
-        if len(self.columns) != self.n_items:
+    @classmethod
+    def from_csr(
+        cls,
+        kind: str,
+        n_items: int,
+        n_tests: int,
+        params: DesignParams,
+        seed: int,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+    ) -> "TestDesign":
+        """A design from row pointers and concatenated rows.
+
+        The arrays are kept, not copied, when they already have the stored
+        dtypes (int64 pointers, the narrowest unsigned type for indices).
+        """
+        design = cls.__new__(cls)
+        design._init(kind, n_items, n_tests, params, seed, indptr, indices)
+        return design
+
+    def _init(self, kind, n_items, n_tests, params, seed, indptr, indices) -> None:
+        if kind not in DESIGN_KINDS:
+            raise ValueError(f"unknown design kind {kind!r}")
+        self.kind = kind
+        self.n_items = _check_size(n_items, "n_items")
+        self.n_tests = _check_size(n_tests, "n_tests")
+        self.params = params
+        self.seed = _check_seed(seed)
+        indptr = np.asarray(indptr)
+        indices = np.asarray(indices)
+        if indptr.ndim != 1 or indices.ndim != 1:
+            raise ValueError("row pointers and test indices must be flat arrays")
+        # dtype kinds: signed or unsigned integer; bool, float and object fail
+        if indptr.dtype.kind not in "iu" or indices.dtype.kind not in "iu":
+            raise ValueError("test indices must be integers")
+        if indptr.shape[0] != self.n_items + 1:
             raise ValueError("one column required per item")
-        for col in self.columns:
-            if any(t < 0 or t >= self.n_tests for t in col):
-                raise ValueError("test index out of range")
-            if any(a >= b for a, b in zip(col, col[1:])):
+        nnz = indices.shape[0]
+        if indptr[0] != 0 or indptr[-1] != nnz or np.any(indptr[1:] < indptr[:-1]):
+            raise ValueError("row pointers must rise from 0 to the number of indices")
+        if nnz and (indices.min() < 0 or indices.max() >= self.n_tests):
+            raise ValueError("test index out of range")
+        # strictly increasing rows: the consecutive differences (compared, not
+        # subtracted, so unsigned types cannot wrap) may be <= 0 only where a
+        # new row starts
+        steps_down = np.flatnonzero(indices[1:] <= indices[:-1]) + 1
+        if steps_down.size:
+            row_start = np.zeros(nnz + 1, dtype=bool)
+            row_start[indptr] = True
+            if not row_start[steps_down].all():
                 raise ValueError("columns must be strictly sorted")
+        self.indptr = indptr.astype(np.int64, copy=False)
+        self.indices = indices.astype(_index_dtype(self.n_tests), copy=False)
+        self.indptr.flags.writeable = False
+        self.indices.flags.writeable = False
+        self._columns: tuple[tuple[int, ...], ...] | None = None
+        self._masks: tuple[int, ...] | None = None
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TestDesign):
+            return NotImplemented
+        return (
+            (self.kind, self.n_items, self.n_tests, self.params, self.seed)
+            == (other.kind, other.n_items, other.n_tests, other.params, other.seed)
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"TestDesign(kind={self.kind!r}, n_items={self.n_items}, "
+            f"n_tests={self.n_tests}, params={self.params!r}, seed={self.seed}, "
+            f"entries={self.indices.shape[0]})"
+        )
+
+    def rows(self) -> list[list[int]]:
+        """Per-item test indices as fresh lists of Python ints."""
+        flat = self.indices.tolist()
+        bounds = self.indptr.tolist()
+        return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+
+    @property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """Per-item sorted test indices as tuples (built on first use)."""
+        if self._columns is None:
+            self._columns = tuple(map(tuple, self.rows()))
+        return self._columns
 
     @property
     def item_masks(self) -> tuple[int, ...]:
-        """Per-item bitmask of tests (bit t set iff test t contains the item)."""
+        """Per-item bitmask of tests (bit t set iff test t contains the item).
+
+        Built on first use, a bounded chunk of rows at a time: the chunk's
+        cells are set in a dense bool block of whole-byte rows, packed
+        little-endian by ``np.packbits``, viewed as one bytes object per row
+        and read back by ``int.from_bytes``.
+        """
         if self._masks is None:
-            masks = []
-            for col in self.columns:
-                m = 0
-                for t in col:
-                    m |= 1 << t
-                masks.append(m)
+            width = -(-self.n_tests // 8)  # bytes per mask
+            chunk = max(1, _MASK_CHUNK_CELLS // (8 * width))
+            masks: list[int] = []
+            for lo in range(0, self.n_items, chunk):
+                ptr = self.indptr[lo : lo + chunk + 1]
+                n_rows = ptr.shape[0] - 1
+                block = np.zeros(n_rows * 8 * width, dtype=bool)
+                row_at = np.repeat(np.arange(0, block.shape[0], 8 * width), np.diff(ptr))
+                block[row_at + self.indices[ptr[0] : ptr[-1]]] = True
+                packed = np.packbits(block, bitorder="little").view(f"V{width}").tolist()
+                masks.extend(map(int.from_bytes, packed, repeat("little")))
             self._masks = tuple(masks)
         return self._masks
 
     @property
     def all_tests_mask(self) -> int:
         return (1 << self.n_tests) - 1
+
+
+def _csr_from_columns(columns) -> tuple[np.ndarray, np.ndarray]:
+    """Row pointers and concatenated rows of per-item test-index sequences.
+
+    Entries are type-checked, never coerced: ``int()`` would truncate 0.5 to
+    test 0, and numpy would promote a row such as ``[True, 2]`` to integers.
+    """
+    if not isinstance(columns, (list, tuple)) or not set(map(type, columns)) <= {list, tuple}:
+        raise ValueError("columns must be a list of per-item test-index lists")
+    types = set(map(type, chain.from_iterable(columns)))
+    if not all(issubclass(tp, (int, np.integer)) and tp is not bool for tp in types):
+        raise ValueError("test indices must be integers")
+    indptr = np.zeros(len(columns) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, columns), np.int64, len(columns)), out=indptr[1:])
+    try:
+        indices = np.fromiter(chain.from_iterable(columns), np.int64, int(indptr[-1]))
+    except OverflowError as exc:  # Python ints beyond 64 bits
+        raise ValueError("test index out of range") from exc
+    return indptr, indices
 
 
 @dataclass(frozen=True)
@@ -134,11 +277,8 @@ class OutcomeVector:
     positive_mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        m = 0
-        for t, bit in enumerate(self.bits):
-            if bit:
-                m |= 1 << t
-        object.__setattr__(self, "positive_mask", m)
+        packed = np.packbits(np.array(self.bits, dtype=bool), bitorder="little")
+        object.__setattr__(self, "positive_mask", int.from_bytes(packed.tobytes(), "little"))
 
     @property
     def n_tests(self) -> int:
@@ -188,6 +328,12 @@ def sample_defective_set(n_items: int, k: int, seed: int) -> DefectiveSet:
     return DefectiveSet(tuple(sorted(chosen)))
 
 
+def _row_pointers(row_lengths: np.ndarray) -> np.ndarray:
+    indptr = np.zeros(row_lengths.shape[0] + 1, dtype=np.int64)
+    np.cumsum(row_lengths, out=indptr[1:])
+    return indptr
+
+
 def gen_bernoulli(
     n_items: int, n_tests: int, p: float, seed: int, *, nu: float | None = None
 ) -> TestDesign:
@@ -199,17 +345,23 @@ def gen_bernoulli(
     seed = _check_seed(seed)
     keys = rng.mix64_np(seed, _STREAM_COLUMNS[KIND_BERNOULLI], np.arange(n_items, dtype=np.uint64))
     counters = np.arange(n_tests, dtype=np.uint64)
-    columns: list[tuple[int, ...]] = []
+    dtype = _index_dtype(n_tests)
+    lengths, parts = [], []
     # chunk rows to bound the (items x tests) buffer at ~32 MB
     chunk = max(1, (4 << 20) // max(1, n_tests))
     for lo in range(0, n_items, chunk):
         block = rng.unit_np(keys[lo : lo + chunk, None], counters[None, :]) < p
-        rows, cols = np.nonzero(block)
-        splits = np.searchsorted(rows, np.arange(1, block.shape[0]))
-        for part in np.split(cols, splits):
-            columns.append(tuple(int(t) for t in part))
-    return TestDesign(
-        KIND_BERNOULLI, n_items, n_tests, DesignParams(p=p, nu=nu), seed, tuple(columns)
+        item, test = np.nonzero(block)
+        lengths.append(np.bincount(item, minlength=block.shape[0]))
+        parts.append(test.astype(dtype))
+    return TestDesign.from_csr(
+        KIND_BERNOULLI,
+        n_items,
+        n_tests,
+        DesignParams(p=p, nu=nu),
+        seed,
+        _row_pointers(np.concatenate(lengths)),
+        np.concatenate(parts),
     )
 
 
@@ -226,23 +378,21 @@ def gen_near_constant(
     seed = _check_seed(seed)
     keys = rng.mix64_np(seed, _STREAM_COLUMNS[KIND_NEAR_CONSTANT], np.arange(n_items, dtype=np.uint64))
     picks = rng.bounded_np(keys[:, None], np.arange(draws, dtype=np.uint64)[None, :], n_tests)
-    picks = np.sort(picks, axis=1)
-    columns = []
-    for row in picks:
-        prev = -1
-        col = []
-        for t in row:
-            if t != prev:
-                col.append(int(t))
-                prev = t
-        columns.append(tuple(col))
-    return TestDesign(
+    del keys
+    picks.sort(axis=1)
+    # a sorted draw is kept unless it repeats the one before it in its row
+    keep = np.ones(picks.shape, dtype=bool)
+    np.not_equal(picks[:, 1:], picks[:, :-1], out=keep[:, 1:])
+    indices = picks[keep].astype(_index_dtype(n_tests))
+    del picks
+    return TestDesign.from_csr(
         KIND_NEAR_CONSTANT,
         n_items,
         n_tests,
         DesignParams(draws=draws, nu=nu),
         seed,
-        tuple(columns),
+        _row_pointers(np.count_nonzero(keep, axis=1)),
+        indices,
     )
 
 
@@ -258,7 +408,7 @@ def gen_exact_constant(
         raise ValueError(f"n_items must be >= 1, got {n_items}")
     seed = _check_seed(seed)
     tag = _STREAM_COLUMNS[KIND_EXACT_CONSTANT]
-    columns = []
+    flat: list[int] = []
     for i in range(n_items):
         key = rng.mix64(seed, tag, i)
         perm: dict[int, int] = {}
@@ -269,14 +419,15 @@ def gen_exact_constant(
             vj = perm.get(j, j)
             perm[r], perm[j] = vj, vr
             chosen.append(vj)
-        columns.append(tuple(sorted(chosen)))
-    return TestDesign(
+        flat.extend(sorted(chosen))
+    return TestDesign.from_csr(
         KIND_EXACT_CONSTANT,
         n_items,
         n_tests,
         DesignParams(draws=draws, nu=nu),
         seed,
-        tuple(columns),
+        np.arange(0, n_items * draws + 1, draws, dtype=np.int64),
+        np.array(flat, dtype=_index_dtype(n_tests)),
     )
 
 
@@ -350,13 +501,13 @@ def params_from_nu(nu: float, n_tests: int, k: int) -> NuParams:
 
 def run_tests(design: TestDesign, truth: DefectiveSet) -> OutcomeVector:
     """Noiseless outcomes: test t is positive iff it contains a defective."""
-    masks = design.item_masks
-    m = 0
+    positive = np.zeros(design.n_tests, dtype=bool)
+    indptr, indices = design.indptr, design.indices
     for i in truth.items:
         if i >= design.n_items:
             raise ValueError(f"defective index {i} out of range for {design.n_items} items")
-        m |= masks[i]
-    return OutcomeVector(tuple(bool((m >> t) & 1) for t in range(design.n_tests)))
+        positive[indices[indptr[i] : indptr[i + 1]]] = True
+    return OutcomeVector(tuple(positive.tolist()))
 
 
 def possible_defectives(design: TestDesign, outcome: OutcomeVector) -> list[int]:
@@ -433,7 +584,7 @@ def design_to_json_dict(design: TestDesign) -> dict:
         "T": design.n_tests,
         "params": params,
         "seed": design.seed,
-        "columns": [list(col) for col in design.columns],
+        "columns": design.rows(),
     }
 
 
@@ -441,20 +592,36 @@ def design_to_json(design: TestDesign, indent: int | None = None) -> str:
     return json.dumps(design_to_json_dict(design), indent=indent)
 
 
+def _optional_param(raw: dict, key: str, integral: bool) -> float | int | None:
+    value = raw.get(key)
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, int if integral else (int, float)):
+        kind = "an integer" if integral else "a number"
+        raise ValueError(f"params.{key} must be {kind} or null, got {value!r}")
+    return value
+
+
 def design_from_json_dict(obj: dict) -> TestDesign:
+    """Load a design object; any malformed field raises ValueError.
+
+    Types are checked, never coerced: sizes and seed must be JSON integers,
+    and every column a list of integers.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError("a design must be a JSON object")
     try:
-        kind = obj["kind"]
-        n_items = obj["N"]
-        n_tests = obj["T"]
-        raw_params = obj["params"]
-        seed = obj["seed"]
-        columns = tuple(tuple(int(t) for t in col) for col in obj["columns"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed design object: {exc}") from exc
+        kind, n_items, n_tests, raw_params, seed, columns = (
+            obj[key] for key in ("kind", "N", "T", "params", "seed", "columns")
+        )
+    except KeyError as exc:
+        raise ValueError(f"malformed design object: missing {exc}") from exc
+    if not isinstance(raw_params, dict):
+        raise ValueError("params must be a JSON object")
     params = DesignParams(
-        p=raw_params.get("p"),
-        draws=raw_params.get("L"),
-        nu=raw_params.get("nu"),
+        p=_optional_param(raw_params, "p", integral=False),
+        draws=_optional_param(raw_params, "L", integral=True),
+        nu=_optional_param(raw_params, "nu", integral=False),
     )
     return TestDesign(kind, n_items, n_tests, params, seed, columns)
 

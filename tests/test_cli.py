@@ -109,6 +109,74 @@ class TestDecodeCommand:
         rc = main(["decode", "--design", str(tmp_path / "none.json"), "--outcome", "1", "--alg", "comp"])
         assert rc == 3
 
+    @pytest.mark.parametrize("alg", ["comp", "dd", "scomp", "sss"])
+    def test_positive_test_without_pd_member(self, tmp_path, capsys, alg):
+        # items 0 and 1 sit in the negative test 0, so the positive test 1
+        # has no possible defective: no decoder may report "ok"
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(_design_obj(columns=[[0, 1], [0, 1], [0]])))
+        rc = main(["decode", "--design", str(path), "--outcome", "01", "--alg", alg])
+        assert rc == 1
+        assert "malformed outcome" in capsys.readouterr().err
+
+
+def _design_obj(**overrides):
+    obj = {
+        "kind": "near_constant",
+        "N": 3,
+        "T": 2,
+        "params": {"L": 2, "nu": None},
+        "seed": 0,
+        "columns": [[0], [0, 1], [1]],
+    }
+    obj.update(overrides)
+    return obj
+
+
+class TestDesignFileBoundary:
+    """Each malformed design file exits 1 with one error line, no traceback."""
+
+    def _decode(self, tmp_path, capsys, obj, outcome="10"):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(obj))
+        rc = main(["decode", "--design", str(path), "--outcome", outcome, "--alg", "comp"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: bad design file:") and "Traceback" not in err
+
+    def test_params_not_an_object(self, tmp_path, capsys):
+        self._decode(tmp_path, capsys, _design_obj(params=[]))
+
+    def test_size_as_string(self, tmp_path, capsys):
+        self._decode(tmp_path, capsys, _design_obj(N="3"))
+
+    def test_fractional_column_entry(self, tmp_path, capsys):
+        # int() would truncate 0.5 to test 0 and decode it
+        self._decode(tmp_path, capsys, _design_obj(columns=[[0.5], [0, 1], [1]]))
+
+    def test_boolean_column_entry(self, tmp_path, capsys):
+        self._decode(tmp_path, capsys, _design_obj(columns=[[True], [0, 1], [1]]))
+
+    @pytest.mark.parametrize(
+        "overrides,outcome",
+        [
+            # each would pass as the integer it equals if types were coerced
+            ({"N": True, "columns": [[0]]}, "10"),
+            ({"N": 3.0}, "10"),
+            ({"T": True, "columns": [[0], [0], [0]]}, "1"),
+            ({"T": 2.0}, "10"),
+            ({"seed": True}, "10"),
+            ({"seed": 0.0}, "10"),
+        ],
+    )
+    def test_boolean_or_float_header(self, tmp_path, capsys, overrides, outcome):
+        self._decode(tmp_path, capsys, _design_obj(**overrides), outcome)
+
+    def test_hand_written_design_still_loads(self, tmp_path, capsys):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(_design_obj()))
+        assert main(["decode", "--design", str(path), "--outcome", "10", "--alg", "comp"]) == 0
+
 
 class TestSimulateCommand:
     def _config(self, tmp_path, **overrides):

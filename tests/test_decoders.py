@@ -64,6 +64,12 @@ class TestComp:
         with pytest.raises(ValueError):
             comp(d, OutcomeVector((True,)))
 
+    def test_malformed_outcome_rejected(self):
+        # items 0 and 1 are in the negative t0, so the positive t1 has no PD member
+        d = design_of(2, [[0, 1], [0, 1], [0]])
+        with pytest.raises(MalformedOutcomeError):
+            comp(d, OutcomeVector((False, True)))
+
 
 class TestDd:
     def test_solo_pd_test_identifies_item(self):
@@ -81,6 +87,21 @@ class TestDd:
     def test_all_negative_estimates_empty(self):
         d = design_of(2, [[0], [1]])
         assert dd(d, OutcomeVector((False, False))).estimate == ()
+
+    def test_malformed_outcome_rejected(self):
+        d = design_of(2, [[0, 1], [0, 1], [0]])
+        with pytest.raises(MalformedOutcomeError):
+            dd(d, OutcomeVector((False, True)))
+
+    def test_matches_pd_count_definition(self):
+        """DD = PD items in a test holding exactly one PD item, by direct count."""
+        for seed in range(40):
+            d = gen_near_constant(30, 12, 3, seed=seed)
+            y = run_tests(d, sample_defective_set(30, 4, seed))
+            pd = comp(d, y).pd_set
+            counts = [sum(1 for i in pd if t in d.columns[i]) for t in range(d.n_tests)]
+            want = tuple(i for i in pd if any(counts[t] == 1 for t in d.columns[i]))
+            assert dd(d, y).estimate == want
 
 
 class TestScomp:

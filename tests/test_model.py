@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from grouptest import rng
 from grouptest import (
     DefectiveSet,
     DesignParams,
@@ -146,6 +147,154 @@ class TestGenExactConstant:
     def test_rejects_draws_above_tests(self):
         with pytest.raises(ValueError):
             gen_exact_constant(3, 4, 5, seed=0)
+
+
+# -- the CSR representation against per-item loops -----------------------------
+
+
+def _ref_bernoulli(n, t, p, seed):
+    key = lambda i: rng.mix64(seed, 1, i)  # noqa: E731
+    return tuple(tuple(c for c in range(t) if rng.unit_at(key(i), c) < p) for i in range(n))
+
+
+def _ref_near_constant(n, t, draws, seed):
+    return tuple(
+        tuple(sorted({rng.bounded_at(rng.mix64(seed, 2, i), r, t) for r in range(draws)}))
+        for i in range(n)
+    )
+
+
+def _ref_exact_constant(n, t, draws, seed):
+    columns = []
+    for i in range(n):
+        key = rng.mix64(seed, 3, i)
+        perm: dict[int, int] = {}
+        chosen = []
+        for r in range(draws):
+            j = r + rng.bounded_at(key, r, t - r)
+            vr, vj = perm.get(r, r), perm.get(j, j)
+            perm[r], perm[j] = vj, vr
+            chosen.append(vj)
+        columns.append(tuple(sorted(chosen)))
+    return tuple(columns)
+
+
+def _ref_masks(columns):
+    masks = []
+    for col in columns:
+        m = 0
+        for t in col:
+            m |= 1 << t
+        masks.append(m)
+    return tuple(masks)
+
+
+class TestCsrDesigns:
+    """Generators, views and outcomes equal their per-item scalar definitions."""
+
+    @pytest.mark.parametrize("n,t", [(1, 1), (7, 9), (40, 64), (60, 65), (30, 300)])
+    def test_generators_match_scalar_streams(self, n, t):
+        for seed in (0, 12345):
+            assert gen_bernoulli(n, t, 0.3, seed).columns == _ref_bernoulli(n, t, 0.3, seed)
+            draws = min(5, t)
+            assert gen_near_constant(n, t, draws, seed).columns == _ref_near_constant(
+                n, t, draws, seed
+            )
+            assert gen_exact_constant(n, t, draws, seed).columns == _ref_exact_constant(
+                n, t, draws, seed
+            )
+
+    @pytest.mark.parametrize("t", [1, 8, 9, 63, 64, 65, 400, 2000])
+    def test_item_masks_match_shift_loop(self, t):
+        # at T = 2000 a mask chunk holds 131 rows, so N = 1200 spans ten
+        d = gen_near_constant(1200, t, min(6, t), seed=t)
+        assert d.item_masks == _ref_masks(d.columns)
+
+    def test_item_masks_with_empty_columns(self):
+        d = TestDesign("bernoulli", 4, 10, DesignParams(p=0.5), 0, ((), (9,), (), (0, 3)))
+        assert d.item_masks == (0, 1 << 9, 0, 0b1001)
+
+    @pytest.mark.parametrize("t,dtype", [(256, np.uint8), (257, np.uint16), (70_000, np.uint32)])
+    def test_indices_use_narrowest_type(self, t, dtype):
+        d = gen_near_constant(3, t, 2, seed=1)
+        assert d.indices.dtype == dtype and d.indptr.dtype == np.int64
+
+    def test_arrays_are_read_only(self):
+        d = gen_near_constant(5, 9, 3, seed=1)
+        with pytest.raises(ValueError):
+            d.indices[0] = 1
+
+    def test_from_csr_equals_columns_constructor(self):
+        cols = ((0, 2), (), (1,))
+        params = DesignParams(draws=2)
+        by_cols = TestDesign("near_constant", 3, 3, params, 0, cols)
+        by_csr = TestDesign.from_csr(
+            "near_constant", 3, 3, params, 0, np.array([0, 2, 2, 3]), np.array([0, 2, 1])
+        )
+        assert by_cols == by_csr and by_csr.columns == cols
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            ((0,), (3,)),  # index >= T
+            ((0,), (-1,)),  # negative index
+            ((1, 0), (2,)),  # unsorted row
+            ((0, 0), (2,)),  # repeated index
+            ((0,),),  # one column short
+            ((0,), (1,), (2,)),  # one column too many
+            ((0.5,), (1,)),  # fractional index
+            ((1.0,), (2,)),  # integral float
+            ((True,), (2,)),  # boolean
+            ((0, True), (2,)),  # boolean beside an integer
+            ((0,), ("1",)),  # string
+            ((0,), (None,)),  # null
+            ((0,), ((1,),)),  # nested list
+            ((0,), 1),  # column that is not a list
+            ((0,), (2**64,)),  # beyond every integer type
+        ],
+    )
+    def test_columns_constructor_rejects(self, columns):
+        with pytest.raises(ValueError):
+            TestDesign("near_constant", 2, 3, DesignParams(draws=1), 0, columns)
+
+    @pytest.mark.parametrize(
+        "indptr,indices",
+        [
+            ([0, 1], [0]),  # one row pointer short
+            ([1, 1, 2], [0, 1]),  # does not start at 0
+            ([0, 1, 1], [0, 1]),  # does not end at the entry count
+            ([0, 3, 2], [0, 1]),  # falls
+            ([0.0, 1.0, 2.0], [0, 1]),  # float pointers
+            ([0, 1, 2], [0.0, 1.0]),  # float indices
+            ([0, 1, 2], [[0], [1]]),  # two-dimensional indices
+        ],
+    )
+    def test_from_csr_rejects(self, indptr, indices):
+        with pytest.raises(ValueError):
+            TestDesign.from_csr(
+                "near_constant", 2, 3, DesignParams(draws=1), 0, np.array(indptr), np.array(indices)
+            )
+
+    @pytest.mark.parametrize(
+        "n_items,n_tests,seed",
+        [(True, 3, 0), (2.0, 3, 0), (2, True, 0), (2, 3.0, 0), (2, 3, True), (2, 3, 0.0), (2, 3, -1)],
+    )
+    def test_rejects_non_integer_header(self, n_items, n_tests, seed):
+        with pytest.raises(ValueError):
+            TestDesign("near_constant", n_items, n_tests, DesignParams(draws=1), seed, ((0,), (1,)))
+
+    @pytest.mark.parametrize("t", [1, 7, 8, 9, 130])
+    def test_outcome_matches_shift_loop(self, t):
+        for seed in range(5):
+            d = gen_bernoulli(20, t, 0.2, seed)
+            truth = sample_defective_set(20, 3, seed)
+            y = run_tests(d, truth)
+            m = 0
+            for i in truth.items:
+                m |= _ref_masks(d.columns)[i]
+            assert y.bits == tuple(bool((m >> c) & 1) for c in range(t))
+            assert all(type(b) is bool for b in y.bits)
+            assert y.positive_mask == m
 
 
 class TestParamsFromNu:
