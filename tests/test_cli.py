@@ -147,6 +147,10 @@ class TestDesignFileBoundary:
     def test_params_not_an_object(self, tmp_path, capsys):
         self._decode(tmp_path, capsys, _design_obj(params=[]))
 
+    @pytest.mark.parametrize("params", [{"L": "2"}, {"L": 2.5}, {"nu": "ln 2"}, {"p": True}])
+    def test_params_field_of_wrong_type(self, tmp_path, capsys, params):
+        self._decode(tmp_path, capsys, _design_obj(params=params))
+
     def test_size_as_string(self, tmp_path, capsys):
         self._decode(tmp_path, capsys, _design_obj(N="3"))
 
@@ -171,11 +175,6 @@ class TestDesignFileBoundary:
     )
     def test_boolean_or_float_header(self, tmp_path, capsys, overrides, outcome):
         self._decode(tmp_path, capsys, _design_obj(**overrides), outcome)
-
-    def test_hand_written_design_still_loads(self, tmp_path, capsys):
-        path = tmp_path / "d.json"
-        path.write_text(json.dumps(_design_obj()))
-        assert main(["decode", "--design", str(path), "--outcome", "10", "--alg", "comp"]) == 0
 
 
 class TestSimulateCommand:

@@ -150,11 +150,14 @@ class TestGenExactConstant:
 
 
 # -- the CSR representation against per-item loops -----------------------------
+# Stream tags 1, 2 and 3 key the Bernoulli, near-constant and exact-constant
+# columns of a seed.
 
 
 def _ref_bernoulli(n, t, p, seed):
-    key = lambda i: rng.mix64(seed, 1, i)  # noqa: E731
-    return tuple(tuple(c for c in range(t) if rng.unit_at(key(i), c) < p) for i in range(n))
+    return tuple(
+        tuple(c for c in range(t) if rng.unit_at(rng.mix64(seed, 1, i), c) < p) for i in range(n)
+    )
 
 
 def _ref_near_constant(n, t, draws, seed):
