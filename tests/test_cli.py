@@ -5,8 +5,11 @@ import math
 
 import pytest
 
+from grouptest import simlab
 from grouptest.cli import main
-from grouptest.model import design_from_json, gen_exact_constant
+from grouptest.model import design_from_json, design_to_json, gen_exact_constant, gen_near_constant
+
+LN2 = math.log(2)
 
 
 @pytest.fixture
@@ -40,6 +43,19 @@ class TestDesignCommand:
 
     def test_nu_requires_k(self):
         assert main(["design", "--kind", "ncc", "--N", "5", "--T", "7", "--nu", "0.7"]) == 1
+        assert main(["design", "--kind", "ncc", "--N", "5", "--T", "7", "--nu", "0.7", "--K", "0"]) == 1
+
+    @pytest.mark.parametrize("kind", ["bernoulli", "ncc", "ccw"])
+    def test_nu_path_is_the_lab_design(self, tmp_path, kind):
+        # --nu must realize exactly the design the Monte Carlo lab runs
+        out = tmp_path / "d.json"
+        rc = main(
+            ["design", "--kind", kind, "--N", "40", "--T", "30", "--nu", repr(LN2),
+             "--K", "10", "--seed", "5", "--out", str(out)]
+        )
+        assert rc == 0
+        want = simlab.build_design(simlab.DesignArm(kind, LN2), 40, 10, 30, 5)
+        assert out.read_text() == design_to_json(want, indent=2) + "\n"
 
     def test_nu_with_k(self, tmp_path, capsys):
         out = tmp_path / "d.json"
@@ -92,6 +108,34 @@ class TestDecodeCommand:
         )
         assert rc == 0
         assert json.loads(out.read_text())["estimate"] == want
+
+    # gen_near_constant(16, 8, 2, seed=46) with defectives {5, 9, 12}: the
+    # four decoders give four different estimates, and SSS needs 5 nodes
+    PD_46 = [0, 1, 2, 3, 4, 5, 6, 9, 10, 11, 12]
+    PAYLOADS_46 = {
+        "comp": {"algorithm": "comp", "status": "ok", "estimate": PD_46, "pd_set": PD_46,
+                 "pd_count": 11, "definite_defectives": []},
+        "dd": {"algorithm": "dd", "status": "ok", "estimate": [9], "pd_set": PD_46,
+               "pd_count": 11, "definite_defectives": [9]},
+        "scomp": {"algorithm": "scomp", "status": "ok", "estimate": [1, 2, 9], "pd_set": PD_46,
+                  "pd_count": 11, "definite_defectives": [9]},
+        "sss": {"algorithm": "sss", "status": "ok", "estimate": [0, 9, 12], "pd_set": PD_46,
+                "pd_count": 11, "definite_defectives": [], "search_nodes": 5},
+        "sss-budget-1": {"algorithm": "sss", "status": "unresolved", "best_incumbent": [1, 2, 9],
+                         "search_nodes": 2},
+    }
+
+    @pytest.mark.parametrize("case", list(PAYLOADS_46))
+    def test_payload_pins(self, tmp_path, case):
+        path = tmp_path / "d.json"
+        path.write_text(design_to_json(gen_near_constant(16, 8, 2, 46)))
+        out = tmp_path / "r.json"
+        alg, _, budget = case.partition("-budget-")
+        extra = ["--node-budget", budget] if budget else []
+        rc = main(["decode", "--design", str(path), "--outcome", "11011001", "--alg", alg,
+                   "--out", str(out), *extra])
+        assert rc == 0
+        assert out.read_text() == json.dumps(self.PAYLOADS_46[case], indent=2) + "\n"
 
     def test_bad_outcome_length(self, hand_design):
         rc = main(["decode", "--design", str(hand_design), "--outcome", "101", "--alg", "comp"])
