@@ -122,26 +122,21 @@ def _cmd_design(args: argparse.Namespace) -> int:
     if len(given) != 1:
         raise CliError("exactly one of --nu, --p, --L is required")
     kind = simlab.DESIGN_ALIASES[args.kind]
+    # build_design floors K at 1 for the lab's K = 0 configs; here K must be given
+    if args.nu is not None and (args.k is None or args.k < 1):
+        raise CliError("--nu requires --K >= 1 to derive p or L")
+    if args.p is not None and kind != model.KIND_BERNOULLI:
+        raise CliError("--p applies to bernoulli designs only")
+    if args.draws is not None and kind == model.KIND_BERNOULLI:
+        raise CliError("--L applies to weight designs only (ncc, ccw)")
     try:
         if args.nu is not None:
-            if args.k is None:
-                raise CliError("--nu requires --K to derive p or L")
-            params = model.params_from_nu(args.nu, args.n_tests, args.k)
-            if kind == model.KIND_BERNOULLI:
-                design = model.gen_bernoulli(args.n_items, args.n_tests, params.p, args.seed, nu=args.nu)
-            else:
-                draws = params.draws
-                if kind == model.KIND_EXACT_CONSTANT:
-                    draws = min(draws, args.n_tests)
-                design = model.generate_design(kind, args.n_items, args.n_tests, args.seed, draws=draws, nu=args.nu)
-        elif args.p is not None:
-            if kind != model.KIND_BERNOULLI:
-                raise CliError("--p applies to bernoulli designs only")
-            design = model.gen_bernoulli(args.n_items, args.n_tests, args.p, args.seed)
+            arm = simlab.DesignArm(kind, args.nu)
+            design = simlab.build_design(arm, args.n_items, args.k, args.n_tests, args.seed)
         else:
-            if kind == model.KIND_BERNOULLI:
-                raise CliError("--L applies to weight designs only (ncc, ccw)")
-            design = model.generate_design(kind, args.n_items, args.n_tests, args.seed, draws=args.draws)
+            design = model.generate_design(
+                kind, args.n_items, args.n_tests, args.seed, p=args.p, draws=args.draws
+            )
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     with _open_out(args.out) as out:
@@ -164,14 +159,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     outcome = model.OutcomeVector(tuple(c == "1" for c in bits))
     payload: dict[str, object]
     try:
-        if args.alg == "comp":
-            result = decoders.comp(design, outcome)
-        elif args.alg == "dd":
-            result = decoders.dd(design, outcome)
-        elif args.alg == "scomp":
-            result = decoders.scomp(design, outcome)
-        else:
-            result = decoders.sss(design, outcome, args.node_budget)
+        result = decoders.decode(args.alg, design, outcome, args.node_budget)
     except decoders.UnresolvedSearchError as exc:
         payload = {
             "algorithm": args.alg,
@@ -181,6 +169,8 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         }
     except decoders.MalformedOutcomeError as exc:
         raise CliError(f"malformed outcome: {exc}") from exc
+    except ValueError as exc:  # a node budget below 1
+        raise CliError(str(exc)) from exc
     else:
         payload = {
             "algorithm": result.algorithm,

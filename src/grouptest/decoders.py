@@ -15,7 +15,8 @@ test; survivors are the Possible Defectives, PD):
 A candidate set is *satisfying* when it touches no negative test and hits
 every positive one. All decoders are pure functions of (design, outcome), and
 all four raise :class:`MalformedOutcomeError` when a positive test contains
-no PD item.
+no PD item. :func:`decode` runs one of them by name, and
+:func:`invariant_violations` lists the identities their estimates break.
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .model import DefectiveSet, OutcomeVector, TestDesign, possible_defectives
-
-ALGORITHMS = ("comp", "dd", "scomp", "sss")
+from . import model
+from .model import DefectiveSet, Instance, OutcomeVector, TestDesign, possible_defectives
 
 DEFAULT_NODE_BUDGET = 10**6
 
@@ -297,6 +297,97 @@ def sss(
     chosen_set: set[int] = set()
     search(0, [])
     return DecodeResult("sss", best, tuple(pd), search_nodes=nodes)
+
+
+# the decoders decode runs, by the names of their functions in this module
+ALGORITHMS = ("comp", "dd", "scomp", "sss")
+
+
+def decode(
+    alg: str,
+    design: TestDesign,
+    outcome: OutcomeVector,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+) -> DecodeResult:
+    """Run the decoder named `alg`; `node_budget` applies to SSS only.
+
+    The decoder is looked up among the module's globals at call time, so a
+    function patched onto this module (a tracer's wrapper) is the one run.
+    """
+    if alg not in ALGORITHMS:
+        raise ValueError(f"unknown decoder {alg!r}; expected one of {ALGORITHMS}")
+    if alg == "sss":
+        return sss(design, outcome, node_budget)
+    return globals()[alg](design, outcome)
+
+
+def some_defective_masked(design: TestDesign, truth: DefectiveSet) -> bool:
+    """True iff some defective is masked by the other defectives.
+
+    The true set is then not the smallest satisfying set, so SSS fails.
+    """
+    items = truth.items
+    return any(is_masked(design, i, [j for j in items if j != i]) for i in items)
+
+
+# every identity invariant_violations checks
+INVARIANTS = (
+    "dd_subset_truth",
+    "truth_subset_comp",
+    "sss_size",
+    "scomp_satisfying",
+    "sss_satisfying",
+    "comp_iff_g_zero",
+    "dd_iff_li_positive",
+    "dd_exact_implies_scomp",
+    "stats_identity",
+)
+
+
+def invariant_violations(
+    instance: Instance, estimates: dict[str, tuple[int, ...]]
+) -> list[str]:
+    """The keys of :data:`INVARIANTS` that `estimates` break on `instance`.
+
+    `estimates` maps decoder names to their estimates; identities about a
+    decoder it lacks are not checked. The per-item count identity
+    ``stats_identity`` (W_{K\\i} + M_i = covered tests, L_i <= M_i) is
+    listed once per defective that breaks it.
+    """
+    design, truth, outcome = instance.design, instance.truth, instance.outcome
+    stats = model.compute_item_stats(design, truth, outcome)
+    truth_set = set(truth.items)
+    found = []
+    if "comp" in estimates:
+        comp_est = set(estimates["comp"])
+        if not truth_set <= comp_est:
+            found.append("truth_subset_comp")
+        if (comp_est == truth_set) != (stats.masked_nondefectives == 0):
+            found.append("comp_iff_g_zero")
+    dd_exact = False
+    if "dd" in estimates:
+        dd_est = set(estimates["dd"])
+        dd_exact = dd_est == truth_set
+        if not dd_est <= truth_set:
+            found.append("dd_subset_truth")
+        if dd_exact != all(l > 0 for l in stats.solo_pd_tests):
+            found.append("dd_iff_li_positive")
+    if "scomp" in estimates:
+        if not is_satisfying(design, outcome, estimates["scomp"]):
+            found.append("scomp_satisfying")
+        if dd_exact and set(estimates["scomp"]) != truth_set:
+            found.append("dd_exact_implies_scomp")
+    if "sss" in estimates:
+        if len(estimates["sss"]) > truth.k:
+            found.append("sss_size")
+        if not is_satisfying(design, outcome, estimates["sss"]):
+            found.append("sss_satisfying")
+    for w_i, m_i, l_i in zip(
+        stats.covered_without, stats.solo_defective_tests, stats.solo_pd_tests
+    ):
+        if w_i + m_i != stats.covered_tests or l_i > m_i:
+            found.append("stats_identity")
+    return found
 
 
 def evaluate(result: DecodeResult, truth: DefectiveSet) -> EvalRecord:

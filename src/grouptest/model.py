@@ -26,6 +26,7 @@ order or concurrently with identical results.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain, repeat
@@ -53,19 +54,24 @@ _SEED_LIMIT = 1 << 64
 _MASK_CHUNK_CELLS = 1 << 18
 
 
-def _is_integer(value: object) -> bool:
+def is_integer(value: object) -> bool:
     """True for Python and numpy integers; bools are not integers here."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_number(value: object) -> bool:
+    """True for Python and numpy integers and floats; bools are not numbers here."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def _check_seed(seed: int) -> int:
-    if not _is_integer(seed) or not 0 <= seed < _SEED_LIMIT:
+    if not is_integer(seed) or not 0 <= seed < _SEED_LIMIT:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
     return int(seed)
 
 
 def _check_size(value: int, name: str) -> int:
-    if not _is_integer(value) or value < 1:
+    if not is_integer(value) or value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
     return int(value)
 
@@ -290,6 +296,15 @@ class OutcomeVector:
 
 
 @dataclass(frozen=True)
+class Instance:
+    """One group-testing instance: a design, its defectives and their outcomes."""
+
+    design: TestDesign
+    truth: DefectiveSet
+    outcome: OutcomeVector
+
+
+@dataclass(frozen=True)
 class ItemStats:
     """Exact per-instance counts driving the COMP/DD success conditions.
 
@@ -316,16 +331,21 @@ def sample_defective_set(n_items: int, k: int, seed: int) -> DefectiveSet:
     if n_items < 0 or k < 0 or k > n_items:
         raise ValueError(f"need 0 <= k <= n_items, got k={k}, n_items={n_items}")
     seed = _check_seed(seed)
-    key = rng.mix64(seed, _STREAM_DEFECTIVE)
+    return DefectiveSet(tuple(_uniform_subset(rng.mix64(seed, _STREAM_DEFECTIVE), n_items, k)))
+
+
+def _uniform_subset(key: int, n: int, k: int) -> list[int]:
+    """Sorted uniform k-subset of [0, n): the first k places of a Fisher-Yates
+    shuffle drawn from the stream `key`, with the swaps kept in a dict."""
     perm: dict[int, int] = {}
     chosen = []
     for r in range(k):
-        j = r + rng.bounded_at(key, r, n_items - r)
+        j = r + rng.bounded_at(key, r, n - r)
         vr = perm.get(r, r)
         vj = perm.get(j, j)
         perm[r], perm[j] = vj, vr
         chosen.append(vj)
-    return DefectiveSet(tuple(sorted(chosen)))
+    return sorted(chosen)
 
 
 def _row_pointers(row_lengths: np.ndarray) -> np.ndarray:
@@ -410,16 +430,7 @@ def gen_exact_constant(
     tag = _STREAM_COLUMNS[KIND_EXACT_CONSTANT]
     flat: list[int] = []
     for i in range(n_items):
-        key = rng.mix64(seed, tag, i)
-        perm: dict[int, int] = {}
-        chosen = []
-        for r in range(draws):
-            j = r + rng.bounded_at(key, r, n_tests - r)
-            vr = perm.get(r, r)
-            vj = perm.get(j, j)
-            perm[r], perm[j] = vj, vr
-            chosen.append(vj)
-        flat.extend(sorted(chosen))
+        flat.extend(_uniform_subset(rng.mix64(seed, tag, i), n_tests, draws))
     return TestDesign.from_csr(
         KIND_EXACT_CONSTANT,
         n_items,
@@ -491,6 +502,8 @@ def params_from_nu(nu: float, n_tests: int, k: int) -> NuParams:
     if k < 1 or n_tests < 1:
         raise ValueError("k and n_tests must be >= 1")
     exact = nu * n_tests / k
+    if not math.isfinite(exact):
+        raise ValueError(f"nu * T / K must be finite, got nu={nu}, T={n_tests}, K={k}")
     return NuParams(
         draws=max(1, round(exact)),
         p=min(P_MAX, nu / k),
@@ -596,7 +609,7 @@ def _optional_param(raw: dict, key: str, integral: bool) -> float | int | None:
     value = raw.get(key)
     if value is None:
         return None
-    if isinstance(value, bool) or not isinstance(value, int if integral else (int, float)):
+    if not (is_integer if integral else is_number)(value):
         kind = "an integer" if integral else "a number"
         raise ValueError(f"params.{key} must be {kind} or null, got {value!r}")
     return value

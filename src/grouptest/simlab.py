@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import IO
 
 import numpy as np
@@ -77,8 +77,23 @@ class DesignArm:
         if kind is None:
             raise ValueError(f"unknown design kind {self.kind!r}")
         object.__setattr__(self, "kind", kind)
-        if not self.nu > 0:
-            raise ValueError(f"nu must be positive, got {self.nu}")
+        if not model.is_number(self.nu) or not self.nu > 0:
+            raise ValueError(f"nu must be a positive number, got {self.nu!r}")
+
+    @classmethod
+    def of(cls, entry: DesignArm | dict | tuple | list) -> DesignArm:
+        """An arm from itself, a ``{"kind", "nu"}`` object or a ``[kind, nu]`` pair."""
+        if isinstance(entry, cls):
+            return entry
+        if isinstance(entry, dict):
+            return cls(entry["kind"], entry["nu"])
+        kind, nu = entry
+        return cls(kind, nu)
+
+    def params(self, n_tests: int, k: int) -> model.NuParams:
+        """p and L at a grid point; K is floored at 1 so K = 0 configs still
+        realize a design."""
+        return model.params_from_nu(self.nu, n_tests, max(1, k))
 
 
 @dataclass
@@ -93,10 +108,14 @@ class ExperimentConfig:
     sss_node_budget: int = dec.DEFAULT_NODE_BUDGET
 
     def __post_init__(self) -> None:
+        # type-checked, never coerced: int() would run n_items=30.7 as 30
+        for name in ("n_items", "k", "trials", "master_seed", "sss_node_budget"):
+            if not model.is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not all(map(model.is_integer, self.t_grid)):
+            raise ValueError(f"t_grid entries must be integers, got {self.t_grid!r}")
         self.t_grid = tuple(int(t) for t in self.t_grid)
-        self.designs = tuple(
-            arm if isinstance(arm, DesignArm) else DesignArm(*arm) for arm in self.designs
-        )
+        self.designs = tuple(map(DesignArm.of, self.designs))
         self.decoders = tuple(self.decoders)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
@@ -119,42 +138,19 @@ class ExperimentConfig:
             raise ValueError("sss_node_budget must be >= 1")
         if not 0 <= self.master_seed < 1 << 64:
             raise ValueError("master_seed must be a 64-bit unsigned integer")
+        for arm in self.designs:  # L = nu*T/K is largest at the last grid point
+            arm.params(self.t_grid[-1], self.k)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
-        known = {
-            "n_items",
-            "k",
-            "t_grid",
-            "designs",
-            "decoders",
-            "trials",
-            "master_seed",
-            "sss_node_budget",
-        }
-        unknown = set(obj) - known
+        """A config from its JSON object; ``master_seed`` defaults to 0."""
+        unknown = set(obj) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         missing = {"n_items", "k", "t_grid", "designs", "decoders", "trials"} - set(obj)
         if missing:
             raise ValueError(f"missing config keys: {sorted(missing)}")
-        designs = []
-        for entry in obj["designs"]:
-            if isinstance(entry, dict):
-                designs.append(DesignArm(entry["kind"], entry["nu"]))
-            else:
-                kind, nu = entry
-                designs.append(DesignArm(kind, nu))
-        return cls(
-            n_items=int(obj["n_items"]),
-            k=int(obj["k"]),
-            t_grid=tuple(obj["t_grid"]),
-            designs=tuple(designs),
-            decoders=tuple(obj["decoders"]),
-            trials=int(obj["trials"]),
-            master_seed=int(obj.get("master_seed", 0)),
-            sss_node_budget=int(obj.get("sss_node_budget", dec.DEFAULT_NODE_BUDGET)),
-        )
+        return cls(**{"master_seed": 0, **obj})
 
     def to_dict(self) -> dict:
         return {
@@ -226,7 +222,7 @@ def build_design(
     arm: DesignArm, n_items: int, k: int, n_tests: int, seed: int
 ) -> model.TestDesign:
     """Realize a design arm at a grid point: nu fixes p or the draw count."""
-    params = model.params_from_nu(arm.nu, n_tests, max(1, k))
+    params = arm.params(n_tests, k)
     if arm.kind == model.KIND_BERNOULLI:
         return model.gen_bernoulli(n_items, n_tests, params.p, seed, nu=arm.nu)
     draws = params.draws
@@ -235,34 +231,13 @@ def build_design(
     return model.generate_design(arm.kind, n_items, n_tests, seed, draws=draws, nu=arm.nu)
 
 
-def _assert_trial_invariants(
-    design: model.TestDesign,
-    truth: model.DefectiveSet,
-    outcome: model.OutcomeVector,
-    results: dict[str, dec.DecodeResult | None],
-) -> None:
-    stats = model.compute_item_stats(design, truth, outcome)
-    truth_set = set(truth.items)
-    comp_res = results.get("comp")
-    if comp_res is not None:
-        exact = set(comp_res.estimate) == truth_set
-        assert exact == (stats.masked_nondefectives == 0), "COMP exact <=> G == 0"
-        assert truth_set <= set(comp_res.estimate), "truth must be inside COMP estimate"
-    dd_res = results.get("dd")
-    if dd_res is not None:
-        exact = set(dd_res.estimate) == truth_set
-        all_solo = all(l > 0 for l in stats.solo_pd_tests)
-        assert exact == all_solo, "DD exact <=> min L_i > 0"
-        assert set(dd_res.estimate) <= truth_set, "DD estimate must be inside truth"
-    scomp_res = results.get("scomp")
-    if scomp_res is not None:
-        assert dec.is_satisfying(design, outcome, scomp_res.estimate)
-        if dd_res is not None and set(dd_res.estimate) == truth_set:
-            assert set(scomp_res.estimate) == truth_set, "DD exact => SCOMP exact"
-    sss_res = results.get("sss")
-    if sss_res is not None:
-        assert len(sss_res.estimate) <= truth.k, "|SSS estimate| <= K"
-        assert dec.is_satisfying(design, outcome, sss_res.estimate)
+def trial_instance(
+    arm: DesignArm, n_items: int, k: int, n_tests: int, seed: int
+) -> model.Instance:
+    """One trial: the arm's design and a uniform K-set, both from `seed`."""
+    design = build_design(arm, n_items, k, n_tests, seed)
+    truth = model.sample_defective_set(n_items, k, seed)
+    return model.Instance(design, truth, model.run_tests(design, truth))
 
 
 def run_success_curve(
@@ -272,8 +247,8 @@ def run_success_curve(
 
     SSS trials that exhaust the node budget are counted as failures in the
     estimate and reported in the ``unresolved`` column. With
-    ``check_invariants`` every trial additionally asserts the decoder
-    containment and success-condition identities (test mode).
+    ``check_invariants`` a trial whose estimates break any identity of
+    :func:`decoders.invariant_violations` raises AssertionError (test mode).
     """
     counts: dict[tuple[int, str, int], list[int]] = {}
     for arm_id, arm in enumerate(config.designs):
@@ -282,30 +257,22 @@ def run_success_curve(
                 counts[(arm_id, alg, n_tests)] = [0, 0]  # successes, unresolved
             for trial in range(config.trials):
                 seed = trial_seed(config.master_seed, arm_id, n_tests, trial)
-                design = build_design(arm, config.n_items, config.k, n_tests, seed)
-                truth = model.sample_defective_set(config.n_items, config.k, seed)
-                outcome = model.run_tests(design, truth)
-                results: dict[str, dec.DecodeResult | None] = {}
+                inst = trial_instance(arm, config.n_items, config.k, n_tests, seed)
+                estimates = {}
                 for alg in config.decoders:
                     cell = counts[(arm_id, alg, n_tests)]
-                    if alg == "sss":
-                        try:
-                            res = dec.sss(design, outcome, config.sss_node_budget)
-                        except dec.UnresolvedSearchError:
-                            cell[1] += 1
-                            results[alg] = None
-                            continue
-                    elif alg == "comp":
-                        res = dec.comp(design, outcome)
-                    elif alg == "dd":
-                        res = dec.dd(design, outcome)
-                    else:
-                        res = dec.scomp(design, outcome)
-                    results[alg] = res
-                    if dec.evaluate(res, truth).exact:
+                    try:
+                        res = dec.decode(alg, inst.design, inst.outcome, config.sss_node_budget)
+                    except dec.UnresolvedSearchError:
+                        cell[1] += 1
+                        continue
+                    estimates[alg] = res.estimate
+                    if dec.evaluate(res, inst.truth).exact:
                         cell[0] += 1
                 if check_invariants:
-                    _assert_trial_invariants(design, truth, outcome, results)
+                    broken = dec.invariant_violations(inst, estimates)
+                    if broken:
+                        raise AssertionError(f"trial seed {seed} breaks {broken}")
     points = []
     for arm_id, arm in enumerate(config.designs):
         for alg in config.decoders:
@@ -384,13 +351,10 @@ def collect_item_stats(
     covered_without = np.zeros((trials, k), dtype=np.int64)
     solo_defective = np.zeros((trials, k), dtype=np.int64)
     solo_pd = np.zeros((trials, k), dtype=np.int64)
-    params = model.params_from_nu(arm.nu, n_tests, k)
+    params = arm.params(n_tests, k)
     for trial in range(trials):
-        seed = trial_seed(master_seed, 0, n_tests, trial)
-        design = build_design(arm, n_items, k, n_tests, seed)
-        truth = model.sample_defective_set(n_items, k, seed)
-        outcome = model.run_tests(design, truth)
-        st = model.compute_item_stats(design, truth, outcome)
+        inst = trial_instance(arm, n_items, k, n_tests, trial_seed(master_seed, 0, n_tests, trial))
+        st = model.compute_item_stats(inst.design, inst.truth, inst.outcome)
         covered[trial] = st.covered_tests
         intruders[trial] = st.masked_nondefectives
         covered_without[trial] = st.covered_without
@@ -438,13 +402,7 @@ def estimate_sss_masking_lb(
         raise ValueError("trials must be >= 1")
     hits = 0
     for trial in range(trials):
-        seed = trial_seed(master_seed, 0, n_tests, trial)
-        design = build_design(arm, n_items, k, n_tests, seed)
-        truth = model.sample_defective_set(n_items, k, seed)
-        items = truth.items
-        if any(
-            dec.is_masked(design, i, [j for j in items if j != i]) for i in items
-        ):
-            hits += 1
+        inst = trial_instance(arm, n_items, k, n_tests, trial_seed(master_seed, 0, n_tests, trial))
+        hits += dec.some_defective_masked(inst.design, inst.truth)
     lo, hi = wilson_interval(hits, trials)
     return MaskingEstimate(hits / trials, lo, hi, hits, trials)

@@ -37,16 +37,9 @@ class CheckResult:
 # -- fuzzed instance corpus --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FuzzInstance:
-    design: model.TestDesign
-    truth: model.DefectiveSet
-    outcome: model.OutcomeVector
-
-
 def fuzz_instance(
     seed: int, idx: int, *, n_max: int, k_max: int, t_max: int
-) -> FuzzInstance:
+) -> model.Instance:
     """Deterministic random instance: any design kind, truth, and outcome."""
     h = mix64(seed, idx)
     n = 2 + bounded_at(h, 0, n_max - 1)
@@ -61,8 +54,7 @@ def fuzz_instance(
         draws = 1 + bounded_at(h, 4, min(8, t))
         design = model.generate_design(kind, n, t, design_seed, draws=draws)
     truth = model.sample_defective_set(n, k, u64_at(h, 6))
-    outcome = model.run_tests(design, truth)
-    return FuzzInstance(design, truth, outcome)
+    return model.Instance(design, truth, model.run_tests(design, truth))
 
 
 @dataclass
@@ -71,17 +63,7 @@ class CorpusReport:
 
     instances: int = 0
     violations: dict[str, int] = field(
-        default_factory=lambda: {
-            "dd_subset_truth": 0,
-            "truth_subset_comp": 0,
-            "sss_size": 0,
-            "scomp_satisfying": 0,
-            "sss_satisfying": 0,
-            "comp_iff_g_zero": 0,
-            "dd_iff_li_positive": 0,
-            "dd_exact_implies_scomp": 0,
-            "stats_identity": 0,
-        }
+        default_factory=lambda: dict.fromkeys(dec.INVARIANTS, 0)
     )
 
     @property
@@ -107,38 +89,14 @@ def run_decoder_corpus(
 ) -> CorpusReport:
     """Fuzz all four decoders plus the per-item counts, tallying violations."""
     report = CorpusReport(instances=instances)
-    bump = report.violations
     for idx in range(instances):
         inst = fuzz_instance(seed, idx, n_max=n_max, k_max=k_max, t_max=t_max)
-        design, truth, outcome = inst.design, inst.truth, inst.outcome
-        truth_set = set(truth.items)
-        comp_est = set(dec.comp(design, outcome).estimate)
-        dd_est = set(dec.dd(design, outcome).estimate)
-        scomp_est = dec.scomp(design, outcome).estimate
-        sss_est = dec.sss(design, outcome, node_budget).estimate
-        stats = model.compute_item_stats(design, truth, outcome)
-
-        if not dd_est <= truth_set:
-            bump["dd_subset_truth"] += 1
-        if not truth_set <= comp_est:
-            bump["truth_subset_comp"] += 1
-        if len(sss_est) > truth.k:
-            bump["sss_size"] += 1
-        if not dec.is_satisfying(design, outcome, scomp_est):
-            bump["scomp_satisfying"] += 1
-        if not dec.is_satisfying(design, outcome, sss_est):
-            bump["sss_satisfying"] += 1
-        if (comp_est == truth_set) != (stats.masked_nondefectives == 0):
-            bump["comp_iff_g_zero"] += 1
-        if (dd_est == truth_set) != all(l > 0 for l in stats.solo_pd_tests):
-            bump["dd_iff_li_positive"] += 1
-        if dd_est == truth_set and set(scomp_est) != truth_set:
-            bump["dd_exact_implies_scomp"] += 1
-        for w_i, m_i, l_i in zip(
-            stats.covered_without, stats.solo_defective_tests, stats.solo_pd_tests
-        ):
-            if w_i + m_i != stats.covered_tests or l_i > m_i:
-                bump["stats_identity"] += 1
+        estimates = {
+            alg: dec.decode(alg, inst.design, inst.outcome, node_budget).estimate
+            for alg in dec.ALGORITHMS
+        }
+        for key in dec.invariant_violations(inst, estimates):
+            report.violations[key] += 1
     return report
 
 
@@ -217,6 +175,7 @@ def check_closed_form_constants() -> CheckResult:
             failures.append(f"{label}: got {got!r}, want {want!r} +/- {tol}")
 
     expect("ncc_comp(0)", an.theoretical_rate("ncc_comp", 0.0), LN2, 1e-6)
+    expect("ncc_comp(0) vs 0.693147", an.theoretical_rate("ncc_comp", 0.0), 0.693147, 1e-6)
     expect("bern_comp(0)", an.theoretical_rate("bern_comp", 0.0), 0.530738, 1e-3)
     expect("ncc_dd(0.5)", an.theoretical_rate("ncc_dd", 0.5), LN2, 1e-6)
     # crossover of the converse curve located by bisection on the curve itself,
@@ -425,19 +384,12 @@ def check_masking_implies_sss_failure(trials: int = 300, seed: int = 31) -> Chec
     masked_trials = 0
     arm = simlab.DesignArm("ncc", LN2)
     for trial in range(trials):
-        s = simlab.trial_seed(seed, 0, 12, trial)
-        design = simlab.build_design(arm, 25, 3, 12, s)
-        truth = model.sample_defective_set(25, 3, s)
-        outcome = model.run_tests(design, truth)
-        masked = any(
-            dec.is_masked(design, i, [j for j in truth.items if j != i])
-            for i in truth.items
-        )
-        if not masked:
+        inst = simlab.trial_instance(arm, 25, 3, 12, simlab.trial_seed(seed, 0, 12, trial))
+        if not dec.some_defective_masked(inst.design, inst.truth):
             continue
         masked_trials += 1
-        est = dec.sss(design, outcome).estimate
-        if set(est) == set(truth.items):
+        est = dec.sss(inst.design, inst.outcome).estimate
+        if set(est) == set(inst.truth.items):
             disagreements += 1
     return CheckResult(
         "masking_implies_sss_inexact",
@@ -457,19 +409,32 @@ def check_counting_bound_cap(trials: int = 400, seed: int = 17) -> CheckResult:
         trials=trials,
         master_seed=seed,
     )
-    curve = simlab.run_success_curve(cfg)
+    _, failures = counting_bound_excess(simlab.run_success_curve(cfg))
+    return CheckResult("counting_bound_cap", not failures, "; ".join(failures) or "ok")
+
+
+def counting_bound_excess(curve: simlab.SuccessCurve) -> tuple[int, list[str]]:
+    """(informative points, failures) of a curve against the counting bound.
+
+    A point is informative where the bound is below 0.9; it fails when its
+    estimate exceeds the bound by more than 3 sigma, sigma read off its 95%
+    Wilson interval.
+    """
     z95 = 1.959963984540054
+    n, k = curve.config.n_items, curve.config.k
+    checked = 0
     failures = []
     for pt in curve.points:
-        bound = an.counting_bound(cfg.n_items, cfg.k, pt.n_tests)
+        bound = an.counting_bound(n, k, pt.n_tests)
         if bound >= 0.9:
             continue
+        checked += 1
         sigma = (pt.ci_hi - pt.ci_lo) / (2 * z95)
         if pt.p_hat > bound + 3 * sigma:
             failures.append(
                 f"{pt.design}/{pt.decoder}/T={pt.n_tests}: p={pt.p_hat:.3f} bound={bound:.3f}"
             )
-    return CheckResult("counting_bound_cap", not failures, "; ".join(failures) or "ok")
+    return checked, failures
 
 
 def check_determinism() -> CheckResult:

@@ -12,6 +12,14 @@ from grouptest.model import design_from_json, design_to_json, gen_exact_constant
 LN2 = math.log(2)
 
 
+def _one_error_line(capsys, argv):
+    """Run the CLI on argv; it must exit 1 with a single ``error:`` line."""
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 @pytest.fixture
 def hand_design(tmp_path):
     """The two-test worked design: t0={0,1}, t1={1,2}."""
@@ -67,6 +75,13 @@ class TestDesignCommand:
         obj = json.loads(out.read_text())
         assert abs(obj["params"]["p"] - math.log(2) / 5) < 1e-12
         assert abs(obj["params"]["nu"] - math.log(2)) < 1e-12
+
+    @pytest.mark.parametrize("nu,k", [("inf", "2"), ("1e308", "1"), ("nan", "2")])
+    def test_non_finite_nu(self, capsys, nu, k):
+        # nu * T / K must be finite to round to a draw count
+        _one_error_line(
+            capsys, ["design", "--kind", "ncc", "--N", "5", "--T", "7", "--nu", nu, "--K", k]
+        )
 
     def test_requires_exactly_one_parameterization(self):
         assert main(["design", "--kind", "ncc", "--N", "5", "--T", "7"]) == 1
@@ -136,6 +151,14 @@ class TestDecodeCommand:
                    "--out", str(out), *extra])
         assert rc == 0
         assert out.read_text() == json.dumps(self.PAYLOADS_46[case], indent=2) + "\n"
+
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_node_budget_below_one(self, hand_design, capsys, budget):
+        _one_error_line(
+            capsys,
+            ["decode", "--design", str(hand_design), "--outcome", "10", "--alg", "sss",
+             "--node-budget", budget],
+        )
 
     def test_bad_outcome_length(self, hand_design):
         rc = main(["decode", "--design", str(hand_design), "--outcome", "101", "--alg", "comp"])
@@ -259,6 +282,27 @@ class TestSimulateCommand:
     def test_unknown_override_key_invalid(self, tmp_path):
         cfg = self._config(tmp_path)
         assert main(["simulate", "--config", str(cfg), "--set", "typo=5"]) == 1
+
+    def test_non_finite_nu(self, tmp_path, capsys):
+        cfg = self._config(tmp_path)
+        _one_error_line(capsys, ["simulate", "--config", str(cfg), "--set", 'designs=[["ncc", 1e999]]'])
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            # each ran as the integer or number it equals while fields were coerced
+            "n_items=30.7",
+            "k=2.0",
+            "trials=true",
+            "master_seed=1.5",
+            "sss_node_budget=true",
+            "t_grid=[5.0, 10]",
+            'designs=[["ncc", true]]',
+        ],
+    )
+    def test_field_types_are_checked(self, tmp_path, capsys, override):
+        cfg = self._config(tmp_path)
+        _one_error_line(capsys, ["simulate", "--config", str(cfg), "--set", override])
 
     def test_unsatisfiable_grid_invalid(self, tmp_path):
         cfg = self._config(tmp_path, t_grid=[10, 5])
