@@ -27,6 +27,7 @@ from grouptest import (
     scomp,
     sss,
 )
+from grouptest.decoders import some_defective_masked
 from grouptest.verify import exhaustive_smallest_satisfying, fuzz_instance
 
 
@@ -168,10 +169,16 @@ class TestSss:
         with pytest.raises(ValueError):
             sss(d, OutcomeVector((True,)), node_budget=0)
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_matches_exhaustive_enumeration(self, seed):
+    @pytest.mark.parametrize(
+        "seed,sizes",
+        [(seed, dict(n_max=10, k_max=3, t_max=10)) for seed in range(4)]
+        # 104 of these 150 instances have T > 64, up to 184 of them positive
+        + [(4, dict(n_max=12, k_max=4, t_max=200))],
+        ids=[str(seed) for seed in range(5)],
+    )
+    def test_matches_exhaustive_enumeration(self, seed, sizes):
         for idx in range(150):
-            inst = fuzz_instance(seed, idx, n_max=10, k_max=3, t_max=10)
+            inst = fuzz_instance(seed, idx, **sizes)
             got = sss(inst.design, inst.outcome).estimate
             want = exhaustive_smallest_satisfying(inst.design, inst.outcome)
             assert got == want
@@ -189,6 +196,20 @@ class TestSss:
             est = sss(inst.design, inst.outcome).estimate
             assert set(est) != set(items)
         assert found > 0, "fuzz produced no masked instances"
+
+
+class TestSomeDefectiveMasked:
+    def test_matches_is_masked_loop(self):
+        answers = set()
+        for idx in range(300):
+            inst = fuzz_instance(5, idx, n_max=30, k_max=6, t_max=40)
+            items = inst.truth.items
+            want = any(
+                is_masked(inst.design, i, [j for j in items if j != i]) for i in items
+            )
+            assert some_defective_masked(inst.design, inst.truth) == want
+            answers.add(want)
+        assert answers == {False, True}
 
 
 class TestIsSatisfying:

@@ -26,6 +26,7 @@ from grouptest import (
     run_tests,
     sample_defective_set,
 )
+from grouptest.verify import fuzz_instance
 
 LN2 = math.log(2)
 
@@ -409,6 +410,43 @@ class TestComputeItemStats:
             assert w_i + m_i == stats.covered_tests
             assert 0 <= l_i <= m_i
         assert 0 <= stats.masked_nondefectives <= n - k
+
+    def test_fields_match_per_test_counts(self):
+        """Every field against per-test counts of defectives and PD items.
+
+        The corpus mixes all three design kinds; its instances have masked
+        and unmasked defectives, zero and positive L_i, and G = 0 and G > 0.
+        """
+        seen = set()
+        for idx in range(300):
+            inst = fuzz_instance(5, idx, n_max=30, k_max=6, t_max=40)
+            d, truth, y = inst.design, inst.truth, inst.outcome
+            rows = d.rows()
+            stats = compute_item_stats(d, truth, y)
+            pd = [i for i in range(d.n_items) if all(y.bits[t] for t in rows[i])]
+            truth_at = [sum(t in rows[i] for i in truth.items) for t in range(d.n_tests)]
+            pd_at = [sum(t in rows[i] for i in pd) for t in range(d.n_tests)]
+            assert stats.pd_set == tuple(pd)
+            assert stats.covered_tests == sum(c > 0 for c in truth_at)
+            assert stats.masked_nondefectives == len(set(pd) - set(truth.items))
+            assert stats.covered_without == tuple(
+                sum(truth_at[t] - (t in rows[i]) > 0 for t in range(d.n_tests))
+                for i in truth.items
+            )
+            assert stats.solo_defective_tests == tuple(
+                sum(truth_at[t] == 1 for t in rows[i]) for i in truth.items
+            )
+            assert stats.solo_pd_tests == tuple(
+                sum(pd_at[t] == 1 for t in rows[i]) for i in truth.items
+            )
+            seen.add(d.kind)
+            seen.update(("M=0" if m == 0 else "M>0") for m in stats.solo_defective_tests)
+            seen.update(("L=0" if l == 0 else "L>0") for l in stats.solo_pd_tests)
+            seen.add("G=0" if stats.masked_nondefectives == 0 else "G>0")
+        assert seen == {
+            "bernoulli", "near_constant", "exact_constant",
+            "M=0", "M>0", "L=0", "L>0", "G=0", "G>0",
+        }
 
 
 class TestSerialization:
