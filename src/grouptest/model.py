@@ -6,9 +6,12 @@ rows (CSR), one row per item: item i is in the tests
 int64 array of N + 1 row pointers; ``indices`` holds all rows back to back in
 the narrowest unsigned type that fits T. Every constructor (the generators,
 hand-written per-item lists, the JSON loader) ends in one vectorised
-validation. The per-item views, ``columns`` (tuples of test indices) and
-``item_masks`` (Python-int bitmasks), are built from the arrays on first use,
-never through a dense N x T matrix. Three random constructions are provided:
+validation. The arrays are one of two representations of an item's tests;
+the other, ``item_masks`` (one Python-int bitmask per item), is built from
+them on first use, never through a dense N x T matrix, and answers every set
+question: the PD set, the decoders, the per-item counts and the masking
+predicates. ``rows()`` lists the arrays' rows. Three random constructions are
+provided:
 
 * ``bernoulli``       -- every (test, item) cell is included independently
                          with probability p.
@@ -103,7 +106,7 @@ class TestDesign:
     ``TestDesign(kind, n_items, n_tests, params, seed, columns)`` takes one
     sequence of test indices per item; the generators build the CSR arrays
     directly through :meth:`from_csr`. Both go through the same validation.
-    The arrays are read-only, so the lazily built views stay valid.
+    The arrays are read-only, so the lazily built item masks stay valid.
     """
 
     __test__ = False  # the name matches pytest's collector; this is not a test
@@ -176,7 +179,6 @@ class TestDesign:
         self.indices = indices.astype(_index_dtype(self.n_tests), copy=False)
         self.indptr.flags.writeable = False
         self.indices.flags.writeable = False
-        self._columns: tuple[tuple[int, ...], ...] | None = None
         self._masks: tuple[int, ...] | None = None
 
     def __eq__(self, other: object) -> bool:
@@ -203,13 +205,6 @@ class TestDesign:
         return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
     @property
-    def columns(self) -> tuple[tuple[int, ...], ...]:
-        """Per-item sorted test indices as tuples (built on first use)."""
-        if self._columns is None:
-            self._columns = tuple(map(tuple, self.rows()))
-        return self._columns
-
-    @property
     def item_masks(self) -> tuple[int, ...]:
         """Per-item bitmask of tests (bit t set iff test t contains the item).
 
@@ -232,10 +227,6 @@ class TestDesign:
                 masks.extend(map(int.from_bytes, packed, repeat("little")))
             self._masks = tuple(masks)
         return self._masks
-
-    @property
-    def all_tests_mask(self) -> int:
-        return (1 << self.n_tests) - 1
 
 
 def _csr_from_columns(columns) -> tuple[np.ndarray, np.ndarray]:
@@ -290,9 +281,8 @@ class OutcomeVector:
     def n_tests(self) -> int:
         return len(self.bits)
 
-    def negative_mask(self, n_tests: int | None = None) -> int:
-        n = len(self.bits) if n_tests is None else n_tests
-        return ((1 << n) - 1) ^ self.positive_mask
+    def negative_mask(self) -> int:
+        return ((1 << len(self.bits)) - 1) ^ self.positive_mask
 
 
 @dataclass(frozen=True)
@@ -523,9 +513,34 @@ def run_tests(design: TestDesign, truth: DefectiveSet) -> OutcomeVector:
     return OutcomeVector(tuple(positive.tolist()))
 
 
+def check_outcome_length(design: TestDesign, outcome: OutcomeVector) -> None:
+    """Raise ValueError unless `outcome` has one result per test of `design`."""
+    if outcome.n_tests != design.n_tests:
+        raise ValueError(
+            f"outcome has {outcome.n_tests} tests, design has {design.n_tests}"
+        )
+
+
+def others_unions(masks: Sequence[int], items: Sequence[int]) -> list[int]:
+    """For each of `items`, the OR of the masks of the other `items`.
+
+    One suffix pass and one prefix pass: O(len(items)) ORs in all.
+    """
+    suffix = [0] * (len(items) + 1)
+    for idx in range(len(items) - 1, -1, -1):
+        suffix[idx] = suffix[idx + 1] | masks[items[idx]]
+    others = []
+    prefix = 0
+    for idx, i in enumerate(items):
+        others.append(prefix | suffix[idx + 1])
+        prefix |= masks[i]
+    return others
+
+
 def possible_defectives(design: TestDesign, outcome: OutcomeVector) -> list[int]:
     """Items appearing in no negative test (the PD set of COMP step 1)."""
-    neg = outcome.negative_mask(design.n_tests)
+    check_outcome_length(design, outcome)
+    neg = outcome.negative_mask()
     masks = design.item_masks
     return [i for i in range(design.n_items) if masks[i] & neg == 0]
 
@@ -533,9 +548,13 @@ def possible_defectives(design: TestDesign, outcome: OutcomeVector) -> list[int]
 def compute_item_stats(
     design: TestDesign, truth: DefectiveSet, outcome: OutcomeVector
 ) -> ItemStats:
-    """Exact counts of the quantities governing COMP/DD success."""
-    if outcome.n_tests != design.n_tests:
-        raise ValueError("outcome length does not match design")
+    """Exact counts of the quantities governing COMP/DD success.
+
+    For defective i with tests m_i, W_i counts the tests of the other
+    defectives, M_i the tests in m_i and in no other defective's, and L_i
+    the tests in m_i and in no other PD item's.
+    """
+    check_outcome_length(design, outcome)
     masks = design.item_masks
     union = 0
     for i in truth.items:
@@ -545,39 +564,19 @@ def compute_item_stats(
     if union != outcome.positive_mask:
         raise ValueError("outcome is inconsistent with (design, truth)")
 
-    k = truth.k
-    # union of the other defectives' columns, via prefix/suffix ORs
-    prefix = [0] * (k + 1)
-    for idx, i in enumerate(truth.items):
-        prefix[idx + 1] = prefix[idx] | masks[i]
-    suffix = [0] * (k + 1)
-    for idx in range(k - 1, -1, -1):
-        suffix[idx] = suffix[idx + 1] | masks[truth.items[idx]]
-
-    covered = union.bit_count()
-    covered_without = []
-    solo_defective = []
-    for idx, i in enumerate(truth.items):
-        others = prefix[idx] | suffix[idx + 1]
-        covered_without.append(others.bit_count())
-        solo_defective.append((masks[i] & ~others).bit_count())
-
+    others = others_unions(masks, truth.items)
     pd = possible_defectives(design, outcome)
-    pd_counts = [0] * design.n_tests
-    for j in pd:
-        for t in design.columns[j]:
-            pd_counts[t] += 1
+    # every defective is a PD item, since all its tests are positive
+    pd_others = dict(zip(pd, others_unions(masks, pd)))
     truth_set = set(truth.items)
-    solo_pd = [
-        sum(1 for t in design.columns[i] if pd_counts[t] == 1) for i in truth.items
-    ]
-    intruders = sum(1 for j in pd if j not in truth_set)
     return ItemStats(
-        covered_tests=covered,
-        covered_without=tuple(covered_without),
-        solo_defective_tests=tuple(solo_defective),
-        solo_pd_tests=tuple(solo_pd),
-        masked_nondefectives=intruders,
+        covered_tests=union.bit_count(),
+        covered_without=tuple(o.bit_count() for o in others),
+        solo_defective_tests=tuple(
+            (masks[i] & ~o).bit_count() for i, o in zip(truth.items, others)
+        ),
+        solo_pd_tests=tuple((masks[i] & ~pd_others[i]).bit_count() for i in truth.items),
+        masked_nondefectives=sum(1 for j in pd if j not in truth_set),
         pd_set=tuple(pd),
     )
 

@@ -109,9 +109,10 @@ def exhaustive_smallest_satisfying(
     at the first satisfying subset, which by construction is the
     minimum-size, lexicographically-smallest one.
     """
+    model.check_outcome_length(design, outcome)
     masks = design.item_masks
     pos = outcome.positive_mask
-    neg = outcome.negative_mask(design.n_tests)
+    neg = outcome.negative_mask()
     for size in range(design.n_items + 1):
         for combo in itertools.combinations(range(design.n_items), size):
             union = 0

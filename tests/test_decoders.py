@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from grouptest import (
+    ALGORITHMS,
     DefectiveSet,
     DesignParams,
     MalformedOutcomeError,
@@ -22,12 +23,13 @@ from grouptest import (
     gen_near_constant,
     is_masked,
     is_satisfying,
+    possible_defectives,
     run_tests,
     sample_defective_set,
     scomp,
     sss,
 )
-from grouptest.decoders import some_defective_masked
+from grouptest.decoders import decode, some_defective_masked
 from grouptest.verify import exhaustive_smallest_satisfying, fuzz_instance
 
 
@@ -100,8 +102,9 @@ class TestDd:
             d = gen_near_constant(30, 12, 3, seed=seed)
             y = run_tests(d, sample_defective_set(30, 4, seed))
             pd = comp(d, y).pd_set
-            counts = [sum(1 for i in pd if t in d.columns[i]) for t in range(d.n_tests)]
-            want = tuple(i for i in pd if any(counts[t] == 1 for t in d.columns[i]))
+            rows = d.rows()
+            counts = [sum(1 for i in pd if t in rows[i]) for t in range(d.n_tests)]
+            want = tuple(i for i in pd if any(counts[t] == 1 for t in rows[i]))
             assert dd(d, y).estimate == want
 
 
@@ -246,6 +249,27 @@ class TestIsMasked:
         d = design_of(1, [[0], [0]])
         with pytest.raises(ValueError):
             is_masked(d, 0, {0, 1})
+
+
+class TestOutcomeLength:
+    """Every entry point taking a design and an outcome rejects a wrong length."""
+
+    ENTRY_POINTS = {
+        "possible_defectives": possible_defectives,
+        "compute_item_stats": lambda d, y: compute_item_stats(d, DefectiveSet((0, 1)), y),
+        "is_satisfying": lambda d, y: is_satisfying(d, y, (0, 1)),
+        "exhaustive_smallest_satisfying": exhaustive_smallest_satisfying,
+        **{alg: lambda d, y, alg=alg: decode(alg, d, y) for alg in ALGORITHMS},
+    }
+
+    @pytest.mark.parametrize(
+        "bits", [(True, True), (True, True, False, False)], ids=["short", "long"]
+    )
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_rejects_wrong_length(self, entry, bits):
+        d = design_of(3, [[0], [1], [2]])
+        with pytest.raises(ValueError, match="outcome has"):
+            self.ENTRY_POINTS[entry](d, OutcomeVector(bits))
 
 
 class TestEvaluate:

@@ -69,12 +69,12 @@ class TestSampleDefectiveSet:
 class TestGenBernoulli:
     def test_near_one_probability_fills_column(self):
         d = gen_bernoulli(1, 10, 1 - 1e-12, seed=3)
-        assert d.columns[0] == tuple(range(10))
+        assert d.rows()[0] == list(range(10))
 
     def test_cell_density(self):
         """N=T=100, p=0.5: mean density 0.5 +/- 0.02 over the 10^4 cells."""
         d = gen_bernoulli(100, 100, 0.5, seed=11)
-        density = sum(len(c) for c in d.columns) / 10_000
+        density = sum(len(c) for c in d.rows()) / 10_000
         assert abs(density - 0.5) < 0.02
 
     def test_determinism(self):
@@ -89,30 +89,30 @@ class TestGenBernoulli:
 class TestGenNearConstant:
     def test_single_test_collapses(self):
         d = gen_near_constant(3, 1, 5, seed=4)
-        assert d.columns == ((0,), (0,), (0,))
+        assert d.rows() == [[0], [0], [0]]
 
     def test_weight_bounds(self):
         d = gen_near_constant(500, 20, 5, seed=2)
-        assert all(1 <= len(c) <= 5 for c in d.columns)
+        assert all(1 <= len(c) <= 5 for c in d.rows())
 
     def test_full_weight_fraction_matches_birthday_product(self):
         """P(all 5 draws distinct among 20) = 20*19*18*17*16 / 20^5 = 0.5814."""
         d = gen_near_constant(10_000, 20, 5, seed=8)
-        frac = sum(1 for c in d.columns if len(c) == 5) / 10_000
+        frac = sum(1 for c in d.rows() if len(c) == 5) / 10_000
         want = 20 * 19 * 18 * 17 * 16 / 20**5
         assert abs(frac - want) < 0.015
 
     def test_mean_distinct_weight(self):
         """E[distinct] = 100 (1 - (1 - 1/100)^3) = 2.9701."""
         d = gen_near_constant(10_000, 100, 3, seed=13)
-        mean = sum(len(c) for c in d.columns) / 10_000
+        mean = sum(len(c) for c in d.rows()) / 10_000
         assert abs(mean - 2.9701) < 0.01
 
     def test_weight_pmf_total_variation(self):
         """Empirical column-weight pmf vs the exact distinct-coupon law, TV <= 0.01."""
         n_cols, n_tests, draws = 100_000, 12, 6
         d = gen_near_constant(n_cols, n_tests, draws, seed=21)
-        counts = np.bincount([len(c) for c in d.columns], minlength=draws + 1)
+        counts = np.bincount([len(c) for c in d.rows()], minlength=draws + 1)
         probs = np.array(
             [distinct_coupon_pmf(draws, n_tests, w) for w in range(draws + 1)]
         )
@@ -129,18 +129,18 @@ class TestGenNearConstant:
 class TestGenExactConstant:
     def test_full_column_when_draws_equal_tests(self):
         d = gen_exact_constant(5, 4, 4, seed=5)
-        assert all(c == (0, 1, 2, 3) for c in d.columns)
+        assert all(c == [0, 1, 2, 3] for c in d.rows())
 
     def test_every_column_weighs_exactly_l(self):
         d = gen_exact_constant(200, 9, 4, seed=6)
-        assert all(len(c) == 4 for c in d.columns)
+        assert all(len(c) == 4 for c in d.rows())
 
     def test_pair_uniformity_chi_square(self):
         """T=6, L=2: each of the C(6,2)=15 pairs has frequency 1/15 +/- 0.01."""
         from collections import Counter
 
         d = gen_exact_constant(10_000, 6, 2, seed=14)
-        freq = Counter(d.columns)
+        freq = Counter(map(tuple, d.rows()))
         assert len(freq) == 15
         for pair, c in freq.items():
             assert abs(c / 10_000 - 1 / 15) < 0.01, pair
@@ -156,16 +156,16 @@ class TestGenExactConstant:
 
 
 def _ref_bernoulli(n, t, p, seed):
-    return tuple(
-        tuple(c for c in range(t) if rng.unit_at(rng.mix64(seed, 1, i), c) < p) for i in range(n)
-    )
+    return [
+        [c for c in range(t) if rng.unit_at(rng.mix64(seed, 1, i), c) < p] for i in range(n)
+    ]
 
 
 def _ref_near_constant(n, t, draws, seed):
-    return tuple(
-        tuple(sorted({rng.bounded_at(rng.mix64(seed, 2, i), r, t) for r in range(draws)}))
+    return [
+        sorted({rng.bounded_at(rng.mix64(seed, 2, i), r, t) for r in range(draws)})
         for i in range(n)
-    )
+    ]
 
 
 def _ref_exact_constant(n, t, draws, seed):
@@ -179,8 +179,8 @@ def _ref_exact_constant(n, t, draws, seed):
             vr, vj = perm.get(r, r), perm.get(j, j)
             perm[r], perm[j] = vj, vr
             chosen.append(vj)
-        columns.append(tuple(sorted(chosen)))
-    return tuple(columns)
+        columns.append(sorted(chosen))
+    return columns
 
 
 def _ref_masks(columns):
@@ -199,12 +199,12 @@ class TestCsrDesigns:
     @pytest.mark.parametrize("n,t", [(1, 1), (7, 9), (40, 64), (60, 65), (30, 300)])
     def test_generators_match_scalar_streams(self, n, t):
         for seed in (0, 12345):
-            assert gen_bernoulli(n, t, 0.3, seed).columns == _ref_bernoulli(n, t, 0.3, seed)
+            assert gen_bernoulli(n, t, 0.3, seed).rows() == _ref_bernoulli(n, t, 0.3, seed)
             draws = min(5, t)
-            assert gen_near_constant(n, t, draws, seed).columns == _ref_near_constant(
+            assert gen_near_constant(n, t, draws, seed).rows() == _ref_near_constant(
                 n, t, draws, seed
             )
-            assert gen_exact_constant(n, t, draws, seed).columns == _ref_exact_constant(
+            assert gen_exact_constant(n, t, draws, seed).rows() == _ref_exact_constant(
                 n, t, draws, seed
             )
 
@@ -212,7 +212,7 @@ class TestCsrDesigns:
     def test_item_masks_match_shift_loop(self, t):
         # at T = 2000 a mask chunk holds 131 rows, so N = 1200 spans ten
         d = gen_near_constant(1200, t, min(6, t), seed=t)
-        assert d.item_masks == _ref_masks(d.columns)
+        assert d.item_masks == _ref_masks(d.rows())
 
     def test_item_masks_with_empty_columns(self):
         d = TestDesign("bernoulli", 4, 10, DesignParams(p=0.5), 0, ((), (9,), (), (0, 3)))
@@ -235,7 +235,7 @@ class TestCsrDesigns:
         by_csr = TestDesign.from_csr(
             "near_constant", 3, 3, params, 0, np.array([0, 2, 2, 3]), np.array([0, 2, 1])
         )
-        assert by_cols == by_csr and by_csr.columns == cols
+        assert by_cols == by_csr and by_csr.rows() == [[0, 2], [], [1]]
 
     @pytest.mark.parametrize(
         "columns",
@@ -295,7 +295,7 @@ class TestCsrDesigns:
             y = run_tests(d, truth)
             m = 0
             for i in truth.items:
-                m |= _ref_masks(d.columns)[i]
+                m |= _ref_masks(d.rows())[i]
             assert y.bits == tuple(bool((m >> c) & 1) for c in range(t))
             assert all(type(b) is bool for b in y.bits)
             assert y.positive_mask == m
