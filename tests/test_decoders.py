@@ -214,6 +214,10 @@ class TestSomeDefectiveMasked:
             answers.add(want)
         assert answers == {False, True}
 
+    def test_rejects_defective_beyond_design(self):
+        with pytest.raises(ValueError):
+            some_defective_masked(design_of(1, [[0], [0]]), DefectiveSet((0, 2)))
+
 
 class TestIsSatisfying:
     def test_truth_always_satisfies(self):
