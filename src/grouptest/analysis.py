@@ -336,18 +336,6 @@ def mi_pmf(j: int, w: int, draws: int, n_tests: int) -> float:
     return float(Fraction(num, n_tests**draws))
 
 
-def mi_pmf_binomial_bound(j: int, w: int, draws: int, n_tests: int) -> float:
-    """exp(L^2/4w) times the Bin(L, 1 - w/T) mass; dominates ``mi_pmf``."""
-    if w < 1:
-        raise ValueError(f"need w >= 1, got {w}")
-    if n_tests < w or draws < 1:
-        raise ValueError("need n_tests >= w and draws >= 1")
-    if not 0 <= j <= draws:
-        raise ValueError(f"need 0 <= j <= draws, got j={j}")
-    q = w / n_tests
-    return exp(draws * draws / (4.0 * w)) * comb(draws, j) * (1.0 - q) ** j * q ** (draws - j)
-
-
 def g_conditional_pmf(
     g: int, x: int, n_tests: int, draws: int, n_items: int, k: int
 ) -> float:
@@ -462,18 +450,3 @@ def comp_masked_mean(n_items: int, k: int, n_tests: int, draws: int) -> float:
     """
     law = _comp_masking_law(n_items, k, n_tests, draws)
     return (n_items - k) * math.fsum(p * q for p, q in law)
-
-
-def mcdiarmid_tail(delta: float, alpha: float, n_tests: int) -> float:
-    """Tail bound min(1, 2 exp(-delta^2 / (alpha T))) for the distinct count.
-
-    Bounds P(|distinct - (1 - e^-alpha) T| >= delta) when alpha*T coupons are
-    drawn from T, via the bounded-differences inequality.
-    """
-    if alpha <= 0:
-        raise ValueError(f"need alpha > 0, got {alpha}")
-    if n_tests < 1:
-        raise ValueError(f"need n_tests >= 1, got {n_tests}")
-    if delta < 0:
-        raise ValueError(f"need delta >= 0, got {delta}")
-    return min(1.0, 2.0 * exp(-delta * delta / (alpha * n_tests)))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import contextmanager
 from typing import IO, Iterator
@@ -26,6 +27,8 @@ EXIT_OK = 0
 EXIT_BAD_CONFIG = 1
 EXIT_VERIFY_FAILED = 2
 EXIT_IO = 3
+
+_MAX_RATE_POINTS = 10**5  # a grid bound: an absurdly small --step fails fast
 
 
 class CliError(Exception):
@@ -224,18 +227,19 @@ def _format_theta(theta: float) -> str:
 
 
 def _cmd_rates(args: argparse.Namespace) -> int:
-    if args.step <= 0:
-        raise CliError("--step must be positive")
+    if not (math.isfinite(args.step) and args.step > 0):
+        raise CliError("--step must be a positive finite number")
     if not 0.0 < args.theta_min <= args.theta_max < 1.0:
         raise CliError("need 0 < theta-min <= theta-max < 1")
-    thetas = []
-    idx = 0
-    while True:
-        theta = args.theta_min + idx * args.step
-        if theta > args.theta_max + 1e-12:
-            break
-        thetas.append(min(theta, args.theta_max))
-        idx += 1
+    # the point count, with slack for a span that is a whole number of steps
+    # in decimal but falls just short of it in binary ((0.6 - 0.4) / 0.1)
+    steps = (args.theta_max - args.theta_min) / args.step + 1e-9
+    if steps >= _MAX_RATE_POINTS:
+        raise CliError(f"--step gives more than {_MAX_RATE_POINTS} theta points")
+    thetas = [
+        min(args.theta_min + idx * args.step, args.theta_max)
+        for idx in range(math.floor(steps) + 1)
+    ]
     with _open_out(args.out) as out:
         out.write("theta,curve,rate\n")
         for theta in thetas:

@@ -157,25 +157,6 @@ def is_satisfying(
     return (union & neg) == 0 and (pos & ~union) == 0
 
 
-def is_masked(design: TestDesign, item: int, others: Iterable[int]) -> bool:
-    """True iff every test containing `item` also contains a member of `others`.
-
-    An item appearing in no test is vacuously masked by any set.
-    """
-    others = set(others)
-    if item in others:
-        raise ValueError(f"item {item} must not belong to the masking set")
-    if not 0 <= item < design.n_items:
-        raise ValueError(f"item {item} out of range")
-    masks = design.item_masks
-    union = 0
-    for j in others:
-        if not 0 <= j < design.n_items:
-            raise ValueError(f"item {j} out of range")
-        union |= masks[j]
-    return masks[item] & ~union == 0
-
-
 def sss(
     design: TestDesign,
     outcome: OutcomeVector,
@@ -240,27 +221,22 @@ def sss(
                 best, best_size = cand, len(cand)
             return
         uncovered = target & ~covered
-        branch_count = -1
+        # a chosen item covers no uncovered test, so the candidates of an
+        # uncovered test are all unchosen, and there is at least one: the PD
+        # set explains every positive test
         branch_items: list[int] = []
         m = uncovered
         b = 0
         while m:
-            if m & 1:
-                live = [i for i in items_of_bit[b] if i not in chosen_set]
-                if branch_count < 0 or len(live) < branch_count:
-                    branch_count = len(live)
-                    branch_items = live
+            if m & 1 and (not branch_items or len(items_of_bit[b]) < len(branch_items)):
+                branch_items = items_of_bit[b]
             m >>= 1
             b += 1
-        if branch_count == 0:
-            return  # this branch cannot cover some test
         # lower bound: uncovered tests / best single-item coverage among ALL
-        # live items (not just those covering the branch test), else the
+        # candidates (not just those covering the branch test), else the
         # bound overshoots and prunes optimal subtrees
         max_gain = 0
         for i in candidates:
-            if i in chosen_set:
-                continue
             gain = (cover[i] & uncovered).bit_count()
             if gain > max_gain:
                 max_gain = gain
@@ -277,12 +253,9 @@ def sss(
         order = sorted(branch_items, key=lambda i: (-(cover[i] & uncovered).bit_count(), i))
         for i in order:
             chosen.append(i)
-            chosen_set.add(i)
             search(covered | cover[i], chosen)
             chosen.pop()
-            chosen_set.remove(i)
 
-    chosen_set: set[int] = set()
     search(0, [])
     return DecodeResult("sss", best, tuple(pd), search_nodes=nodes)
 

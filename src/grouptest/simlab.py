@@ -1,4 +1,4 @@
-"""Monte Carlo lab: success curves over test-count grids, empirical laws, CIs.
+"""Monte Carlo lab: success curves over test-count grids, with Wilson CIs.
 
 Determinism contract: trial r of design arm a at grid point T runs with seed
 ``mix64(master_seed, a, T, r)`` (splitmix64-based, see :mod:`grouptest.rng`),
@@ -13,8 +13,6 @@ import csv
 import statistics
 from dataclasses import dataclass, fields
 from typing import IO
-
-import numpy as np
 
 from . import decoders as dec
 from . import model
@@ -223,12 +221,12 @@ def build_design(
 ) -> model.TestDesign:
     """Realize a design arm at a grid point: nu fixes p or the draw count."""
     params = arm.params(n_tests, k)
-    if arm.kind == model.KIND_BERNOULLI:
-        return model.gen_bernoulli(n_items, n_tests, params.p, seed, nu=arm.nu)
     draws = params.draws
     if arm.kind == model.KIND_EXACT_CONSTANT:
         draws = min(draws, n_tests)
-    return model.generate_design(arm.kind, n_items, n_tests, seed, draws=draws, nu=arm.nu)
+    return model.generate_design(
+        arm.kind, n_items, n_tests, seed, p=params.p, draws=draws, nu=arm.nu
+    )
 
 
 def trial_instance(
@@ -294,115 +292,3 @@ def run_success_curve(
                     )
                 )
     return SuccessCurve(config, tuple(points))
-
-
-@dataclass
-class ItemStatsSample:
-    """Joint empirical records of the per-instance counts across trials.
-
-    Per-defective arrays have shape (trials, K) and stay aligned, so
-    conditional laws can be extracted by boolean indexing.
-    """
-
-    n_items: int
-    k: int
-    n_tests: int
-    draws: int
-    trials: int
-    covered: np.ndarray
-    intruders: np.ndarray
-    covered_without: np.ndarray
-    solo_defective: np.ndarray
-    solo_pd: np.ndarray
-
-    def mi_given_covered_without(self, w: int) -> np.ndarray:
-        """All M_i observations where that defective's W_{K\\i} equals w."""
-        return self.solo_defective[self.covered_without == w]
-
-    def intruders_given_covered(self, x: int) -> np.ndarray:
-        return self.intruders[self.covered == x]
-
-    def li_zero_rate(self, g: int, w: int, j: int) -> tuple[int, int]:
-        """(count of L_i == 0, matching observations) at fixed (g, w, j)."""
-        match = (
-            (self.covered_without == w)
-            & (self.solo_defective == j)
-            & (self.intruders[:, None] == g)
-        )
-        sel = self.solo_pd[match]
-        return int((sel == 0).sum()), int(sel.size)
-
-
-def collect_item_stats(
-    arm: DesignArm,
-    n_items: int,
-    k: int,
-    n_tests: int,
-    trials: int,
-    master_seed: int,
-) -> ItemStatsSample:
-    """Sample the joint law of the per-instance counts for one design arm."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if k < 1:
-        raise ValueError("collect_item_stats requires k >= 1")
-    covered = np.zeros(trials, dtype=np.int64)
-    intruders = np.zeros(trials, dtype=np.int64)
-    covered_without = np.zeros((trials, k), dtype=np.int64)
-    solo_defective = np.zeros((trials, k), dtype=np.int64)
-    solo_pd = np.zeros((trials, k), dtype=np.int64)
-    params = arm.params(n_tests, k)
-    for trial in range(trials):
-        inst = trial_instance(arm, n_items, k, n_tests, trial_seed(master_seed, 0, n_tests, trial))
-        st = model.compute_item_stats(inst.design, inst.truth, inst.outcome)
-        covered[trial] = st.covered_tests
-        intruders[trial] = st.masked_nondefectives
-        covered_without[trial] = st.covered_without
-        solo_defective[trial] = st.solo_defective_tests
-        solo_pd[trial] = st.solo_pd_tests
-    return ItemStatsSample(
-        n_items=n_items,
-        k=k,
-        n_tests=n_tests,
-        draws=params.draws,
-        trials=trials,
-        covered=covered,
-        intruders=intruders,
-        covered_without=covered_without,
-        solo_defective=solo_defective,
-        solo_pd=solo_pd,
-    )
-
-
-@dataclass(frozen=True)
-class MaskingEstimate:
-    """Monte Carlo lower bound on SSS error via defective-masking events."""
-
-    probability: float
-    ci_lo: float
-    ci_hi: float
-    hits: int
-    trials: int
-
-
-def estimate_sss_masking_lb(
-    arm: DesignArm,
-    n_items: int,
-    k: int,
-    n_tests: int,
-    trials: int,
-    master_seed: int,
-) -> MaskingEstimate:
-    """Estimate P(some defective is masked by the other defectives).
-
-    Whenever the event occurs the true set is not the smallest satisfying
-    set, so this estimates a lower bound on the SSS error probability.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    hits = 0
-    for trial in range(trials):
-        inst = trial_instance(arm, n_items, k, n_tests, trial_seed(master_seed, 0, n_tests, trial))
-        hits += dec.some_defective_masked(inst.design, inst.truth)
-    lo, hi = wilson_interval(hits, trials)
-    return MaskingEstimate(hits / trials, lo, hi, hits, trials)

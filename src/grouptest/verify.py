@@ -139,11 +139,7 @@ def check_sss_enumeration(instances: int = 500, seed: int = 77) -> CheckResult:
     )
 
 
-def check_structural_invariants(
-    instances: int = 3000, seed: int = 2024, report: CorpusReport | None = None
-) -> CheckResult:
-    if report is None:
-        report = run_decoder_corpus(instances, seed)
+def check_structural_invariants(report: CorpusReport) -> CheckResult:
     bad = report.structural_violations + report.violations["stats_identity"]
     return CheckResult(
         "decoder_structural_invariants",
@@ -152,11 +148,7 @@ def check_structural_invariants(
     )
 
 
-def check_success_conditions(
-    instances: int = 3000, seed: int = 2024, report: CorpusReport | None = None
-) -> CheckResult:
-    if report is None:
-        report = run_decoder_corpus(instances, seed)
+def check_success_conditions(report: CorpusReport) -> CheckResult:
     bad = report.equivalence_violations
     return CheckResult(
         "success_condition_equivalences",
@@ -471,8 +463,8 @@ def run_verification(quick: bool = False) -> list[CheckResult]:
         check_stirling_log_concavity(),
         check_phi_properties(),
         check_sss_enumeration(sss_n),
-        check_structural_invariants(report=corpus),
-        check_success_conditions(report=corpus),
+        check_structural_invariants(corpus),
+        check_success_conditions(corpus),
         check_mi_pmf_empirical(samples),
         check_g_pmf_empirical(samples),
         check_li_zero_empirical(samples),

@@ -19,6 +19,8 @@ from grouptest.verify import (
     check_mi_pmf_empirical,
     check_phi_properties,
     check_sss_enumeration,
+    check_structural_invariants,
+    check_success_conditions,
     counting_bound_excess,
     run_decoder_corpus,
 )
@@ -79,16 +81,14 @@ def test_criterion_2_sss_oracle_equivalence():
 
 def test_criterion_3_structural_invariants(structural_corpus):
     """DD within truth within COMP; |SSS| <= K; SCOMP/SSS satisfying; 0 violations."""
-    report = structural_corpus
-    bad = report.structural_violations + report.violations["stats_identity"]
-    _report(3, bad == 0, f"{report.instances} instances, {bad} violations")
+    res = check_structural_invariants(structural_corpus)
+    _report(3, res.ok, res.detail)
 
 
 def test_criterion_4_success_condition_equivalences(structural_corpus):
     """COMP exact iff G=0 and DD exact iff min L_i > 0, on the same corpus."""
-    report = structural_corpus
-    bad = report.equivalence_violations
-    _report(4, bad == 0, f"{report.instances} instances, {bad} violations")
+    res = check_success_conditions(structural_corpus)
+    _report(4, res.ok, res.detail)
 
 
 def test_criterion_5_distribution_validation():

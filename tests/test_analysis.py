@@ -307,27 +307,17 @@ class TestMiPmf:
 
 
 class TestMiPmfBinomialBound:
+    """The proof's bound: mi_pmf is at most exp(L^2/4w) Bin(L, 1 - w/T)(j)."""
+
     @pytest.mark.parametrize("n_tests,w,draws", [(10, 4, 3), (20, 6, 5), (30, 10, 4)])
     def test_dominates_pmf(self, n_tests, w, draws):
+        q = w / n_tests
         for j in range(min(draws, n_tests - w) + 1):
-            bound = an.mi_pmf_binomial_bound(j, w, draws, n_tests)
+            bound = (
+                math.exp(draws * draws / (4.0 * w))
+                * math.comb(draws, j) * (1.0 - q) ** j * q ** (draws - j)
+            )
             assert bound >= an.mi_pmf(j, w, draws, n_tests) - 1e-15
-
-    def test_single_draw_ratio_is_exp_quarter_w(self):
-        for w in (1, 2, 5, 9):
-            ratio = an.mi_pmf_binomial_bound(1, w, 1, 10) / an.mi_pmf(1, w, 1, 10)
-            assert abs(ratio - math.exp(1 / (4 * w))) < 1e-12
-
-    def test_numeric_table(self):
-        """Direct evaluation at (T=10, w=4, L=3), j = 0..3."""
-        c = math.exp(9 / 16)
-        for j in range(4):
-            want = c * math.comb(3, j) * 0.6**j * 0.4 ** (3 - j)
-            assert abs(an.mi_pmf_binomial_bound(j, 4, 3, 10) - want) < 1e-12
-
-    def test_rejects_w_zero(self):
-        with pytest.raises(ValueError):
-            an.mi_pmf_binomial_bound(1, 0, 3, 10)
 
 
 class TestGConditionalPmf:
@@ -443,18 +433,8 @@ class TestCompSuccessExact:
 
 
 class TestMcdiarmidTail:
-    def test_zero_deviation_caps_at_one(self):
-        assert an.mcdiarmid_tail(0.0, 1.0, 100) == 1.0
-
-    def test_cap_boundary(self):
-        # delta = sqrt(alpha T ln 2) makes the raw bound exactly 1
-        t = 1000
-        delta = math.sqrt(LN2 * LN2 * t)  # alpha = ln 2
-        assert abs(an.mcdiarmid_tail(delta, LN2, t) - 1.0) < 1e-12
-
-    def test_arithmetic(self):
-        want = 2 * math.exp(-10_000 / (LN2 * 1000))
-        assert abs(an.mcdiarmid_tail(100, LN2, 1000) - want) < 1e-18
+    """The bounded-differences bound on the distinct count of alpha*T coupons:
+    P(|distinct - (1 - e^-alpha) T| >= delta) <= 2 exp(-delta^2 / (alpha T))."""
 
     def test_empirical_tail_never_exceeds_bound(self):
         """10^4 runs of 693 draws from 1000 coupons: tail freq <= the bound."""
@@ -472,4 +452,5 @@ class TestMcdiarmidTail:
         center = (1 - math.exp(-alpha)) * t
         for delta in (40.0, 60.0, 100.0):
             emp = float((np.abs(distinct - center) >= delta).mean())
-            assert emp <= an.mcdiarmid_tail(delta, alpha, t) + 1e-12
+            bound = min(1.0, 2.0 * math.exp(-delta * delta / (alpha * t)))
+            assert emp <= bound + 1e-12

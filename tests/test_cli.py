@@ -326,9 +326,21 @@ class TestRatesCommand:
         body = out.read_text()
         assert "0.40," in body and "0.50," in body and "0.60," in body
 
-    def test_rejects_bad_grid(self):
+    def test_rejects_bad_grid(self, capsys):
+        # nan and 1e-300 once looped forever; inf raised from theoretical_rate
+        for step in ("nan", "inf", "1e-300"):
+            _one_error_line(capsys, ["rates", "--step", step])
         assert main(["rates", "--theta-min", "0.0"]) == 1
         assert main(["rates", "--step", "-1"]) == 1
+
+    def test_step_below_resolution_on_a_point_grid(self, tmp_path):
+        # 0.5 + i * 1e-300 stays 0.5; the grid is the one point
+        out = tmp_path / "rates.csv"
+        argv = ["rates", "--step", "1e-300", "--theta-min", "0.5", "--theta-max", "0.5"]
+        assert main(argv + ["--out", str(out)]) == 0
+        lines = out.read_text().strip().splitlines()
+        assert len(lines) == 1 + 7
+        assert all(line.startswith("0.50,") for line in lines[1:])
 
 
 class TestVerifyCommand:

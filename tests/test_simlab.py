@@ -2,6 +2,7 @@
 
 import io
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,9 +10,8 @@ import pytest
 from grouptest import (
     DesignArm,
     ExperimentConfig,
-    collect_item_stats,
+    compute_item_stats,
     counting_bound,
-    estimate_sss_masking_lb,
     expected_distinct,
     distinct_coupon_pmf,
     g_conditional_pmf,
@@ -20,7 +20,7 @@ from grouptest import (
     run_success_curve,
     wilson_interval,
 )
-from grouptest.simlab import trial_seed
+from grouptest.simlab import trial_instance, trial_seed
 
 LN2 = math.log(2)
 
@@ -169,9 +169,32 @@ class TestRunSuccessCurve:
             assert pt.p_hat <= bound + 3 * sigma
 
 
+def lab_item_counts(arm, n_items, k, n_tests, trials, master_seed):
+    """The per-item counts of `trials` lab trials of arm 0 at grid point T.
+
+    Returns L and numpy arrays of the covered-test count and G, shape
+    (trials,), and of W_{K\\i}, M_i and L_i, shape (trials, K), aligned by
+    defective so that conditional laws are read off by boolean indexing.
+    """
+    stats = []
+    for r in range(trials):
+        inst = trial_instance(arm, n_items, k, n_tests, trial_seed(master_seed, 0, n_tests, r))
+        stats.append(compute_item_stats(inst.design, inst.truth, inst.outcome))
+    return SimpleNamespace(
+        draws=arm.params(n_tests, k).draws,
+        covered=np.array([st.covered_tests for st in stats]),
+        intruders=np.array([st.masked_nondefectives for st in stats]),
+        covered_without=np.array([st.covered_without for st in stats]),
+        solo_defective=np.array([st.solo_defective_tests for st in stats]),
+        solo_pd=np.array([st.solo_pd_tests for st in stats]),
+    )
+
+
 class TestCollectItemStats:
+    """The lab's per-item counts follow the exact laws of `analysis`."""
+
     def test_k_one_reduces_to_plain_coupon_law(self):
-        sample = collect_item_stats(DesignArm("ncc", LN2), 40, 1, 15, 4000, master_seed=11)
+        sample = lab_item_counts(DesignArm("ncc", LN2), 40, 1, 15, 4000, master_seed=11)
         assert (sample.covered_without == 0).all()
         counts = np.bincount(sample.solo_defective.ravel(), minlength=sample.draws + 1)
         probs = np.array(
@@ -181,15 +204,15 @@ class TestCollectItemStats:
         assert tv <= 0.02, tv
 
     def test_mean_covered_matches_expectation(self):
-        sample = collect_item_stats(DesignArm("ncc", LN2), 60, 4, 25, 3000, master_seed=13)
+        sample = lab_item_counts(DesignArm("ncc", LN2), 60, 4, 25, 3000, master_seed=13)
         want = expected_distinct(4 * sample.draws, 25)
-        se = sample.covered.std(ddof=1) / math.sqrt(sample.trials)
+        se = sample.covered.std(ddof=1) / math.sqrt(sample.covered.size)
         assert abs(sample.covered.mean() - want) <= 3 * se + 1e-9
 
     def test_conditional_g_matches_binomial_law(self):
-        sample = collect_item_stats(DesignArm("ncc", LN2), 50, 5, 20, 20_000, master_seed=17)
+        sample = lab_item_counts(DesignArm("ncc", LN2), 50, 5, 20, 20_000, master_seed=17)
         x = int(np.bincount(sample.covered).argmax())  # most common coverage
-        obs = sample.intruders_given_covered(x)
+        obs = sample.intruders[sample.covered == x]
         assert obs.size > 2000
         counts = np.bincount(obs, minlength=46)
         probs = np.array([g_conditional_pmf(g, x, 20, sample.draws, 50, 5) for g in range(46)])
@@ -198,9 +221,9 @@ class TestCollectItemStats:
         assert tv <= 0.04, (x, tv)
 
     def test_conditional_mi_matches_pmf(self):
-        sample = collect_item_stats(DesignArm("ncc", LN2), 50, 5, 20, 6000, master_seed=19)
+        sample = lab_item_counts(DesignArm("ncc", LN2), 50, 5, 20, 6000, master_seed=19)
         w = int(np.bincount(sample.covered_without.ravel()).argmax())
-        obs = sample.mi_given_covered_without(w)
+        obs = sample.solo_defective[sample.covered_without == w]
         assert obs.size > 500
         top = min(sample.draws, 20 - w)
         counts = np.bincount(obs, minlength=top + 1)
@@ -209,13 +232,19 @@ class TestCollectItemStats:
         assert tv <= 0.02, (w, tv)
 
     def test_conditional_li_zero_rate(self):
-        sample = collect_item_stats(DesignArm("ncc", LN2), 30, 4, 12, 8000, master_seed=23)
+        sample = lab_item_counts(DesignArm("ncc", LN2), 30, 4, 12, 8000, master_seed=23)
         # pick the most frequent (g, w, j) cell with j >= 1
         best = None
         for w in range(13):
             for j in range(1, sample.draws + 1):
                 for g in range(6):
-                    zeros, total = sample.li_zero_rate(g, w, j)
+                    match = (
+                        (sample.covered_without == w)
+                        & (sample.solo_defective == j)
+                        & (sample.intruders[:, None] == g)
+                    )
+                    sel = sample.solo_pd[match]
+                    zeros, total = int((sel == 0).sum()), int(sel.size)
                     if best is None or total > best[4]:
                         best = (g, w, j, zeros, total)
         g, w, j, zeros, total = best
@@ -223,17 +252,3 @@ class TestCollectItemStats:
         want = li_zero_prob(g, w, j, sample.draws)
         sigma = math.sqrt(max(want * (1 - want), 1e-12) / total)
         assert abs(zeros / total - want) <= 3 * sigma + 0.01
-
-
-class TestMaskingLowerBound:
-    def test_k_one_never_masks(self):
-        est = estimate_sss_masking_lb(DesignArm("ncc", LN2), 30, 1, 10, 200, master_seed=3)
-        assert est.hits == 0 and est.probability == 0.0
-
-    def test_ample_tests_drive_masking_to_zero(self):
-        est = estimate_sss_masking_lb(DesignArm("ncc", LN2), 20, 2, 300, 200, master_seed=5)
-        assert est.probability <= 0.01
-
-    def test_interval_contains_estimate(self):
-        est = estimate_sss_masking_lb(DesignArm("ncc", LN2), 25, 3, 8, 300, master_seed=7)
-        assert 0 <= est.ci_lo <= est.probability <= est.ci_hi <= 1
