@@ -172,3 +172,21 @@ def test_reference_sss_searches():
     assert _sha256("\n".join(rows)) == (
         "46be3932688ec264258eb830be66321fed07c9d2bb3d2f997f9c56f55dd8e7cc"
     )
+
+
+# The sss-deep benchmark pool: near-constant, nu = ln 2, N=500, K=10, T=50,
+# below the DD threshold, where a search expands about 2000 nodes; the
+# reference config's searches above never pass 512.
+SSS_DEEP_PINS = [
+    (0, 2002, (58, 81, 225, 330, 341, 367, 432)),
+    (1, 1930, (6, 39, 49, 215, 328, 457, 476, 499)),
+]
+
+
+@pytest.mark.parametrize("r,nodes,estimate", SSS_DEEP_PINS)
+def test_sss_deep_pool_search(r, nodes, estimate):
+    seed = trial_seed(0, 0, 50, r)
+    design = build_design(DesignArm("ncc", LN2), 500, 10, 50, seed)
+    truth = sample_defective_set(500, 10, seed)
+    res = decoders.sss(design, run_tests(design, truth))
+    assert (res.search_nodes, res.estimate) == (nodes, estimate)
