@@ -94,55 +94,40 @@ def counting_bound(n_items: int, k: int, n_tests: int) -> float:
 class CapacityResult:
     value: float
     argmax_nu: float
-    tolerance: float
 
 
-def _capacity_objective(nu: float, theta: float) -> float:
-    t = exp(-nu)
-    first = nu * t * (1.0 - theta) / (theta * LN2)
-    return min(first, binary_entropy(t))
-
-
-_GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def bernoulli_capacity(theta: float, *, nu_tol: float = 1e-9) -> CapacityResult:
+def bernoulli_capacity(theta: float) -> CapacityResult:
     """Maximum achievable rate of Bernoulli designs at sparsity theta.
 
-    Grid search over nu in [1e-3, 10] (step 1e-3) followed by golden-section
-    refinement of the bracketing cell. The reported ``argmax_nu`` is the best
-    maximizer found at ``tolerance`` bracket width; uniqueness is not claimed.
+    The objective is min{f, h} with f(nu) = nu e^-nu (1-theta)/(theta ln2)
+    and h(nu) = h(e^-nu). Both rise below nu = ln 2 and fall above nu = 1;
+    between them f rises and h falls. So the maximum is h(ln 2) = 1 when
+    f(ln 2) >= 1, f(1) when f(1) <= h(1), and otherwise the crossing of f
+    and h, found by bisection on (ln 2, 1).
     """
     if not 0.0 <= theta < 1.0:
         raise ValueError(f"theta must lie in [0, 1), got {theta}")
-    if theta == 0.0:
-        # the binomial-coefficient term is unconstrained; h(e^-nu) peaks at 1
-        return CapacityResult(1.0, LN2, 0.0)
-    step = 1e-3
-    grid_best, grid_nu = -1.0, step
-    n_points = int(round(10.0 / step))
-    for idx in range(1, n_points + 1):
-        nu = idx * step
-        val = _capacity_objective(nu, theta)
-        if val > grid_best:
-            grid_best, grid_nu = val, nu
-    a = max(step / 2, grid_nu - step)
-    b = grid_nu + step
-    c = b - _GOLDEN_RATIO * (b - a)
-    d = a + _GOLDEN_RATIO * (b - a)
-    fc = _capacity_objective(c, theta)
-    fd = _capacity_objective(d, theta)
-    while b - a > nu_tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN_RATIO * (b - a)
-            fc = _capacity_objective(c, theta)
+
+    def f(nu: float) -> float:
+        return nu * exp(-nu) * (1.0 - theta) / (theta * LN2)
+
+    def h(nu: float) -> float:
+        return binary_entropy(exp(-nu))
+
+    # at theta = 0 the binomial-coefficient term is unconstrained
+    if theta == 0.0 or f(LN2) >= 1.0:
+        return CapacityResult(1.0, LN2)
+    if f(1.0) <= h(1.0):
+        return CapacityResult(f(1.0), 1.0)
+    lo, hi = LN2, 1.0
+    for _ in range(60):
+        mid = (lo + hi) / 2.0
+        if f(mid) < h(mid):
+            lo = mid
         else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN_RATIO * (b - a)
-            fd = _capacity_objective(d, theta)
-    nu_star = (a + b) / 2.0
-    return CapacityResult(_capacity_objective(nu_star, theta), nu_star, b - a)
+            hi = mid
+    nu = (lo + hi) / 2.0
+    return CapacityResult(min(f(nu), h(nu)), nu)
 
 
 def theoretical_rate(curve: str, theta: float) -> float:

@@ -219,11 +219,22 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _format_theta(theta: float) -> str:
-    text = f"{theta:.6f}".rstrip("0")
-    if len(text.split(".")[1]) < 2:
-        text = f"{theta:.2f}"
-    return text
+def _theta_labels(thetas: list[float]) -> list[str]:
+    """Labels for a grid of thetas: the fewest decimals, six or more, at which
+    distinct thetas get distinct labels and no label reads 0 or 1, with
+    trailing zeros dropped down to two decimals.
+
+    The loop ends: a double's decimal expansion stops by the 1074th decimal.
+    """
+    digits = 6
+    while True:
+        labels = []
+        for theta in thetas:
+            whole, frac = f"{theta:.{digits}f}".split(".")
+            labels.append(f"{whole}.{frac.rstrip('0'):0<2}")
+        if len(set(labels)) == len(set(thetas)) and all(0 < float(x) < 1 for x in labels):
+            return labels
+        digits += 1
 
 
 def _cmd_rates(args: argparse.Namespace) -> int:
@@ -242,10 +253,10 @@ def _cmd_rates(args: argparse.Namespace) -> int:
     ]
     with _open_out(args.out) as out:
         out.write("theta,curve,rate\n")
-        for theta in thetas:
+        for theta, label in zip(thetas, _theta_labels(thetas)):
             for curve in analysis.CURVES:
                 rate = analysis.theoretical_rate(curve, theta)
-                out.write(f"{_format_theta(theta)},{curve},{rate:.6f}\n")
+                out.write(f"{label},{curve},{rate:.6f}\n")
     return EXIT_OK
 
 

@@ -67,78 +67,78 @@ class EvalRecord:
     false_negatives: int
 
 
-def _explained_pd(design: TestDesign, outcome: OutcomeVector) -> list[int]:
-    """The PD set, after checking that it explains every positive test."""
+def _explained_pd(design: TestDesign, outcome: OutcomeVector) -> tuple[list[int], list[int]]:
+    """The PD set and its items' masks, checked to explain every positive test."""
     pd = possible_defectives(design, outcome)
-    masks = design.item_masks
+    item_masks = design.item_masks
+    masks = [item_masks[i] for i in pd]
     union = 0
-    for i in pd:
-        union |= masks[i]
+    for m in masks:
+        union |= m
     if outcome.positive_mask & ~union:
         raise MalformedOutcomeError("positive test with no possible-defective member")
-    return pd
+    return pd, masks
 
 
 def comp(design: TestDesign, outcome: OutcomeVector) -> DecodeResult:
     """Declare every possible defective item defective."""
-    pd = tuple(_explained_pd(design, outcome))
+    pd = tuple(_explained_pd(design, outcome)[0])
     return DecodeResult("comp", pd, pd)
 
 
-def _definite_defectives(masks: tuple[int, ...], pd: list[int]) -> list[int]:
-    """PD items in some test no other PD item is in.
+def _definite_defectives(masks: list[int]) -> list[int]:
+    """Positions of the PD masks holding a test no other PD mask holds.
 
     Every test containing a PD item is positive, so no positivity check is
     needed.
     """
-    return [i for i, others in zip(pd, model.others_unions(masks, pd)) if masks[i] & ~others]
+    others = model.others_unions(masks)
+    return [j for j, (m, o) in enumerate(zip(masks, others)) if m & ~o]
 
 
 def dd(design: TestDesign, outcome: OutcomeVector) -> DecodeResult:
     """Declare PD items that are the sole PD member of some positive test."""
-    pd = _explained_pd(design, outcome)
-    definite = _definite_defectives(design.item_masks, pd)
-    return DecodeResult("dd", tuple(definite), tuple(pd), tuple(definite))
+    pd, masks = _explained_pd(design, outcome)
+    definite = tuple(pd[j] for j in _definite_defectives(masks))
+    return DecodeResult("dd", definite, tuple(pd), definite)
 
 
-def _scomp_estimate(
-    masks: tuple[int, ...], positive_mask: int, pd: list[int], definite: list[int]
-) -> tuple[int, ...]:
-    """DD's set plus greedy picks from an explaining PD set, sorted.
+def _scomp_estimate(masks: list[int], target: int, definite: list[int]) -> list[int]:
+    """Positions of DD's set plus greedy picks covering `target`, sorted.
 
-    While some positive test contains no declared item, add the PD item
-    covering the most unexplained tests (ties broken by lowest item index);
-    one exists as long as the PD set explains every positive test.
+    While some test of `target` is uncovered, add the PD mask covering the
+    most uncovered tests (ties broken by lowest position); one exists as long
+    as the masks explain every test of `target`. A picked mask covers no
+    uncovered test, so it is never picked again.
     """
     estimate = list(definite)
-    chosen = set(definite)
-    covered = 0
-    for i in estimate:
-        covered |= masks[i]
-    uncovered = positive_mask & ~covered
+    uncovered = target
+    for j in estimate:
+        uncovered &= ~masks[j]
     while uncovered:
-        best_item = -1
+        best_pos = -1
         best_gain = 0
-        for i in pd:
-            if i in chosen:
-                continue
-            gain = (masks[i] & uncovered).bit_count()
+        for j, m in enumerate(masks):
+            gain = (m & uncovered).bit_count()
             if gain > best_gain:
                 best_gain = gain
-                best_item = i
-        chosen.add(best_item)
-        estimate.append(best_item)
-        uncovered &= ~masks[best_item]
-    return tuple(sorted(estimate))
+                best_pos = j
+        estimate.append(best_pos)
+        uncovered &= ~masks[best_pos]
+    return sorted(estimate)
 
 
 def scomp(design: TestDesign, outcome: OutcomeVector) -> DecodeResult:
     """DD plus greedy cover of the positive tests DD leaves unexplained."""
-    pd = _explained_pd(design, outcome)
-    masks = design.item_masks
-    definite = _definite_defectives(masks, pd)
-    estimate = _scomp_estimate(masks, outcome.positive_mask, pd, definite)
-    return DecodeResult("scomp", estimate, tuple(pd), tuple(definite))
+    pd, masks = _explained_pd(design, outcome)
+    definite = _definite_defectives(masks)
+    estimate = _scomp_estimate(masks, outcome.positive_mask, definite)
+    return DecodeResult(
+        "scomp",
+        tuple(pd[j] for j in estimate),
+        tuple(pd),
+        tuple(pd[j] for j in definite),
+    )
 
 
 def is_satisfying(
@@ -173,43 +173,40 @@ def sss(
     """
     if node_budget < 1:
         raise ValueError(f"node_budget must be >= 1, got {node_budget}")
-    pd = _explained_pd(design, outcome)
-    masks = design.item_masks
+    pd, _ = _explained_pd(design, outcome)
     pos = outcome.positive_mask
     if pos == 0:
         return DecodeResult("sss", (), tuple(pd), search_nodes=0)
 
-    # re-index positive tests into a compact bitmask universe. Searching on
-    # the full-width item masks instead lost 5 of 6 timed pairs, by 5-9%, on
-    # searches of about 2000 nodes at N=500, K=10, T=50: there a full mask
-    # takes two 30-bit digits of a Python int, while a mask over the
-    # positive tests alone fits in one.
+    # re-index the PD masks onto the positive tests, a compact bitmask
+    # universe; the search runs on PD positions, whose order is the items'.
+    # Searching on the full-width item masks instead lost 5 of 6 timed
+    # pairs, by 5-9%, on searches of about 2000 nodes at N=500, K=10, T=50:
+    # there a full mask takes two 30-bit digits of a Python int, while a
+    # mask over the positive tests alone fits in one.
     pos_tests = [t for t in range(design.n_tests) if (pos >> t) & 1]
     bit_of_test = {t: b for b, t in enumerate(pos_tests)}
     target = (1 << len(pos_tests)) - 1
     indptr, indices = design.indptr, design.indices
-    cover: dict[int, int] = {}
-    for i in pd:
+    cover: list[int] = []
+    items_of_bit: list[list[int]] = [[] for _ in pos_tests]
+    for j, i in enumerate(pd):
         m = 0
         for t in indices[indptr[i] : indptr[i + 1]].tolist():
-            m |= 1 << bit_of_test[t]
-        if m:
-            cover[i] = m
-    candidates = sorted(cover)
+            b = bit_of_test[t]
+            m |= 1 << b
+            items_of_bit[b].append(j)
+        cover.append(m)
 
-    best = _scomp_estimate(masks, pos, pd, _definite_defectives(masks, pd))
+    best = tuple(_scomp_estimate(cover, target, _definite_defectives(cover)))
     best_size = len(best)
 
-    # per-positive-test candidate lists, used to pick a branching test
-    items_of_bit: list[list[int]] = [[] for _ in pos_tests]
-    for i in candidates:
-        m = cover[i]
-        b = 0
-        while m:
-            if m & 1:
-                items_of_bit[b].append(i)
-            m >>= 1
-            b += 1
+    # each node branches on the first uncovered test in this order: fewest
+    # candidates first, ties by test
+    branch_order = [
+        (1 << b, items_of_bit[b])
+        for b in sorted(range(len(pos_tests)), key=lambda b: (len(items_of_bit[b]), b))
+    ]
 
     nodes = 0
 
@@ -224,20 +221,15 @@ def sss(
         # a chosen item covers no uncovered test, so the candidates of an
         # uncovered test are all unchosen, and there is at least one: the PD
         # set explains every positive test
-        branch_items: list[int] = []
-        m = uncovered
-        b = 0
-        while m:
-            if m & 1 and (not branch_items or len(items_of_bit[b]) < len(branch_items)):
-                branch_items = items_of_bit[b]
-            m >>= 1
-            b += 1
+        for bit, branch_items in branch_order:
+            if uncovered & bit:
+                break
         # lower bound: uncovered tests / best single-item coverage among ALL
         # candidates (not just those covering the branch test), else the
         # bound overshoots and prunes optimal subtrees
         max_gain = 0
-        for i in candidates:
-            gain = (cover[i] & uncovered).bit_count()
+        for m in cover:
+            gain = (m & uncovered).bit_count()
             if gain > max_gain:
                 max_gain = gain
         lb = (uncovered.bit_count() + max_gain - 1) // max_gain
@@ -246,18 +238,18 @@ def sss(
         nodes += 1
         if nodes > node_budget:
             raise UnresolvedSearchError(
-                f"node budget {node_budget} exceeded", best, nodes
+                f"node budget {node_budget} exceeded", tuple(pd[j] for j in best), nodes
             )
         # branch over the items covering the most-constrained uncovered test,
         # trying larger coverage first (ties by item index)
-        order = sorted(branch_items, key=lambda i: (-(cover[i] & uncovered).bit_count(), i))
-        for i in order:
-            chosen.append(i)
-            search(covered | cover[i], chosen)
+        order = sorted(branch_items, key=lambda j: (-(cover[j] & uncovered).bit_count(), j))
+        for j in order:
+            chosen.append(j)
+            search(covered | cover[j], chosen)
             chosen.pop()
 
     search(0, [])
-    return DecodeResult("sss", best, tuple(pd), search_nodes=nodes)
+    return DecodeResult("sss", tuple(pd[j] for j in best), tuple(pd), search_nodes=nodes)
 
 
 # the decoders decode runs, by the names of their functions in this module
@@ -290,9 +282,8 @@ def some_defective_masked(design: TestDesign, truth: DefectiveSet) -> bool:
     items = truth.items
     if items and items[-1] >= design.n_items:
         raise ValueError(f"item {items[-1]} out of range")
-    masks = design.item_masks
-    others = model.others_unions(masks, items)
-    return any(masks[i] & ~o == 0 for i, o in zip(items, others))
+    masks = [design.item_masks[i] for i in items]
+    return any(m & ~o == 0 for m, o in zip(masks, model.others_unions(masks)))
 
 
 # every identity invariant_violations checks

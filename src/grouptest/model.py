@@ -521,19 +521,19 @@ def check_outcome_length(design: TestDesign, outcome: OutcomeVector) -> None:
         )
 
 
-def others_unions(masks: Sequence[int], items: Sequence[int]) -> list[int]:
-    """For each of `items`, the OR of the masks of the other `items`.
+def others_unions(masks: Sequence[int]) -> list[int]:
+    """For each of `masks`, the OR of the other masks.
 
-    One suffix pass and one prefix pass: O(len(items)) ORs in all.
+    One suffix pass and one prefix pass: O(len(masks)) ORs in all.
     """
-    suffix = [0] * (len(items) + 1)
-    for idx in range(len(items) - 1, -1, -1):
-        suffix[idx] = suffix[idx + 1] | masks[items[idx]]
+    suffix = [0] * (len(masks) + 1)
+    for idx in range(len(masks) - 1, -1, -1):
+        suffix[idx] = suffix[idx + 1] | masks[idx]
     others = []
     prefix = 0
-    for idx, i in enumerate(items):
+    for idx, m in enumerate(masks):
         others.append(prefix | suffix[idx + 1])
-        prefix |= masks[i]
+        prefix |= m
     return others
 
 
@@ -555,27 +555,28 @@ def compute_item_stats(
     the tests in m_i and in no other PD item's.
     """
     check_outcome_length(design, outcome)
-    masks = design.item_masks
+    item_masks = design.item_masks
+    if truth.items and truth.items[-1] >= design.n_items:
+        raise ValueError(f"defective index {truth.items[-1]} out of range")
+    masks = [item_masks[i] for i in truth.items]
     union = 0
-    for i in truth.items:
-        if i >= design.n_items:
-            raise ValueError(f"defective index {i} out of range")
-        union |= masks[i]
+    for m in masks:
+        union |= m
     if union != outcome.positive_mask:
         raise ValueError("outcome is inconsistent with (design, truth)")
 
-    others = others_unions(masks, truth.items)
+    others = others_unions(masks)
     pd = possible_defectives(design, outcome)
     # every defective is a PD item, since all its tests are positive
-    pd_others = dict(zip(pd, others_unions(masks, pd)))
+    pd_others = dict(zip(pd, others_unions([item_masks[j] for j in pd])))
     truth_set = set(truth.items)
     return ItemStats(
         covered_tests=union.bit_count(),
         covered_without=tuple(o.bit_count() for o in others),
-        solo_defective_tests=tuple(
-            (masks[i] & ~o).bit_count() for i, o in zip(truth.items, others)
+        solo_defective_tests=tuple((m & ~o).bit_count() for m, o in zip(masks, others)),
+        solo_pd_tests=tuple(
+            (m & ~pd_others[i]).bit_count() for i, m in zip(truth.items, masks)
         ),
-        solo_pd_tests=tuple((masks[i] & ~pd_others[i]).bit_count() for i in truth.items),
         masked_nondefectives=sum(1 for j in pd if j not in truth_set),
         pd_set=tuple(pd),
     )

@@ -69,11 +69,18 @@ class TestBernoulliCapacity:
         res = an.bernoulli_capacity(0.5)
         assert abs(res.value - 0.530737845) < 1e-6
         assert abs(res.argmax_nu - 1.0) < 1e-3
-        assert res.tolerance <= 1e-9 * 2
 
     def test_theta_0p4_matches_fine_grid_oracle(self):
         """Frozen oracle: C(0.4) = 0.796106768."""
         assert abs(an.bernoulli_capacity(0.4).value - 0.796106768) < 1e-6
+
+    @pytest.mark.parametrize("theta,want", [(0.34, 0.996623), (0.35, 0.978345)])
+    def test_crossing_matches_fine_grid_oracle(self, theta, want):
+        """Frozen from a step-1e-6 brute-force grid; here the maximum is where
+        the two terms cross, strictly between nu = ln 2 and nu = 1."""
+        res = an.bernoulli_capacity(theta)
+        assert abs(res.value - want) < 1e-6
+        assert LN2 < res.argmax_nu < 1.0
 
     def test_nonincreasing_in_theta(self):
         grid = [0.05 * i for i in range(1, 20)]

@@ -342,6 +342,25 @@ class TestRatesCommand:
         assert len(lines) == 1 + 7
         assert all(line.startswith("0.50,") for line in lines[1:])
 
+    def test_fine_grid_gets_distinct_labels(self, tmp_path):
+        # six decimals once labelled all three points 0.10
+        out = tmp_path / "rates.csv"
+        argv = ["rates", "--theta-min", "0.1", "--theta-max", "0.1000002", "--step", "1e-7"]
+        assert main(argv + ["--out", str(out)]) == 0
+        lines = out.read_text().strip().splitlines()
+        assert len(lines) == 1 + 3 * 7
+        labels = [line.split(",")[0] for line in lines[1::7]]
+        assert labels == ["0.10", "0.1000001", "0.1000002"]
+
+    def test_label_near_one_stays_below_one(self, tmp_path):
+        # six decimals once printed 1.00, a theta the command rejects
+        out = tmp_path / "rates.csv"
+        argv = ["rates", "--theta-min", "0.999999999999", "--theta-max", "0.999999999999"]
+        assert main(argv + ["--out", str(out)]) == 0
+        lines = out.read_text().strip().splitlines()
+        assert len(lines) == 1 + 7
+        assert all(line.startswith("0.999999999999,") for line in lines[1:])
+
 
 class TestVerifyCommand:
     def test_quick_suite_passes(self, capsys):
