@@ -90,8 +90,13 @@ class TestDesignCommand:
             == 1
         )
 
-    def test_p_only_for_bernoulli(self):
-        assert main(["design", "--kind", "ncc", "--N", "5", "--T", "7", "--p", "0.5"]) == 1
+    def test_p_only_for_bernoulli(self, capsys):
+        _one_error_line(capsys, ["design", "--kind", "ncc", "--N", "5", "--T", "7", "--p", "0.1"])
+
+    def test_l_only_for_weight_designs(self, capsys):
+        _one_error_line(
+            capsys, ["design", "--kind", "bernoulli", "--N", "5", "--T", "7", "--L", "3"]
+        )
 
     def test_io_error_exit_code(self):
         rc = main(
