@@ -420,7 +420,7 @@ def comp_success_exact(n_items: int, k: int, n_tests: int, draws: int) -> float:
 
     COMP is exact iff no nondefective is masked (G = 0), so the success is
     sum_x P(cover x) (1 - (x/T)^L)^(N-K). ``simlab`` realizes L as
-    ``model.params_from_nu(nu, T, K).draws``; pass that value to compare.
+    ``model.params_from_nu("near_constant", nu, T, K).draws``; pass that value to compare.
     """
     n_clean = n_items - k
     law = _comp_masking_law(n_items, k, n_tests, draws)

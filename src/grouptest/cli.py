@@ -125,21 +125,15 @@ def _cmd_design(args: argparse.Namespace) -> int:
     if len(given) != 1:
         raise CliError("exactly one of --nu, --p, --L is required")
     kind = simlab.DESIGN_ALIASES[args.kind]
-    # build_design floors K at 1 for the lab's K = 0 configs; here K must be given
+    # DesignArm.params floors K at 1 for the lab's K = 0 configs; here K must be given
     if args.nu is not None and (args.k is None or args.k < 1):
         raise CliError("--nu requires --K >= 1 to derive p or L")
-    if args.p is not None and kind != model.KIND_BERNOULLI:
-        raise CliError("--p applies to bernoulli designs only")
-    if args.draws is not None and kind == model.KIND_BERNOULLI:
-        raise CliError("--L applies to weight designs only (ncc, ccw)")
     try:
-        if args.nu is not None:
-            arm = simlab.DesignArm(kind, args.nu)
-            design = simlab.build_design(arm, args.n_items, args.k, args.n_tests, args.seed)
+        if args.nu is None:
+            params = model.DesignParams(p=args.p, draws=args.draws)
         else:
-            design = model.generate_design(
-                kind, args.n_items, args.n_tests, args.seed, p=args.p, draws=args.draws
-            )
+            params = model.params_from_nu(kind, args.nu, args.n_tests, args.k)
+        design = model.generate_design(kind, args.n_items, args.n_tests, args.seed, params)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     with _open_out(args.out) as out:
@@ -220,9 +214,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _theta_labels(thetas: list[float]) -> list[str]:
-    """Labels for a grid of thetas: the fewest decimals, six or more, at which
-    distinct thetas get distinct labels and no label reads 0 or 1, with
-    trailing zeros dropped down to two decimals.
+    """Labels for a grid of distinct thetas: the fewest decimals, six or more,
+    at which the labels are distinct and none reads 0 or 1, with trailing
+    zeros dropped down to two decimals.
 
     The loop ends: a double's decimal expansion stops by the 1074th decimal.
     """
@@ -232,7 +226,7 @@ def _theta_labels(thetas: list[float]) -> list[str]:
         for theta in thetas:
             whole, frac = f"{theta:.{digits}f}".split(".")
             labels.append(f"{whole}.{frac.rstrip('0'):0<2}")
-        if len(set(labels)) == len(set(thetas)) and all(0 < float(x) < 1 for x in labels):
+        if len(set(labels)) == len(thetas) and all(0 < float(x) < 1 for x in labels):
             return labels
         digits += 1
 
@@ -247,10 +241,13 @@ def _cmd_rates(args: argparse.Namespace) -> int:
     steps = (args.theta_max - args.theta_min) / args.step + 1e-9
     if steps >= _MAX_RATE_POINTS:
         raise CliError(f"--step gives more than {_MAX_RATE_POINTS} theta points")
-    thetas = [
-        min(args.theta_min + idx * args.step, args.theta_max)
-        for idx in range(math.floor(steps) + 1)
-    ]
+    # a set: points closer than the float spacing at theta are one double
+    thetas = sorted(
+        {
+            min(args.theta_min + idx * args.step, args.theta_max)
+            for idx in range(math.floor(steps) + 1)
+        }
+    )
     with _open_out(args.out) as out:
         out.write("theta,curve,rate\n")
         for theta, label in zip(thetas, _theta_labels(thetas)):

@@ -175,8 +175,6 @@ def sss(
         raise ValueError(f"node_budget must be >= 1, got {node_budget}")
     pd, _ = _explained_pd(design, outcome)
     pos = outcome.positive_mask
-    if pos == 0:
-        return DecodeResult("sss", (), tuple(pd), search_nodes=0)
 
     # re-index the PD masks onto the positive tests, a compact bitmask
     # universe; the search runs on PD positions, whose order is the items'.

@@ -433,60 +433,35 @@ def gen_exact_constant(
 
 
 def generate_design(
-    kind: str,
-    n_items: int,
-    n_tests: int,
-    seed: int,
-    *,
-    p: float | None = None,
-    draws: int | None = None,
-    nu: float | None = None,
+    kind: str, n_items: int, n_tests: int, seed: int, params: DesignParams
 ) -> TestDesign:
-    """Dispatch to the generator for `kind` (p for Bernoulli, draws otherwise)."""
+    """Dispatch to the generator for `kind`, which takes p for Bernoulli and
+    draws (L) otherwise; ValueError unless `params` carries its kind's
+    parameter and not the other one."""
     if kind == KIND_BERNOULLI:
-        if p is None:
-            raise ValueError("bernoulli designs require p")
-        return gen_bernoulli(n_items, n_tests, p, seed, nu=nu)
-    if kind == KIND_NEAR_CONSTANT:
-        if draws is None:
-            raise ValueError("near_constant designs require draws")
-        return gen_near_constant(n_items, n_tests, draws, seed, nu=nu)
-    if kind == KIND_EXACT_CONSTANT:
-        if draws is None:
-            raise ValueError("exact_constant designs require draws")
-        return gen_exact_constant(n_items, n_tests, draws, seed, nu=nu)
-    raise ValueError(f"unknown design kind {kind!r}")
+        if params.p is None or params.draws is not None:
+            raise ValueError("bernoulli designs take p, not L")
+        return gen_bernoulli(n_items, n_tests, params.p, seed, nu=params.nu)
+    if kind not in DESIGN_KINDS:
+        raise ValueError(f"unknown design kind {kind!r}")
+    if params.draws is None or params.p is not None:
+        raise ValueError(f"{kind} designs take L, not p")
+    gen = gen_near_constant if kind == KIND_NEAR_CONSTANT else gen_exact_constant
+    return gen(n_items, n_tests, params.draws, seed, nu=params.nu)
 
 
 def regenerate_design(design: TestDesign) -> TestDesign:
     """Rebuild a design from its (kind, sizes, params, seed) metadata."""
-    return generate_design(
-        design.kind,
-        design.n_items,
-        design.n_tests,
-        design.seed,
-        p=design.params.p,
-        draws=design.params.draws,
-        nu=design.params.nu,
-    )
+    return generate_design(design.kind, design.n_items, design.n_tests, design.seed, design.params)
 
 
-@dataclass(frozen=True)
-class NuParams:
-    """Finite-size parameters realized from the density parameter nu.
+def params_from_nu(kind: str, nu: float, n_tests: int, k: int) -> DesignParams:
+    """The parameter a `kind` design takes at density nu, T tests and K defectives.
 
-    The analysis treats L = nu*T/K as a real number; ``draws`` rounds it to
-    the nearest integer (ties to even, floored at 1) and ``draws_exact``
-    retains the real value for diagnostics.
+    Bernoulli takes p = nu/K, clamped to P_MAX. The weight designs take
+    L = nu*T/K rounded to the nearest integer (ties to even, floored at 1),
+    and exact-constant, which draws without replacement, caps L at T.
     """
-
-    draws: int
-    p: float
-    draws_exact: float
-    nu: float
-
-
-def params_from_nu(nu: float, n_tests: int, k: int) -> NuParams:
     if nu <= 0:
         raise ValueError(f"nu must be positive, got {nu}")
     if k < 1 or n_tests < 1:
@@ -494,12 +469,12 @@ def params_from_nu(nu: float, n_tests: int, k: int) -> NuParams:
     exact = nu * n_tests / k
     if not math.isfinite(exact):
         raise ValueError(f"nu * T / K must be finite, got nu={nu}, T={n_tests}, K={k}")
-    return NuParams(
-        draws=max(1, round(exact)),
-        p=min(P_MAX, nu / k),
-        draws_exact=exact,
-        nu=nu,
-    )
+    if kind == KIND_BERNOULLI:
+        return DesignParams(p=min(P_MAX, nu / k), nu=nu)
+    draws = max(1, round(exact))
+    if kind == KIND_EXACT_CONSTANT:
+        draws = min(draws, n_tests)
+    return DesignParams(draws=draws, nu=nu)
 
 
 def run_tests(design: TestDesign, truth: DefectiveSet) -> OutcomeVector:

@@ -88,10 +88,10 @@ class DesignArm:
         kind, nu = entry
         return cls(kind, nu)
 
-    def params(self, n_tests: int, k: int) -> model.NuParams:
-        """p and L at a grid point; K is floored at 1 so K = 0 configs still
-        realize a design."""
-        return model.params_from_nu(self.nu, n_tests, max(1, k))
+    def params(self, n_tests: int, k: int) -> model.DesignParams:
+        """The design's p or L at a grid point; K is floored at 1 so K = 0
+        configs still realize a design."""
+        return model.params_from_nu(self.kind, self.nu, n_tests, max(1, k))
 
 
 @dataclass
@@ -220,13 +220,7 @@ def build_design(
     arm: DesignArm, n_items: int, k: int, n_tests: int, seed: int
 ) -> model.TestDesign:
     """Realize a design arm at a grid point: nu fixes p or the draw count."""
-    params = arm.params(n_tests, k)
-    draws = params.draws
-    if arm.kind == model.KIND_EXACT_CONSTANT:
-        draws = min(draws, n_tests)
-    return model.generate_design(
-        arm.kind, n_items, n_tests, seed, p=params.p, draws=draws, nu=arm.nu
-    )
+    return model.generate_design(arm.kind, n_items, n_tests, seed, arm.params(n_tests, k))
 
 
 def trial_instance(

@@ -206,7 +206,7 @@ def test_criterion_9_comp_phase_transition():
     lab = {}
     for n_tests in (t_lo, t_hi):
         # the same nu -> L path that simlab.build_design realizes
-        draws = model.params_from_nu(LN2, n_tests, k).draws
+        draws = model.params_from_nu(model.KIND_NEAR_CONSTANT, LN2, n_tests, k).draws
         pt = curve.point("near_constant", "comp", n_tests)
         lab[n_tests] = (
             pt.p_hat,

@@ -357,6 +357,15 @@ class TestRatesCommand:
         labels = [line.split(",")[0] for line in lines[1::7]]
         assert labels == ["0.10", "0.1000001", "0.1000002"]
 
+    def test_step_below_float_spacing_prints_each_theta_once(self, tmp_path):
+        # 10,004 grid points fall on 902 doubles; each was once printed 6-11 times
+        out = tmp_path / "rates.csv"
+        argv = ["rates", "--theta-min", "0.5", "--theta-max", "0.5000000000001", "--step", "1e-17"]
+        assert main(argv + ["--out", str(out)]) == 0
+        lines = out.read_text().strip().splitlines()
+        assert len(lines) == 1 + 902 * 7
+        assert len({line.split(",")[0] for line in lines[1:]}) == 902
+
     def test_label_near_one_stays_below_one(self, tmp_path):
         # six decimals once printed 1.00, a theta the command rejects
         out = tmp_path / "rates.csv"

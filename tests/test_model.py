@@ -21,11 +21,13 @@ from grouptest import (
     gen_bernoulli,
     gen_exact_constant,
     gen_near_constant,
+    generate_design,
     params_from_nu,
     regenerate_design,
     run_tests,
     sample_defective_set,
 )
+from grouptest.model import KIND_BERNOULLI, KIND_EXACT_CONSTANT, KIND_NEAR_CONSTANT
 from grouptest.verify import fuzz_instance
 
 LN2 = math.log(2)
@@ -303,24 +305,50 @@ class TestCsrDesigns:
 
 class TestParamsFromNu:
     def test_ln2_example(self):
-        params = params_from_nu(LN2, 100, 10)
-        assert params.draws == 7
-        assert abs(params.draws_exact - 6.931471805599453) < 1e-12
+        assert params_from_nu(KIND_NEAR_CONSTANT, LN2, 100, 10).draws == 7
 
     def test_nu_one_t_equals_k(self):
-        assert params_from_nu(1.0, 10, 10).draws == 1
+        assert params_from_nu(KIND_NEAR_CONSTANT, 1.0, 10, 10).draws == 1
 
     def test_p_value(self):
-        assert abs(params_from_nu(LN2, 100, 10).p - 0.06931471805599453) < 1e-15
+        assert abs(params_from_nu(KIND_BERNOULLI, LN2, 100, 10).p - 0.06931471805599453) < 1e-15
 
     def test_p_clamped_below_one(self):
-        assert params_from_nu(50.0, 10, 2).p == 1 - 1e-12
+        assert params_from_nu(KIND_BERNOULLI, 50.0, 10, 2).p == 1 - 1e-12
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            params_from_nu(0.0, 10, 2)
+            params_from_nu(KIND_NEAR_CONSTANT, 0.0, 10, 2)
         with pytest.raises(ValueError):
-            params_from_nu(1.0, 10, 0)
+            params_from_nu(KIND_NEAR_CONSTANT, 1.0, 10, 0)
+
+    def test_exact_constant_caps_draws_at_t(self):
+        # exact-constant draws without replacement; near-constant may exceed T
+        assert params_from_nu(KIND_EXACT_CONSTANT, 50.0, 10, 2).draws == 10
+        assert params_from_nu(KIND_NEAR_CONSTANT, 50.0, 10, 2).draws == 250
+
+    def test_bernoulli_record_has_no_draws(self):
+        assert params_from_nu(KIND_BERNOULLI, LN2, 100, 10) == DesignParams(p=LN2 / 10, nu=LN2)
+
+    @pytest.mark.parametrize("kind", [KIND_NEAR_CONSTANT, KIND_EXACT_CONSTANT])
+    def test_weight_record_has_no_p(self, kind):
+        assert params_from_nu(kind, LN2, 100, 10) == DesignParams(draws=7, nu=LN2)
+
+
+class TestGenerateDesign:
+    @pytest.mark.parametrize(
+        "kind,params",
+        [
+            (KIND_BERNOULLI, DesignParams(p=0.3, draws=2)),
+            (KIND_BERNOULLI, DesignParams(nu=LN2)),
+            (KIND_NEAR_CONSTANT, DesignParams(p=0.3, draws=2)),
+            (KIND_EXACT_CONSTANT, DesignParams(p=0.3)),
+            ("poisson", DesignParams(draws=2)),
+        ],
+    )
+    def test_rejects_a_record_its_kind_does_not_take(self, kind, params):
+        with pytest.raises(ValueError):
+            generate_design(kind, 5, 7, 0, params)
 
 
 def _design_from_columns(n_tests, columns):
