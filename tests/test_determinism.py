@@ -80,6 +80,11 @@ DESIGN_PINS = [
         lambda: gen_near_constant(10_000, 384, 17, 3, nu=LN2),
         "66106194e738c331e36810b3db67b6967f60307910a06766f3d59dc80b6c2c8c",
     ),
+    # 3.84M cells: spans many generation blocks
+    (
+        lambda: gen_bernoulli(10_000, 384, LN2 / 16, 3, nu=LN2),
+        "4be4e86691ff8c06f07c372ab1cc54c40c8d9e30bb856ce290b779a0ba806195",
+    ),
 ]
 
 

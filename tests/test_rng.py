@@ -55,3 +55,48 @@ def test_bounded_uniformity_chi_square():
     expected = 5000.0
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     assert chi2 < 27.88, chi2
+
+
+def _stream_inputs():
+    keys = np.array([rng.mix64(5, i) for i in range(6)], dtype=np.uint64)[:, None]
+    counters = np.arange(7, dtype=np.uint64)[None, :]
+    return keys, counters
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        rng.u64_np,
+        lambda k, c: rng.mix64_np(3, k, c),
+        lambda k, c: rng.bounded_np(k, c, 7),
+        rng.unit_np,
+    ],
+    ids=["u64_np", "mix64_np", "bounded_np", "unit_np"],
+)
+def test_vector_streams_leave_their_inputs_unmodified(fn):
+    keys, counters = _stream_inputs()
+    keys_before, counters_before = keys.copy(), counters.copy()
+    fn(keys, counters)
+    assert np.array_equal(keys, keys_before)
+    assert np.array_equal(counters, counters_before)
+
+
+def test_vector_streams_accept_zero_dimensional_inputs():
+    key, counter = np.uint64(rng.mix64(8)), np.uint64(5)
+    assert int(rng.u64_np(key, counter)) == rng.u64_at(int(key), 5)
+    assert int(rng.bounded_np(key, counter, 11)) == rng.bounded_at(int(key), 5, 11)
+    assert float(rng.unit_np(key, counter)) == rng.unit_at(int(key), 5)
+    assert int(rng.mix64_np(np.uint64(4), np.uint64(9))) == rng.mix64(4, 9)
+    assert int(rng.mix64_np(4, 9)) == rng.mix64(4, 9)
+    assert np.ndim(rng.u64_np(key, counter)) == 0
+    assert np.ndim(rng.bounded_np(key, counter, 11)) == 0
+    assert np.ndim(rng.mix64_np(4, 9)) == 0
+
+
+def test_mix64_np_matches_mix64_with_scalars_before_and_after_arrays():
+    items = np.arange(5, dtype=np.uint64)
+    got = rng.mix64_np(7, 1, items, 2**64 - 1)
+    assert [int(v) for v in got] == [rng.mix64(7, 1, i, 2**64 - 1) for i in range(5)]
+    grid = rng.mix64_np(items[:, None], 3, items[None, :])
+    assert grid.shape == (5, 5)
+    assert int(grid[2, 4]) == rng.mix64(2, 3, 4)
