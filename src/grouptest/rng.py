@@ -9,6 +9,8 @@ order, or in parallel, with results identical to sequential generation.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 MASK64 = (1 << 64) - 1
@@ -66,37 +68,85 @@ def bounded_at(key: int, counter: int, bound: int) -> int:
 _NP_GOLDEN = np.uint64(_GOLDEN)
 _NP_MIX1 = np.uint64(_MIX1)
 _NP_MIX2 = np.uint64(_MIX2)
+_NP_S30, _NP_S27, _NP_S31 = np.uint64(30), np.uint64(27), np.uint64(31)
 
 
 def _finalize_np(z: np.ndarray) -> np.ndarray:
-    # uint64 wrap-around is the point; silence numpy's scalar-overflow warning
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * _NP_MIX1
-        z = (z ^ (z >> np.uint64(27))) * _NP_MIX2
-        return z ^ (z >> np.uint64(31))
+    """The finalizer of every word of `z`, computed in `z` itself.
+
+    `z` must be a uint64 array its caller created (0-d works too), never a
+    caller's input; one scratch array of its size holds the shifted words.
+    Array arithmetic wraps modulo 2**64 without a warning.
+    """
+    scratch = np.empty_like(z)
+    for shift, mult in ((_NP_S30, _NP_MIX1), (_NP_S27, _NP_MIX2), (_NP_S31, None)):
+        np.right_shift(z, shift, out=scratch)
+        z ^= scratch
+        if mult is not None:
+            z *= mult
+    return z
 
 
 def mix64_np(*values) -> np.ndarray:
-    """Broadcasted mix64 over numpy uint64 arrays / scalars."""
-    h = np.uint64(0)
-    for v in values:
+    """Broadcasted mix64 over numpy uint64 arrays / scalars.
+
+    The leading scalar arguments are folded in Python ints, as `mix64` does;
+    numpy takes over at the first array argument, so only the arrays are
+    broadcast and hashed.
+    """
+    h = 0
+    for lead, v in enumerate(values):
+        if np.ndim(v):
+            break
+        h = _finalize((h + _GOLDEN + (int(v) & MASK64)) & MASK64)
+    else:
+        return np.uint64(h)
+    state = np.uint64(h)
+    for v in values[lead:]:
         v = np.asarray(v, dtype=np.uint64)
+        words = np.empty(np.broadcast_shapes(np.shape(state), v.shape), dtype=np.uint64)
+        # uint64 wrap-around is the point; silence numpy's scalar-overflow warning
         with np.errstate(over="ignore"):
-            h = h + _NP_GOLDEN + v
-        h = _finalize_np(h)
-    return h
+            np.add(v, state + _NP_GOLDEN, out=words)
+        state = _finalize_np(words)
+    return state
+
+
+def _words_np(keys, counters) -> np.ndarray:
+    """The stream words as a fresh uint64 buffer, 0-d for scalar inputs."""
+    keys = np.asarray(keys, dtype=np.uint64)
+    counters = np.asarray(counters, dtype=np.uint64)
+    words = np.empty(np.broadcast_shapes(keys.shape, counters.shape), dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        # the constant goes onto the smaller operand, before the broadcast
+        if keys.size <= counters.size:
+            np.add(keys + _NP_GOLDEN, counters, out=words)
+        else:
+            np.add(keys, counters + _NP_GOLDEN, out=words)
+    return _finalize_np(words)
 
 
 def u64_np(keys, counters) -> np.ndarray:
-    keys = np.asarray(keys, dtype=np.uint64)
-    counters = np.asarray(counters, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        s = keys + _NP_GOLDEN + counters
-    return _finalize_np(s)
+    return _words_np(keys, counters)[()]
 
 
 def unit_np(keys, counters) -> np.ndarray:
-    return (u64_np(keys, counters) >> np.uint64(11)) * 2.0**-53
+    words = _words_np(keys, counters)
+    words >>= np.uint64(11)
+    return words * 2.0**-53
+
+
+def below_np(keys, counters, p: float) -> np.ndarray:
+    """``unit_np(keys, counters) < p``, decided on the 64-bit words.
+
+    For 0 < p < 1, ``(u >> 11) * 2**-53 < p`` holds iff ``(u >> 11) <
+    ceil(p * 2**53)``, that is iff ``u < ceil(p * 2**53) << 11``, and the
+    shifted threshold stays below 2**64.
+    """
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
+    threshold = np.uint64(math.ceil(p * 2.0**53) << 11)
+    return _words_np(keys, counters) < threshold
 
 
 def bounded_np(keys, counters, bound: int) -> np.ndarray:
@@ -104,13 +154,14 @@ def bounded_np(keys, counters, bound: int) -> np.ndarray:
     if bound <= 0:
         raise ValueError(f"bound must be positive, got {bound}")
     remainder = (MASK64 + 1) % bound
-    h = u64_np(keys, counters)
+    h = _words_np(keys, counters)
     if remainder:  # remainder == 0 means bound divides 2**64: accept all
         threshold = np.uint64((MASK64 + 1) - remainder)
         reject = h >= threshold
         while reject.any():
-            with np.errstate(over="ignore"):
-                bumped = h + _NP_GOLDEN
+            bumped = h.copy()
+            bumped += _NP_GOLDEN
             h = np.where(reject, _finalize_np(bumped), h)
             reject = h >= threshold
-    return (h % np.uint64(bound)).astype(np.int64)
+    # the same bits as astype(np.int64), without a copy
+    return np.remainder(h, np.uint64(bound), out=h).view(np.int64)[()]

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -97,6 +98,27 @@ class TestDesignCommand:
         _one_error_line(
             capsys, ["design", "--kind", "bernoulli", "--N", "5", "--T", "7", "--L", "3"]
         )
+
+    def test_draws_far_above_t_stay_small(self, tmp_path):
+        """nu = 10^6 gives L = 10^7 draws over 10 tests: every column holds
+        all ten, and the traced peak stays far below one 10^7-draw uint64
+        array (80 MB)."""
+        out = tmp_path / "d.json"
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            rc = main(
+                ["design", "--kind", "ncc", "--N", "4", "--T", "10", "--nu", "1e6",
+                 "--K", "1", "--out", str(out)]
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < 16 << 20, peak
+        obj = json.loads(out.read_text())
+        assert obj["params"]["L"] == 10**7
+        assert obj["columns"] == [list(range(10))] * 4
 
     def test_io_error_exit_code(self):
         rc = main(
@@ -222,6 +244,23 @@ class TestDesignFileBoundary:
     @pytest.mark.parametrize("params", [{"L": "2"}, {"L": 2.5}, {"nu": "ln 2"}, {"p": True}])
     def test_params_field_of_wrong_type(self, tmp_path, capsys, params):
         self._decode(tmp_path, capsys, _design_obj(params=params))
+
+    @pytest.mark.parametrize(
+        "kind,params",
+        [
+            ("near_constant", {"p": 0.3, "L": None}),
+            ("exact_constant", {"p": 0.3, "L": 2}),
+            ("bernoulli", {"p": 0.3, "L": 2}),
+        ],
+    )
+    def test_other_kind_parameter(self, tmp_path, capsys, kind, params):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(_design_obj(kind=kind, params=params)))
+        rc = main(["decode", "--design", str(path), "--outcome", "10", "--alg", "comp"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: bad design file:") and err.count("\n") == 1, err
+        assert f"{kind} designs take" in err
 
     def test_size_as_string(self, tmp_path, capsys):
         self._decode(tmp_path, capsys, _design_obj(N="3"))

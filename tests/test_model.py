@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from grouptest import rng
+from grouptest import model, rng
 from grouptest import (
     DefectiveSet,
     DesignParams,
@@ -87,6 +87,18 @@ class TestGenBernoulli:
         with pytest.raises(ValueError):
             gen_bernoulli(3, 3, p, seed=0)
 
+    def test_cells_are_the_scalar_stream_below_p(self):
+        d = gen_bernoulli(30, 40, 0.2, seed=17)
+        for i, row in enumerate(d.rows()):
+            key = rng.mix64(17, 1, i)  # stream tag 1: Bernoulli columns
+            assert row == [t for t in range(40) if rng.unit_at(key, t) < 0.2]
+
+    @pytest.mark.parametrize("block", [1, 29, 100, 29 * 37])
+    def test_generation_blocks_do_not_change_the_design(self, monkeypatch, block):
+        whole = gen_bernoulli(37, 29, 0.3, seed=6)
+        monkeypatch.setattr(model, "_GEN_BLOCK", block)
+        assert gen_bernoulli(37, 29, 0.3, seed=6) == whole
+
 
 class TestGenNearConstant:
     def test_single_test_collapses(self):
@@ -120,6 +132,40 @@ class TestGenNearConstant:
         )
         tv = 0.5 * float(np.abs(counts / n_cols - probs).sum())
         assert tv <= 0.01, tv
+
+    def test_rows_are_the_sorted_distinct_scalar_draws(self):
+        d = gen_near_constant(30, 12, 9, seed=17)
+        for i, row in enumerate(d.rows()):
+            key = rng.mix64(17, 2, i)  # stream tag 2: near-constant columns
+            assert row == sorted({rng.bounded_at(key, c, 12) for c in range(9)})
+
+    @pytest.mark.parametrize("block", [9, 30, 64])
+    def test_row_blocks_do_not_change_the_design(self, monkeypatch, block):
+        whole = gen_near_constant(41, 50, 9, seed=3)
+        monkeypatch.setattr(model, "_GEN_BLOCK", block)
+        assert gen_near_constant(41, 50, 9, seed=3) == whole
+
+    def test_column_blocks_merge_into_the_distinct_set(self, monkeypatch):
+        """Rows of 30 draws over 500 tests, drawn 8 at a time, never fill up."""
+        whole = gen_near_constant(20, 500, 30, seed=5)
+        monkeypatch.setattr(model, "_GEN_BLOCK", 8)
+        assert gen_near_constant(20, 500, 30, seed=5) == whole
+
+    def test_a_full_row_stops_drawing(self, monkeypatch):
+        whole = gen_near_constant(6, 3, 400, seed=5)
+        assert whole.rows() == [[0, 1, 2]] * 6
+        drawn = []
+        bounded_np = rng.bounded_np
+
+        def spy(keys, counters, bound):
+            drawn.append(np.size(counters))
+            return bounded_np(keys, counters, bound)
+
+        monkeypatch.setattr(model, "_GEN_BLOCK", 16)
+        monkeypatch.setattr(rng, "bounded_np", spy)
+        assert gen_near_constant(6, 3, 400, seed=5) == whole
+        # 16 draws over 3 tests miss one with probability below 3 (2/3)^16
+        assert sum(drawn) < 6 * 400 // 4
 
     def test_rejects_zero_draws_or_tests(self):
         with pytest.raises(ValueError):
@@ -501,6 +547,38 @@ class TestSerialization:
     def test_regeneration_from_metadata(self, factory):
         d = factory()
         assert regenerate_design(d) == d
+
+    @pytest.mark.parametrize(
+        "kind,params",
+        [
+            (KIND_BERNOULLI, '{"p": null, "nu": null}'),
+            (KIND_NEAR_CONSTANT, '{"L": null}'),
+            (KIND_EXACT_CONSTANT, '{"L": 1, "nu": 0.5}'),
+        ],
+    )
+    def test_load_save_load_returns_an_equal_design(self, kind, params):
+        text = (
+            f'{{"kind": "{kind}", "N": 2, "T": 3, "params": {params},'
+            ' "seed": 0, "columns": [[0], [1]]}'
+        )
+        d = design_from_json(text)
+        assert design_from_json(design_to_json(d)) == d
+
+    @pytest.mark.parametrize(
+        "kind,params",
+        [
+            (KIND_NEAR_CONSTANT, '{"p": 0.3, "L": null}'),
+            (KIND_EXACT_CONSTANT, '{"p": 0.3, "L": 1}'),
+            (KIND_BERNOULLI, '{"p": 0.3, "L": 1}'),
+            (KIND_BERNOULLI, '{"L": 1}'),
+        ],
+    )
+    def test_other_kind_parameter_rejected_on_load(self, kind, params):
+        with pytest.raises(ValueError, match="designs take"):
+            design_from_json(
+                f'{{"kind": "{kind}", "N": 2, "T": 3, "params": {params},'
+                ' "seed": 0, "columns": [[0], [1]]}'
+            )
 
     def test_columns_validated_on_load(self):
         with pytest.raises(ValueError):

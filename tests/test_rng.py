@@ -21,7 +21,8 @@ def test_scalar_and_vector_u64_agree():
         assert [int(v) for v in got] == want
 
 
-@pytest.mark.parametrize("bound", [1, 2, 3, 7, 13, 64, 1000, 2**32])
+# 2**63 + 1 rejects about half of all words, so the re-hash branch runs
+@pytest.mark.parametrize("bound", [1, 2, 3, 7, 13, 64, 1000, 2**32, 2**63 + 1])
 def test_scalar_and_vector_bounded_agree(bound):
     key = rng.mix64(4, bound)
     got = rng.bounded_np(np.uint64(key), np.arange(64, dtype=np.uint64), bound)
@@ -85,6 +86,9 @@ def test_vector_streams_accept_zero_dimensional_inputs():
     key, counter = np.uint64(rng.mix64(8)), np.uint64(5)
     assert int(rng.u64_np(key, counter)) == rng.u64_at(int(key), 5)
     assert int(rng.bounded_np(key, counter, 11)) == rng.bounded_at(int(key), 5, 11)
+    for c in range(8):  # about half of these words take the re-hash branch
+        big = int(rng.bounded_np(key, np.uint64(c), 2**63 + 1))
+        assert big == rng.bounded_at(int(key), c, 2**63 + 1)
     assert float(rng.unit_np(key, counter)) == rng.unit_at(int(key), 5)
     assert int(rng.mix64_np(np.uint64(4), np.uint64(9))) == rng.mix64(4, 9)
     assert int(rng.mix64_np(4, 9)) == rng.mix64(4, 9)
@@ -100,3 +104,35 @@ def test_mix64_np_matches_mix64_with_scalars_before_and_after_arrays():
     grid = rng.mix64_np(items[:, None], 3, items[None, :])
     assert grid.shape == (5, 5)
     assert int(grid[2, 4]) == rng.mix64(2, 3, 4)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [2.0**-53, 3 * 2.0**-54, 5e-324, 0.5, 1.0 - 1e-12, 1.0 - 2.0**-53]
+    + list(np.random.default_rng(2016).random(8)),
+)
+def test_below_np_matches_the_unit_comparison(p):
+    keys = np.array([rng.mix64(6, i) for i in range(64)], dtype=np.uint64)[:, None]
+    counters = np.arange(512, dtype=np.uint64)[None, :]
+    got = rng.below_np(keys, counters, p)
+    assert got.dtype == bool and got.shape == (64, 512)
+    assert np.array_equal(got, rng.unit_np(keys, counters) < p)
+
+
+def test_below_np_at_a_word_s_own_unit_value():
+    """p equal to a cell's unit value excludes the cell, the next double
+    above it includes it, and below_np agrees with unit_np on both sides."""
+    key = np.uint64(rng.mix64(12))
+    counters = np.arange(200, dtype=np.uint64)
+    units = rng.unit_np(key, counters)
+    for c in (0, 17, 199):
+        for p, hit in ((units[c], False), (np.nextafter(units[c], 1.0), True)):
+            got = rng.below_np(key, counters, float(p))
+            assert bool(got[c]) is hit
+            assert np.array_equal(got, units < p)
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0, -0.5, 1.5, float("nan")])
+def test_below_np_rejects_p_outside_the_open_unit_interval(p):
+    with pytest.raises(ValueError):
+        rng.below_np(np.uint64(1), np.arange(3, dtype=np.uint64), p)
