@@ -75,13 +75,13 @@ def _finalize_np(z: np.ndarray) -> np.ndarray:
     """The finalizer of every word of `z`, computed in `z` itself.
 
     `z` must be a uint64 array its caller created (0-d works too), never a
-    caller's input; one scratch array of its size holds the shifted words.
+    caller's input; one more array of its size holds the shifted words.
     Array arithmetic wraps modulo 2**64 without a warning.
     """
-    scratch = np.empty_like(z)
+    shifted = np.empty_like(z)
     for shift, mult in ((_NP_S30, _NP_MIX1), (_NP_S27, _NP_MIX2), (_NP_S31, None)):
-        np.right_shift(z, shift, out=scratch)
-        z ^= scratch
+        np.right_shift(z, shift, out=shifted)
+        z ^= shifted
         if mult is not None:
             z *= mult
     return z
