@@ -1,6 +1,7 @@
 """COMP / DD / SCOMP / SSS decoding, satisfaction and masking predicates."""
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given
@@ -17,6 +18,7 @@ from grouptest import (
     comp,
     compute_item_stats,
     dd,
+    design_to_json,
     evaluate,
     gen_bernoulli,
     gen_exact_constant,
@@ -28,7 +30,15 @@ from grouptest import (
     scomp,
     sss,
 )
-from grouptest.decoders import decode, some_defective_masked
+from grouptest.decoders import (
+    DEFAULT_NODE_BUDGET,
+    _definite_defectives,
+    _explained_pd,
+    _scomp_estimate,
+    decode,
+    some_defective_masked,
+)
+from grouptest.cli import main
 from grouptest.verify import exhaustive_smallest_satisfying, fuzz_instance
 
 
@@ -157,14 +167,27 @@ class TestSss:
         with pytest.raises(MalformedOutcomeError):
             sss(d, OutcomeVector((False, True)))
 
-    def test_node_budget_exhaustion_carries_incumbent(self):
+    def test_node_budget_exhaustion_carries_incumbent(self, tmp_path):
         d = gen_bernoulli(30, 12, 0.25, seed=9)
         truth = sample_defective_set(30, 4, 9)
         y = run_tests(d, truth)
         with pytest.raises(UnresolvedSearchError) as err:
             sss(d, y, node_budget=1)
+        # the search stops at the node past the budget, still holding the
+        # SCOMP incumbent; the solved search needs 6 nodes for (6, 23, 28)
+        assert err.value.best == scomp(d, y).estimate == (7, 17, 27)
+        assert err.value.nodes == 2
         assert is_satisfying(d, y, err.value.best)
-        assert err.value.nodes > 1
+        path, out = tmp_path / "d.json", tmp_path / "r.json"
+        path.write_text(design_to_json(d))
+        bits = "".join("1" if b else "0" for b in y.bits)
+        argv = ["decode", "--design", str(path), "--outcome", bits, "--alg", "sss",
+                "--node-budget", "1", "--out", str(out)]
+        assert main(argv) == 0
+        payload = json.loads(out.read_text())
+        assert payload["status"] == "unresolved"
+        assert payload["best_incumbent"] == list(err.value.best)
+        assert payload["search_nodes"] == err.value.nodes
 
     def test_rejects_bad_budget(self):
         d = design_of(1, [[0]])
@@ -195,6 +218,95 @@ class TestSss:
             est = sss(inst.design, inst.outcome).estimate
             assert set(est) != set(inst.truth.items)
         assert found > 0, "fuzz produced no masked instances"
+
+
+def reference_sss(design, outcome, node_budget):
+    """SSS with the lower bound from a full max-gain pass over every PD mask
+    at every call, kept as the reference for the search's prune."""
+    pd, _ = _explained_pd(design, outcome)
+    pos = outcome.positive_mask
+    pos_tests = [t for t in range(design.n_tests) if (pos >> t) & 1]
+    bit_of_test = {t: b for b, t in enumerate(pos_tests)}
+    target = (1 << len(pos_tests)) - 1
+    cover = []
+    items_of_bit = [[] for _ in pos_tests]
+    for j, i in enumerate(pd):
+        m = 0
+        for t in design.indices[design.indptr[i] : design.indptr[i + 1]].tolist():
+            m |= 1 << bit_of_test[t]
+            items_of_bit[bit_of_test[t]].append(j)
+        cover.append(m)
+    best = tuple(_scomp_estimate(cover, target, _definite_defectives(cover)))
+    branch_order = [
+        (1 << b, items_of_bit[b])
+        for b in sorted(range(len(pos_tests)), key=lambda b: (len(items_of_bit[b]), b))
+    ]
+    nodes = 0
+
+    def search(covered, chosen):
+        nonlocal nodes, best
+        if covered == target:
+            cand = tuple(sorted(chosen))
+            if (len(cand), cand) < (len(best), best):
+                best = cand
+            return
+        uncovered = target & ~covered
+        for bit, branch_items in branch_order:
+            if uncovered & bit:
+                break
+        max_gain = max((m & uncovered).bit_count() for m in cover)
+        lb = (uncovered.bit_count() + max_gain - 1) // max_gain
+        if len(chosen) + lb > len(best):
+            return
+        nodes += 1
+        if nodes > node_budget:
+            raise UnresolvedSearchError("", tuple(pd[j] for j in best), nodes)
+        order = sorted(branch_items, key=lambda j: (-(cover[j] & uncovered).bit_count(), j))
+        for j in order:
+            chosen.append(j)
+            search(covered | cover[j], chosen)
+            chosen.pop()
+
+    search(0, [])
+    return tuple(pd[j] for j in best), nodes
+
+
+def sss_outcome(decoder, design, outcome, node_budget):
+    """("ok", estimate, nodes) or ("unresolved", best incumbent, nodes)."""
+    try:
+        result = decoder(design, outcome, node_budget)
+    except UnresolvedSearchError as exc:
+        return "unresolved", exc.best, exc.nodes
+    if isinstance(result, tuple):
+        return ("ok", *result)
+    return "ok", result.estimate, result.search_nodes
+
+
+class TestSssMatchesReference:
+    # the lab's corpus sizes, and larger designs with deeper searches
+    DRAWS = [(2024, dict(n_max=50, k_max=8, t_max=40))] * 200 + [
+        (4, dict(n_max=60, k_max=8, t_max=120))
+    ] * 200
+
+    def test_estimates_nodes_and_budget_errors(self):
+        kinds = set()
+        uneven_bernoulli = deep = 0
+        for idx, (seed, sizes) in enumerate(self.DRAWS):
+            inst = fuzz_instance(seed, idx, **sizes)
+            d, y = inst.design, inst.outcome
+            kinds.add(d.kind)
+            pd = possible_defectives(d, y)
+            row_sizes = {(d.item_masks[i] & y.positive_mask).bit_count() for i in pd}
+            if d.kind == "bernoulli" and len(row_sizes) > 1:
+                uneven_bernoulli += 1
+            for budget in (DEFAULT_NODE_BUDGET, 1, 5, 20):
+                got = sss_outcome(sss, d, y, budget)
+                assert got == sss_outcome(reference_sss, d, y, budget), (seed, idx, budget)
+            deep += got[0] == "unresolved"
+        assert kinds == {"bernoulli", "near_constant", "exact_constant"}
+        assert uneven_bernoulli >= 50
+        # draws whose search outlasts the largest budget
+        assert deep >= 40
 
 
 def is_masked(design, item, others):
