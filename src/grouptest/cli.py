@@ -258,13 +258,17 @@ def _cmd_rates(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    results = verify.run_verification(quick=args.quick)
+    run = verify.run_verification(quick=args.quick)
+    print(
+        f"     {run.corpus_seconds:7.2f} s  decoder corpus: {run.corpus_instances} "
+        "instances, read by the two corpus checks"
+    )
     failed = 0
-    for res in results:
+    for res, seconds in run.checks:
         status = "ok  " if res.ok else "FAIL"
-        print(f"{status} {res.name}: {res.detail}")
+        print(f"{status} {seconds:7.2f} s  {res.name}: {res.detail}")
         failed += 0 if res.ok else 1
-    print(f"{len(results) - failed}/{len(results)} checks passed")
+    print(f"{len(run.checks) - failed}/{len(run.checks)} checks passed")
     return EXIT_OK if failed == 0 else EXIT_VERIFY_FAILED
 
 

@@ -206,6 +206,10 @@ def sss(
         for b in sorted(range(len(pos_tests)), key=lambda b: (len(items_of_bit[b]), b))
     ]
 
+    # the masks with their own test counts, largest first; a mask gains at
+    # most its own count, so the prune's scan stops at the first one too small
+    by_size = sorted(((m.bit_count(), m) for m in cover), reverse=True)
+
     nodes = 0
 
     def search(covered: int, chosen: list[int]) -> None:
@@ -215,29 +219,36 @@ def sss(
             if (len(cand), cand) < (best_size, best):
                 best, best_size = cand, len(cand)
             return
+        # lower bound: uncovered tests / best single-item gain among ALL
+        # masks (not just those covering the branch test), else the bound
+        # overshoots and prunes optimal subtrees. len(chosen) + that bound
+        # exceeds best_size iff no mask gains `need` = ceil(uncovered /
+        # slack) tests; every uncovered test has a candidate, so a mask
+        # gains 1
+        slack = best_size - len(chosen)
+        if slack < 1:
+            return
         uncovered = target & ~covered
+        need = -(-uncovered.bit_count() // slack)
+        if need > 1:
+            for size, m in by_size:
+                if size < need:
+                    return
+                if (m & uncovered).bit_count() >= need:
+                    break
+            else:
+                return
+        nodes += 1
+        if nodes > node_budget:
+            raise UnresolvedSearchError(
+                f"node budget {node_budget} exceeded", tuple(pd[j] for j in best), nodes
+            )
         # a chosen item covers no uncovered test, so the candidates of an
         # uncovered test are all unchosen, and there is at least one: the PD
         # set explains every positive test
         for bit, branch_items in branch_order:
             if uncovered & bit:
                 break
-        # lower bound: uncovered tests / best single-item coverage among ALL
-        # candidates (not just those covering the branch test), else the
-        # bound overshoots and prunes optimal subtrees
-        max_gain = 0
-        for m in cover:
-            gain = (m & uncovered).bit_count()
-            if gain > max_gain:
-                max_gain = gain
-        lb = (uncovered.bit_count() + max_gain - 1) // max_gain
-        if len(chosen) + lb > best_size:
-            return
-        nodes += 1
-        if nodes > node_budget:
-            raise UnresolvedSearchError(
-                f"node budget {node_budget} exceeded", tuple(pd[j] for j in best), nodes
-            )
         # branch over the items covering the most-constrained uncovered test,
         # trying larger coverage first (ties by item index)
         order = sorted(branch_items, key=lambda j: (-(cover[j] & uncovered).bit_count(), j))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -446,27 +447,46 @@ def check_determinism() -> CheckResult:
     return CheckResult("determinism_and_roundtrip", ok, "repeat runs and JSON round-trip")
 
 
-def run_verification(quick: bool = False) -> list[CheckResult]:
+@dataclass
+class Verification:
+    """One pass of the registered checks, with wall times in seconds.
+
+    The decoder corpus is built once and read by two checks, so its time is
+    its own entry rather than charged to either of them.
+    """
+
+    corpus_instances: int
+    corpus_seconds: float
+    checks: list[tuple[CheckResult, float]]
+
+
+def _timed(fn, *args):
+    start = time.perf_counter()
+    value = fn(*args)
+    return value, time.perf_counter() - start
+
+
+def run_verification(quick: bool = False) -> Verification:
     """The registered invariant suites, sized for CLI use."""
     sss_n = 200 if quick else 1500
     corpus_n = 1000 if quick else 10000
     samples = 5000 if quick else 50000
     trials = 120 if quick else 400
-    corpus = run_decoder_corpus(corpus_n)
-    results = [
-        check_closed_form_constants(),
-        check_formula_oracles(),
-        check_coupon_pmf(),
-        check_stirling_log_concavity(),
-        check_phi_properties(),
-        check_sss_enumeration(sss_n),
-        check_structural_invariants(corpus),
-        check_success_conditions(corpus),
-        check_mi_pmf_empirical(samples),
-        check_g_pmf_empirical(samples),
-        check_li_zero_empirical(samples),
-        check_masking_implies_sss_failure(120 if quick else 300),
-        check_counting_bound_cap(trials),
-        check_determinism(),
+    corpus, corpus_seconds = _timed(run_decoder_corpus, corpus_n)
+    checks = [
+        (check_closed_form_constants,),
+        (check_formula_oracles,),
+        (check_coupon_pmf,),
+        (check_stirling_log_concavity,),
+        (check_phi_properties,),
+        (check_sss_enumeration, sss_n),
+        (check_structural_invariants, corpus),
+        (check_success_conditions, corpus),
+        (check_mi_pmf_empirical, samples),
+        (check_g_pmf_empirical, samples),
+        (check_li_zero_empirical, samples),
+        (check_masking_implies_sss_failure, 120 if quick else 300),
+        (check_counting_bound_cap, trials),
+        (check_determinism,),
     ]
-    return results
+    return Verification(corpus_n, corpus_seconds, [_timed(*call) for call in checks])

@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from grouptest import simlab
+from grouptest import simlab, verify
 from grouptest.cli import main
 from grouptest.model import design_from_json, design_to_json, gen_exact_constant, gen_near_constant
 
@@ -417,6 +417,22 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "checks passed" in out
         assert "FAIL" not in out
+
+    def test_prints_wall_times(self, capsys, monkeypatch):
+        run = verify.Verification(
+            10,
+            1.5,
+            [(verify.CheckResult("a", True, "fine"), 0.25),
+             (verify.CheckResult("b", False, "bad"), 12.0)],
+        )
+        monkeypatch.setattr(verify, "run_verification", lambda quick: run)
+        assert main(["verify"]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "        1.50 s  decoder corpus: 10 instances, read by the two corpus checks",
+            "ok      0.25 s  a: fine",
+            "FAIL   12.00 s  b: bad",
+            "1/2 checks passed",
+        ]
 
 
 def test_unknown_subcommand_is_config_error():
