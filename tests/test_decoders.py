@@ -32,6 +32,7 @@ from grouptest import (
 )
 from grouptest.decoders import (
     DEFAULT_NODE_BUDGET,
+    DecodeResult,
     _definite_defectives,
     _explained_pd,
     _scomp_estimate,
@@ -268,18 +269,15 @@ def reference_sss(design, outcome, node_budget):
             chosen.pop()
 
     search(0, [])
-    return tuple(pd[j] for j in best), nodes
+    return DecodeResult("sss", tuple(pd[j] for j in best), tuple(pd), search_nodes=nodes)
 
 
 def sss_outcome(decoder, design, outcome, node_budget):
-    """("ok", estimate, nodes) or ("unresolved", best incumbent, nodes)."""
+    """The decoder's result, or the incumbent and node count it stopped at."""
     try:
-        result = decoder(design, outcome, node_budget)
+        return decoder(design, outcome, node_budget)
     except UnresolvedSearchError as exc:
         return "unresolved", exc.best, exc.nodes
-    if isinstance(result, tuple):
-        return ("ok", *result)
-    return "ok", result.estimate, result.search_nodes
 
 
 class TestSssMatchesReference:
@@ -302,7 +300,7 @@ class TestSssMatchesReference:
             for budget in (DEFAULT_NODE_BUDGET, 1, 5, 20):
                 got = sss_outcome(sss, d, y, budget)
                 assert got == sss_outcome(reference_sss, d, y, budget), (seed, idx, budget)
-            deep += got[0] == "unresolved"
+            deep += not isinstance(got, DecodeResult)
         assert kinds == {"bernoulli", "near_constant", "exact_constant"}
         assert uneven_bernoulli >= 50
         # draws whose search outlasts the largest budget
