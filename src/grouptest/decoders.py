@@ -257,7 +257,13 @@ def sss(
             search(covered | cover[j], chosen)
             chosen.pop()
 
-    search(0, [])
+    try:
+        search(0, [])
+    finally:
+        # search refers to itself through its closure; emptying that cell
+        # frees the decode's lists on return instead of at the next cyclic
+        # garbage collection
+        del search
     return DecodeResult("sss", tuple(pd[j] for j in best), tuple(pd), search_nodes=nodes)
 
 

@@ -1,5 +1,6 @@
 """COMP / DD / SCOMP / SSS decoding, satisfaction and masking predicates."""
 
+import gc
 import itertools
 import json
 
@@ -189,6 +190,22 @@ class TestSss:
         assert payload["status"] == "unresolved"
         assert payload["best_incumbent"] == list(err.value.best)
         assert payload["search_nodes"] == err.value.nodes
+
+    @pytest.mark.parametrize("budget", [DEFAULT_NODE_BUDGET, 1])
+    def test_leaves_no_cyclic_garbage(self, budget):
+        # a decode's lists are freed on return, not left for the collector
+        d = gen_bernoulli(30, 12, 0.25, seed=9)
+        y = run_tests(d, sample_defective_set(30, 4, 9))
+        gc.collect()
+        gc.disable()
+        try:
+            try:
+                sss(d, y, budget)
+            except UnresolvedSearchError:
+                pass
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_rejects_bad_budget(self):
         d = design_of(1, [[0]])
