@@ -31,6 +31,7 @@ from grouptest import (
     scomp,
     sss,
 )
+from grouptest.cli import main
 from grouptest.decoders import (
     DEFAULT_NODE_BUDGET,
     DecodeResult,
@@ -40,7 +41,6 @@ from grouptest.decoders import (
     decode,
     some_defective_masked,
 )
-from grouptest.cli import main
 from grouptest.verify import exhaustive_smallest_satisfying, fuzz_instance
 
 
