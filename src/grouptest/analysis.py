@@ -15,8 +15,9 @@ bits/test:
 Distributions
 -------------
 The column-sampling process is coupon collection: an item's L draws (with
-replacement) among T tests. Everything below is exact, computed in integer /
-rational arithmetic and converted to float at the end:
+replacement) among T tests. Each law below is exact; ``distinct_coupon_pmf``,
+``mi_pmf`` and ``phi_exact`` are computed in integer / rational arithmetic
+and converted to float at the end, the others in floats:
 
 * ``distinct_coupon_pmf``  -- distinct-count law of n uniform draws from T.
 * ``mi_pmf``               -- law of the number of tests holding a given
@@ -27,8 +28,10 @@ rational arithmetic and converted to float at the end:
 * ``li_zero_prob``/``phi`` -- inclusion-exclusion probability that intruder
                               draws swallow all of a defective's solo tests.
 * ``comp_success_exact``   -- P(G = 0), COMP's exact success on the
-                              near-constant design, summed in floats over the
-                              coupon law; ``comp_masked_mean`` is E[G].
+                              near-constant design, summed over the coupon
+                              law of a float64 occupancy recursion whose
+                              terms are all positive; ``comp_masked_mean``
+                              is E[G].
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, exp, factorial, lgamma, log, log1p
+
+import numpy as np
 
 LN2 = math.log(2.0)
 
@@ -396,10 +401,28 @@ def expected_distinct(n_draws: int, n_tests: int) -> float:
 # -- exact COMP success on the near-constant design ---------------------------
 
 
+def _covered_pmf(n_draws: int, n_tests: int) -> np.ndarray:
+    """P(n uniform draws from T hit exactly x distinct tests), x = 0..min(n, T).
+
+    One occupancy step per draw, P_{m+1}(x) = P_m(x) x/T + P_m(x-1) (T-x+1)/T,
+    in float64: every term is positive, so no digit is lost to cancellation.
+    """
+    top = min(n_draws, n_tests)
+    x = np.arange(top + 1)
+    stay = x / n_tests
+    enter = (n_tests - x[1:] + 1) / n_tests
+    pmf = np.zeros(top + 1)
+    pmf[0] = 1.0
+    for _ in range(n_draws):
+        pmf[1:] = pmf[1:] * stay[1:] + pmf[:-1] * enter
+        pmf[0] = 0.0
+    return pmf
+
+
 def _comp_masking_law(
     n_items: int, k: int, n_tests: int, draws: int
-) -> list[tuple[float, float]]:
-    """(P(defectives cover x tests), (x/T)^L) for every reachable x.
+) -> tuple[np.ndarray, np.ndarray]:
+    """P(defectives cover x tests) and (x/T)^L, over x = 0..min(K*L, T).
 
     The K defectives make K*L uniform draws, so the covered count follows the
     coupon law; each nondefective is then masked with probability (x/T)^L.
@@ -408,11 +431,8 @@ def _comp_masking_law(
         raise ValueError("need n_tests >= 1 and draws >= 1")
     if not 0 <= k <= n_items:
         raise ValueError(f"need 0 <= k <= n_items, got k={k}, n_items={n_items}")
-    n_draws = k * draws
-    return [
-        (distinct_coupon_pmf(n_draws, n_tests, x), (x / n_tests) ** draws)
-        for x in range(min(n_draws, n_tests) + 1)
-    ]
+    pmf = _covered_pmf(k * draws, n_tests)
+    return pmf, (np.arange(pmf.shape[0]) / n_tests) ** draws
 
 
 def comp_success_exact(n_items: int, k: int, n_tests: int, draws: int) -> float:
@@ -422,9 +442,8 @@ def comp_success_exact(n_items: int, k: int, n_tests: int, draws: int) -> float:
     sum_x P(cover x) (1 - (x/T)^L)^(N-K). ``simlab`` realizes L as
     ``model.params_from_nu("near_constant", nu, T, K).draws``; pass that value to compare.
     """
-    n_clean = n_items - k
-    law = _comp_masking_law(n_items, k, n_tests, draws)
-    return math.fsum(p * (1.0 - q) ** n_clean for p, q in law)
+    pmf, masked = _comp_masking_law(n_items, k, n_tests, draws)
+    return math.fsum((pmf * (1.0 - masked) ** (n_items - k)).tolist())
 
 
 def comp_masked_mean(n_items: int, k: int, n_tests: int, draws: int) -> float:
@@ -433,5 +452,5 @@ def comp_masked_mean(n_items: int, k: int, n_tests: int, draws: int) -> float:
     The COMP threshold T^COMP is where this first moment crosses 1, and
     P(COMP succeeds) >= 1 - E[G] by Markov's inequality.
     """
-    law = _comp_masking_law(n_items, k, n_tests, draws)
-    return (n_items - k) * math.fsum(p * q for p, q in law)
+    pmf, masked = _comp_masking_law(n_items, k, n_tests, draws)
+    return (n_items - k) * math.fsum((pmf * masked).tolist())

@@ -289,18 +289,6 @@ def decode(
     return globals()[alg](design, outcome)
 
 
-def some_defective_masked(design: TestDesign, truth: DefectiveSet) -> bool:
-    """True iff some defective is masked by the other defectives.
-
-    The true set is then not the smallest satisfying set, so SSS fails.
-    """
-    items = truth.items
-    if items and items[-1] >= design.n_items:
-        raise ValueError(f"item {items[-1]} out of range")
-    masks = [design.item_masks[i] for i in items]
-    return any(m & ~o == 0 for m, o in zip(masks, model.others_unions(masks)))
-
-
 # every identity invariant_violations checks
 INVARIANTS = (
     "dd_subset_truth",

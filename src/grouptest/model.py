@@ -9,9 +9,9 @@ hand-written per-item lists, the JSON loader) ends in one vectorised
 validation. The arrays are one of two representations of an item's tests;
 the other, ``item_masks`` (one Python-int bitmask per item), is built from
 them on first use, never through a dense N x T matrix, and answers every set
-question: the PD set, the decoders, the per-item counts and the masking
-predicates. ``rows()`` lists the arrays' rows. Three random constructions are
-provided:
+question: the PD set, the decoders and the per-item counts, which say
+which defectives are masked. ``rows()`` lists the arrays' rows. Three
+random constructions are provided:
 
 * ``bernoulli``       -- every (test, item) cell is included independently
                          with probability p.
@@ -352,8 +352,7 @@ def gen_bernoulli(
     ``np.flatnonzero``: a cell's test is its flat position modulo T, and the
     row pointers count the cells before each multiple of T.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
+    params = _checked_params(KIND_BERNOULLI, n_tests, DesignParams(p=p, nu=nu))
     if n_items < 1 or n_tests < 1:
         raise ValueError("n_items and n_tests must be positive")
     seed = _check_seed(seed)
@@ -374,7 +373,7 @@ def gen_bernoulli(
         KIND_BERNOULLI,
         n_items,
         n_tests,
-        DesignParams(p=p, nu=nu),
+        params,
         seed,
         indptr,
         np.concatenate(parts),
@@ -391,8 +390,7 @@ def gen_near_constant(
     drawn in column blocks merged into its distinct set, and stops early once
     it holds every test.
     """
-    if draws < 1:
-        raise ValueError(f"draws must be >= 1, got {draws}")
+    params = _checked_params(KIND_NEAR_CONSTANT, n_tests, DesignParams(draws=draws, nu=nu))
     if n_tests < 1:
         raise ValueError(f"n_tests must be >= 1, got {n_tests}")
     if n_items < 1:
@@ -423,7 +421,7 @@ def gen_near_constant(
         KIND_NEAR_CONSTANT,
         n_items,
         n_tests,
-        DesignParams(draws=draws, nu=nu),
+        params,
         seed,
         indptr,
         np.concatenate(parts),
@@ -447,10 +445,7 @@ def gen_exact_constant(
     n_items: int, n_tests: int, draws: int, seed: int, *, nu: float | None = None
 ) -> TestDesign:
     """Design with a uniform L-subset of tests per item (without replacement)."""
-    if draws < 1:
-        raise ValueError(f"draws must be >= 1, got {draws}")
-    if draws > n_tests:
-        raise ValueError(f"draws must not exceed n_tests ({n_tests}), got {draws}")
+    params = _checked_params(KIND_EXACT_CONSTANT, n_tests, DesignParams(draws=draws, nu=nu))
     if n_items < 1:
         raise ValueError(f"n_items must be >= 1, got {n_items}")
     seed = _check_seed(seed)
@@ -462,17 +457,24 @@ def gen_exact_constant(
         KIND_EXACT_CONSTANT,
         n_items,
         n_tests,
-        DesignParams(draws=draws, nu=nu),
+        params,
         seed,
         np.arange(0, n_items * draws + 1, draws, dtype=np.int64),
         np.array(flat, dtype=_index_dtype(n_tests)),
     )
 
 
-def _check_kind_param(kind: str, params: DesignParams, *, required: bool) -> None:
-    """ValueError when `params` carries the other design kind's parameter
-    (p for a weight design, L for Bernoulli) or, if `required`, lacks the
-    parameter of `kind`."""
+def _checked_params(
+    kind: str, n_tests: int, params: DesignParams, *, required: bool = True
+) -> DesignParams:
+    """`params`, checked against the rules of a `kind` design of `n_tests` tests.
+
+    The generators and the JSON loader share these rules. ValueError when
+    `params` carries the other kind's parameter (p for a weight design, L for
+    Bernoulli) or, if `required`, lacks its own; when p lies outside (0, 1);
+    when L is below 1, or above T on an exact-constant design; or when nu is
+    given and is not positive and finite.
+    """
     if kind == KIND_BERNOULLI:
         own, other, message = params.p, params.draws, "bernoulli designs take p, not L"
     elif kind in DESIGN_KINDS:
@@ -481,6 +483,17 @@ def _check_kind_param(kind: str, params: DesignParams, *, required: bool) -> Non
         raise ValueError(f"unknown design kind {kind!r}")
     if other is not None or (required and own is None):
         raise ValueError(message)
+    p, draws, nu = params.p, params.draws, params.nu
+    if p is not None and not 0.0 < p < 1.0:
+        raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
+    if draws is not None and draws < 1:
+        raise ValueError(f"draws must be >= 1, got {draws}")
+    if draws is not None and kind == KIND_EXACT_CONSTANT and draws > n_tests:
+        raise ValueError(f"draws must not exceed n_tests ({n_tests}), got {draws}")
+    # compared, not passed to math.isfinite, which overflows on a huge JSON integer
+    if nu is not None and not 0.0 < nu < math.inf:
+        raise ValueError(f"nu must be positive and finite, got {nu}")
+    return params
 
 
 def generate_design(
@@ -488,8 +501,8 @@ def generate_design(
 ) -> TestDesign:
     """Dispatch to the generator for `kind`, which takes p for Bernoulli and
     draws (L) otherwise; ValueError unless `params` carries its kind's
-    parameter and not the other one."""
-    _check_kind_param(kind, params, required=True)
+    parameter and not the other one, with values the kind allows."""
+    _checked_params(kind, n_tests, params)
     if kind == KIND_BERNOULLI:
         return gen_bernoulli(n_items, n_tests, params.p, seed, nu=params.nu)
     gen = gen_near_constant if kind == KIND_NEAR_CONSTANT else gen_exact_constant
@@ -622,8 +635,8 @@ def design_to_json_dict(design: TestDesign) -> dict:
     }
 
 
-def design_to_json(design: TestDesign, indent: int | None = None) -> str:
-    return json.dumps(design_to_json_dict(design), indent=indent)
+def design_to_json(design: TestDesign) -> str:
+    return json.dumps(design_to_json_dict(design))
 
 
 def _optional_param(raw: dict, key: str, integral: bool) -> float | int | None:
@@ -641,7 +654,8 @@ def design_from_json_dict(obj: dict) -> TestDesign:
 
     Types are checked, never coerced: sizes and seed must be JSON integers,
     and every column a list of integers. ``params`` may leave the kind's own
-    parameter null (a hand-written design), but not carry the other kind's.
+    parameter null (a hand-written design), but not carry the other kind's,
+    and the values it gives obey the generators' rules (``_checked_params``).
     """
     if not isinstance(obj, dict):
         raise ValueError("a design must be a JSON object")
@@ -658,8 +672,9 @@ def design_from_json_dict(obj: dict) -> TestDesign:
         draws=_optional_param(raw_params, "L", integral=True),
         nu=_optional_param(raw_params, "nu", integral=False),
     )
-    _check_kind_param(kind, params, required=False)
-    return TestDesign(kind, n_items, n_tests, params, seed, columns)
+    design = TestDesign(kind, n_items, n_tests, params, seed, columns)
+    _checked_params(kind, design.n_tests, params, required=False)
+    return design
 
 
 def design_from_json(text: str) -> TestDesign:

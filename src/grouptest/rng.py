@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 MASK64 = (1 << 64) - 1
+_BOUND_MAX = 1 << 63
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
@@ -47,6 +48,17 @@ def unit_at(key: int, counter: int) -> float:
     return (u64_at(key, counter) >> 11) * 2.0**-53
 
 
+def _rejection_threshold(bound: int) -> int:
+    """2**64 - (2**64 mod bound): the words below it fall evenly on [0, bound).
+
+    The bounded draws take 1 <= bound <= 2**63, so every draw fits an int64
+    and at least half of all words are accepted; ValueError otherwise.
+    """
+    if not 1 <= bound <= _BOUND_MAX:
+        raise ValueError(f"bound must lie in [1, 2**63], got {bound}")
+    return (MASK64 + 1) - ((MASK64 + 1) % bound)
+
+
 def bounded_at(key: int, counter: int, bound: int) -> int:
     """Exactly uniform integer in [0, bound), by rejection.
 
@@ -54,9 +66,7 @@ def bounded_at(key: int, counter: int, bound: int) -> int:
     pure function of (key, counter, bound). Rejection fires with probability
     < bound / 2**64, so the loop is effectively a single hash.
     """
-    if bound <= 0:
-        raise ValueError(f"bound must be positive, got {bound}")
-    threshold = (MASK64 + 1) - ((MASK64 + 1) % bound)
+    threshold = _rejection_threshold(bound)
     h = u64_at(key, counter)
     while h >= threshold:
         h = _finalize((h + _GOLDEN) & MASK64)
@@ -126,10 +136,6 @@ def _words_np(keys, counters) -> np.ndarray:
     return _finalize_np(words)
 
 
-def u64_np(keys, counters) -> np.ndarray:
-    return _words_np(keys, counters)[()]
-
-
 def unit_np(keys, counters) -> np.ndarray:
     words = _words_np(keys, counters)
     words >>= np.uint64(11)
@@ -151,17 +157,15 @@ def below_np(keys, counters, p: float) -> np.ndarray:
 
 def bounded_np(keys, counters, bound: int) -> np.ndarray:
     """Vectorized `bounded_at`; elementwise identical to the scalar version."""
-    if bound <= 0:
-        raise ValueError(f"bound must be positive, got {bound}")
-    remainder = (MASK64 + 1) % bound
+    threshold = _rejection_threshold(bound)
     h = _words_np(keys, counters)
-    if remainder:  # remainder == 0 means bound divides 2**64: accept all
-        threshold = np.uint64((MASK64 + 1) - remainder)
-        reject = h >= threshold
+    if threshold <= MASK64:  # 2**64 means bound divides 2**64: accept all
+        limit = np.uint64(threshold)
+        reject = h >= limit
         while reject.any():
             bumped = h.copy()
             bumped += _NP_GOLDEN
             h = np.where(reject, _finalize_np(bumped), h)
-            reject = h >= threshold
-    # the same bits as astype(np.int64), without a copy
+            reject = h >= limit
+    # every draw is below 2**63, so the int64 view holds the same values
     return np.remainder(h, np.uint64(bound), out=h).view(np.int64)[()]

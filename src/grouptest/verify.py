@@ -298,6 +298,8 @@ def check_li_zero_empirical(n_samples: int = 20000, seed: int = 13) -> CheckResu
 
 
 def check_coupon_pmf() -> CheckResult:
+    """The exact coupon law's sum and mean; and, for every split of its n
+    draws into K items of L, the float COMP law's two sums against it."""
     failures = []
     for n_draws, n_tests in ((1, 5), (2, 2), (8, 12), (40, 25), (6, 40)):
         top = min(n_draws, n_tests)
@@ -307,6 +309,16 @@ def check_coupon_pmf() -> CheckResult:
         mean = sum(w * p for w, p in enumerate(probs))
         if abs(mean - an.expected_distinct(n_draws, n_tests)) > 1e-9:
             failures.append(f"coupon pmf mean at (n={n_draws}, T={n_tests})")
+        n_clean = 30  # nondefectives
+        for draws in (d for d in range(1, n_draws + 1) if n_draws % d == 0):
+            k = n_draws // draws
+            masked = [(w / n_tests) ** draws for w in range(top + 1)]
+            success = math.fsum(p * (1.0 - q) ** n_clean for p, q in zip(probs, masked))
+            mean_g = n_clean * math.fsum(p * q for p, q in zip(probs, masked))
+            if abs(an.comp_success_exact(k + n_clean, k, n_tests, draws) - success) > 1e-12:
+                failures.append(f"comp_success_exact at (K={k}, L={draws}, T={n_tests})")
+            if abs(an.comp_masked_mean(k + n_clean, k, n_tests, draws) - mean_g) > 1e-12:
+                failures.append(f"comp_masked_mean at (K={k}, L={draws}, T={n_tests})")
     return CheckResult("distinct_coupon_pmf", not failures, "; ".join(failures) or "ok")
 
 
@@ -376,7 +388,9 @@ def check_masking_implies_sss_failure(trials: int = 300) -> CheckResult:
     arm = simlab.DesignArm("ncc", LN2)
     for trial in range(trials):
         inst = simlab.trial_instance(arm, 25, 3, 12, simlab.trial_seed(31, 0, 12, trial))
-        if not dec.some_defective_masked(inst.design, inst.truth):
+        # a defective is masked when no test holds it alone (M_i = 0)
+        stats = model.compute_item_stats(inst.design, inst.truth, inst.outcome)
+        if 0 not in stats.solo_defective_tests:
             continue
         masked_trials += 1
         est = dec.sss(inst.design, inst.outcome).estimate

@@ -1,6 +1,7 @@
 """Rate formulas, capacity optimization, and the exact combinatorial laws."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -437,6 +438,40 @@ class TestCompSuccessExact:
             an.comp_success_exact(10, 2, 5, 0)
         with pytest.raises(ValueError):
             an.comp_masked_mean(10, 11, 5, 3)
+
+
+class TestCompMaskingLaw:
+    """The float occupancy law behind ``comp_success_exact`` and ``comp_masked_mean``."""
+
+    def test_covered_pmf_matches_the_exact_coupon_law(self):
+        for n_draws in (0, 1, 2, 5, 17, 60, 150, 300):
+            for n_tests in (1, 2, 7, 40, 150, 300, 400):
+                got = an._covered_pmf(n_draws, n_tests)
+                assert got.shape == (min(n_draws, n_tests) + 1,)
+                for w, p in enumerate(got):
+                    assert abs(p - an.distinct_coupon_pmf(n_draws, n_tests, w)) <= 1e-12
+
+    def test_reads_no_stirling_table(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the COMP law reads the float recursion only")
+
+        monkeypatch.setattr(an, "distinct_coupon_pmf", refuse)
+        monkeypatch.setattr(an, "stirling2", refuse)
+        assert an.comp_success_exact(10_000, 16, 384, 17) == pytest.approx(0.896368, abs=1e-6)
+        assert an.comp_masked_mean(10_000, 16, 230, 10) == pytest.approx(10.765064, abs=1e-6)
+
+    def test_memory_stays_small_at_ten_thousand_items(self):
+        """N=10^4, K=100, T=1300, L=9 (900 draws): the big-integer Stirling
+        rows up to 900 took a 138 MB traced peak; the recursion holds a few arrays
+        of 901 floats."""
+        tracemalloc.start()
+        try:
+            value = an.comp_success_exact(10_000, 100, 1300, 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 << 20, peak
+        assert 0.0 < value < 1e-6
 
 
 class TestMcdiarmidTail:

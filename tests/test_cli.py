@@ -8,7 +8,13 @@ import pytest
 
 from grouptest import simlab, verify
 from grouptest.cli import main
-from grouptest.model import design_from_json, design_to_json, gen_exact_constant, gen_near_constant
+from grouptest.model import (
+    design_from_json,
+    design_to_json,
+    design_to_json_dict,
+    gen_exact_constant,
+    gen_near_constant,
+)
 
 LN2 = math.log(2)
 
@@ -64,7 +70,7 @@ class TestDesignCommand:
         )
         assert rc == 0
         want = simlab.build_design(simlab.DesignArm(kind, LN2), 40, 10, 30, 5)
-        assert out.read_text() == design_to_json(want, indent=2) + "\n"
+        assert out.read_text() == json.dumps(design_to_json_dict(want), indent=2) + "\n"
 
     def test_nu_with_k(self, tmp_path, capsys):
         out = tmp_path / "d.json"
@@ -119,6 +125,13 @@ class TestDesignCommand:
         obj = json.loads(out.read_text())
         assert obj["params"]["L"] == 10**7
         assert obj["columns"] == [list(range(10))] * 4
+
+    @pytest.mark.parametrize("kind,n_tests", [("ncc", 2**63 + 1), ("ccw", 2**64), ("ncc", 2**64)])
+    def test_t_beyond_the_bounded_draws(self, capsys, kind, n_tests):
+        # a test index is a bounded draw, which takes bounds up to 2**63
+        _one_error_line(
+            capsys, ["design", "--kind", kind, "--N", "2", "--T", str(n_tests), "--L", "2"]
+        )
 
     def test_io_error_exit_code(self):
         rc = main(
@@ -258,6 +271,20 @@ class TestDesignFileBoundary:
         err = self._decode(tmp_path, capsys, _design_obj(kind=kind, params=params))
         assert f"{kind} designs take" in err
 
+    @pytest.mark.parametrize(
+        "kind,params",
+        [
+            ("near_constant", {"L": 0}),
+            ("near_constant", {"L": -3}),
+            ("exact_constant", {"L": 3}),  # above T = 2
+            ("bernoulli", {"p": 5.0}),
+            ("bernoulli", {"p": math.nan}),
+            ("near_constant", {"L": 2, "nu": math.nan}),
+        ],
+    )
+    def test_parameter_value_out_of_range(self, tmp_path, capsys, kind, params):
+        self._decode(tmp_path, capsys, _design_obj(kind=kind, params=params))
+
     def test_size_as_string(self, tmp_path, capsys):
         self._decode(tmp_path, capsys, _design_obj(N="3"))
 
@@ -343,6 +370,10 @@ class TestSimulateCommand:
     def test_field_types_are_checked(self, tmp_path, capsys, override):
         cfg = self._config(tmp_path)
         _one_error_line(capsys, ["simulate", "--config", str(cfg), "--set", override])
+
+    def test_t_beyond_the_bounded_draws(self, tmp_path, capsys):
+        cfg = self._config(tmp_path, t_grid=[2**64])
+        _one_error_line(capsys, ["simulate", "--config", str(cfg)])
 
     def test_unsatisfiable_grid_invalid(self, tmp_path):
         cfg = self._config(tmp_path, t_grid=[10, 5])

@@ -39,7 +39,6 @@ from grouptest.decoders import (
     _explained_pd,
     _scomp_estimate,
     decode,
-    some_defective_masked,
 )
 from grouptest.verify import exhaustive_smallest_satisfying, fuzz_instance
 
@@ -230,7 +229,8 @@ class TestSss:
         found = 0
         for idx in range(400):
             inst = fuzz_instance(424242, idx, n_max=20, k_max=4, t_max=8)
-            if not some_defective_masked(inst.design, inst.truth):
+            stats = compute_item_stats(inst.design, inst.truth, inst.outcome)
+            if 0 not in stats.solo_defective_tests:
                 continue
             found += 1
             est = sss(inst.design, inst.outcome).estimate
@@ -334,6 +334,9 @@ def is_masked(design, item, others):
 
 
 class TestSomeDefectiveMasked:
+    """The event that makes SSS fail, read from the per-item counts: some
+    defective has no test to itself (M_i = 0)."""
+
     def test_matches_is_masked_loop(self):
         answers = set()
         for idx in range(300):
@@ -342,13 +345,10 @@ class TestSomeDefectiveMasked:
             want = any(
                 is_masked(inst.design, i, [j for j in items if j != i]) for i in items
             )
-            assert some_defective_masked(inst.design, inst.truth) == want
+            stats = compute_item_stats(inst.design, inst.truth, inst.outcome)
+            assert (0 in stats.solo_defective_tests) == want
             answers.add(want)
         assert answers == {False, True}
-
-    def test_rejects_defective_beyond_design(self):
-        with pytest.raises(ValueError):
-            some_defective_masked(design_of(1, [[0], [0]]), DefectiveSet((0, 2)))
 
 
 class TestIsSatisfying:
@@ -368,24 +368,22 @@ class TestIsSatisfying:
 
 
 class TestIsMasked:
-    """Hand cases of the masking predicate: the reference and the library."""
+    """Hand cases of the reference masking predicate; the library reads the
+    same event from ``compute_item_stats`` (tests/test_model.py)."""
 
     def test_hand_examples(self):
         d = design_of(2, [[0], [0, 1]])
         assert is_masked(d, 0, {1})
         assert not is_masked(d, 1, {0})
-        assert some_defective_masked(d, DefectiveSet((0, 1)))
-        assert not some_defective_masked(design_of(2, [[0], [1]]), DefectiveSet((0, 1)))
+        assert not is_masked(design_of(2, [[0], [1]]), 0, {1})
 
     def test_nonempty_column_never_masked_by_empty_set(self):
         d = design_of(2, [[0], [0, 1]])
         assert not is_masked(d, 0, set())
-        assert not some_defective_masked(d, DefectiveSet((0,)))
 
     def test_empty_column_vacuously_masked(self):
         d = design_of(1, [[], [0]])
         assert is_masked(d, 0, set())
-        assert some_defective_masked(d, DefectiveSet((0,)))
 
 
 class TestOutcomeLength:

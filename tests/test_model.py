@@ -1,6 +1,7 @@
 """Designs, defective sets, outcomes, and per-item counts."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -396,6 +397,20 @@ class TestGenerateDesign:
         with pytest.raises(ValueError):
             generate_design(kind, 5, 7, 0, params)
 
+    @pytest.mark.parametrize("nu", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize(
+        "kind,params",
+        [
+            (KIND_BERNOULLI, DesignParams(p=0.3)),
+            (KIND_NEAR_CONSTANT, DesignParams(draws=2)),
+            (KIND_EXACT_CONSTANT, DesignParams(draws=2)),
+        ],
+    )
+    def test_rejects_a_nu_that_is_not_positive_and_finite(self, kind, params, nu):
+        # nu is only recorded, but the record must stay valid JSON
+        with pytest.raises(ValueError, match="nu must be positive and finite"):
+            generate_design(kind, 5, 7, 0, replace(params, nu=nu))
+
 
 def _design_from_columns(n_tests, columns):
     return TestDesign(
@@ -471,6 +486,23 @@ class TestComputeItemStats:
         d = _design_from_columns(2, [[0], [1]])
         with pytest.raises(ValueError):
             compute_item_stats(d, DefectiveSet((0,)), OutcomeVector((True, True)))
+
+    def test_rejects_defective_beyond_design(self):
+        d = _design_from_columns(1, [[0], [0]])
+        with pytest.raises(ValueError, match="out of range"):
+            compute_item_stats(d, DefectiveSet((0, 2)), OutcomeVector((True,)))
+
+    def test_empty_column_vacuously_masked(self):
+        # a defective in no test has no test to itself: M = 0
+        d = _design_from_columns(1, [[], [0]])
+        truth = DefectiveSet((0,))
+        assert compute_item_stats(d, truth, run_tests(d, truth)).solo_defective_tests == (0,)
+
+    def test_nonempty_column_never_masked_by_empty_set(self):
+        # a lone defective holds each of its tests alone
+        d = _design_from_columns(2, [[0], [0, 1]])
+        truth = DefectiveSet((0,))
+        assert compute_item_stats(d, truth, run_tests(d, truth)).solo_defective_tests == (1,)
 
     @given(st.integers(0, 2**32), st.integers(2, 25), st.integers(1, 12), st.integers(0, 5))
     def test_identities_on_fuzzed_instances(self, seed, n, t, k):

@@ -14,15 +14,20 @@ def test_mix64_is_deterministic_and_order_sensitive():
 
 
 def test_scalar_and_vector_u64_agree():
+    """The vectorised streams read the scalar words: unit_np their top 53
+    bits, bounded_np at bound 2**63 their low 63 bits."""
     keys = [rng.mix64(9, i) for i in range(8)]
     for key in keys:
-        got = rng.u64_np(np.uint64(key), np.arange(16, dtype=np.uint64))
-        want = [rng.u64_at(key, c) for c in range(16)]
-        assert [int(v) for v in got] == want
+        counters = np.arange(16, dtype=np.uint64)
+        top = (rng.unit_np(np.uint64(key), counters) * 2.0**53).astype(np.uint64)
+        low = rng.bounded_np(np.uint64(key), counters, 2**63)
+        got = [(int(t) << 11) | (int(v) & ((1 << 11) - 1)) for t, v in zip(top, low)]
+        assert got == [rng.u64_at(key, c) for c in range(16)]
+        assert [int(v) for v in low] == [rng.u64_at(key, c) % 2**63 for c in range(16)]
 
 
-# 2**63 + 1 rejects about half of all words, so the re-hash branch runs
-@pytest.mark.parametrize("bound", [1, 2, 3, 7, 13, 64, 1000, 2**32, 2**63 + 1])
+# 2**64 // 3 + 1 rejects about a third of all words, so the re-hash branch runs
+@pytest.mark.parametrize("bound", [1, 2, 3, 7, 13, 64, 1000, 2**32, 2**64 // 3 + 1, 2**63])
 def test_scalar_and_vector_bounded_agree(bound):
     key = rng.mix64(4, bound)
     got = rng.bounded_np(np.uint64(key), np.arange(64, dtype=np.uint64), bound)
@@ -36,6 +41,15 @@ def test_bounded_rejects_nonpositive_bound():
         rng.bounded_at(1, 0, 0)
     with pytest.raises(ValueError):
         rng.bounded_np(np.uint64(1), np.uint64(0), -3)
+
+
+@pytest.mark.parametrize("bound", [2**63 + 1, 2**64 - 1, 2**64])
+def test_bounded_rejects_bounds_above_2_63(bound):
+    # a draw at or above 2**63 would not fit the int64 that bounded_np returns
+    with pytest.raises(ValueError, match="2\\*\\*63"):
+        rng.bounded_at(1, 0, bound)
+    with pytest.raises(ValueError, match="2\\*\\*63"):
+        rng.bounded_np(np.uint64(1), np.arange(4, dtype=np.uint64), bound)
 
 
 def test_unit_at_range_and_parity():
@@ -67,12 +81,12 @@ def _stream_inputs():
 @pytest.mark.parametrize(
     "fn",
     [
-        rng.u64_np,
+        lambda k, c: rng.below_np(k, c, 0.3),
         lambda k, c: rng.mix64_np(3, k, c),
         lambda k, c: rng.bounded_np(k, c, 7),
         rng.unit_np,
     ],
-    ids=["u64_np", "mix64_np", "bounded_np", "unit_np"],
+    ids=["below_np", "mix64_np", "bounded_np", "unit_np"],
 )
 def test_vector_streams_leave_their_inputs_unmodified(fn):
     keys, counters = _stream_inputs()
@@ -84,15 +98,16 @@ def test_vector_streams_leave_their_inputs_unmodified(fn):
 
 def test_vector_streams_accept_zero_dimensional_inputs():
     key, counter = np.uint64(rng.mix64(8)), np.uint64(5)
-    assert int(rng.u64_np(key, counter)) == rng.u64_at(int(key), 5)
+    assert int(rng.bounded_np(key, counter, 2**63)) == rng.u64_at(int(key), 5) % 2**63
     assert int(rng.bounded_np(key, counter, 11)) == rng.bounded_at(int(key), 5, 11)
-    for c in range(8):  # about half of these words take the re-hash branch
-        big = int(rng.bounded_np(key, np.uint64(c), 2**63 + 1))
-        assert big == rng.bounded_at(int(key), c, 2**63 + 1)
+    big_bound = 2**64 // 3 + 1
+    for c in range(8):  # about a third of these words take the re-hash branch
+        big = int(rng.bounded_np(key, np.uint64(c), big_bound))
+        assert big == rng.bounded_at(int(key), c, big_bound)
     assert float(rng.unit_np(key, counter)) == rng.unit_at(int(key), 5)
     assert int(rng.mix64_np(np.uint64(4), np.uint64(9))) == rng.mix64(4, 9)
     assert int(rng.mix64_np(4, 9)) == rng.mix64(4, 9)
-    assert np.ndim(rng.u64_np(key, counter)) == 0
+    assert np.ndim(rng.unit_np(key, counter)) == 0
     assert np.ndim(rng.bounded_np(key, counter, 11)) == 0
     assert np.ndim(rng.mix64_np(4, 9)) == 0
 

@@ -1,8 +1,14 @@
-"""The corpus checks behind acceptance criteria 3 and 4 read their tallies."""
+"""Planted faults fail the checks that should catch them."""
 
 import pytest
 
-from grouptest.verify import CorpusReport, check_structural_invariants, check_success_conditions
+from grouptest import analysis as an
+from grouptest.verify import (
+    CorpusReport,
+    check_coupon_pmf,
+    check_structural_invariants,
+    check_success_conditions,
+)
 
 
 @pytest.mark.parametrize(
@@ -20,3 +26,14 @@ def test_one_planted_violation_fails_its_check(key, check):
     res = check(report)
     assert not res.ok
     assert res.detail == "10 instances, 1 violations"
+
+
+@pytest.mark.parametrize("name", ["comp_success_exact", "comp_masked_mean"])
+def test_coupon_check_catches_a_drift_in_the_comp_law(monkeypatch, name):
+    """The COMP law is checked against the exact coupon law to 1e-12."""
+    assert check_coupon_pmf().ok
+    real = getattr(an, name)
+    monkeypatch.setattr(an, name, lambda *args: real(*args) + 1e-9)
+    res = check_coupon_pmf()
+    assert not res.ok
+    assert name in res.detail
