@@ -12,20 +12,25 @@ test; survivors are the Possible Defectives, PD):
                contains a declared item.
 * ``sss``   -- exact smallest satisfying set, by branch and bound.
 
-A candidate set is *satisfying* when it touches no negative test and hits
-every positive one. All decoders are pure functions of (design, outcome), and
-all four raise :class:`MalformedOutcomeError` when a positive test contains
-no PD item. :func:`decode` runs one of them by name, and
+Every decoder reads the PD masks the design keeps (``TestDesign.pd``). A
+candidate set is *satisfying* when it touches no negative test and hits every
+positive one. All decoders are pure functions of (design, outcome), and all
+four raise :class:`MalformedOutcomeError` when a positive test contains no
+PD item. :func:`decode` runs one of them by name, and
 :func:`invariant_violations` lists the identities their estimates break.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Sequence
 
 from . import model
-from .model import DefectiveSet, Instance, OutcomeVector, TestDesign, possible_defectives
+from .model import DefectiveSet, Instance, OutcomeVector, TestDesign, is_satisfying
+
+# not called here: bound on this module, as on model, for callers that wrap
+# the PD step by name (the benchmark's tracer)
+from .model import possible_defectives
 
 DEFAULT_NODE_BUDGET = 10**6
 
@@ -67,26 +72,24 @@ class EvalRecord:
     false_negatives: int
 
 
-def _explained_pd(design: TestDesign, outcome: OutcomeVector) -> tuple[list[int], list[int]]:
-    """The PD set and its items' masks, checked to explain every positive test."""
-    pd = possible_defectives(design, outcome)
-    item_masks = design.item_masks
-    masks = [item_masks[i] for i in pd]
+def _explained_pd(design: TestDesign, outcome: OutcomeVector) -> model.PossibleDefectives:
+    """The design's PD answer for `outcome`, checked to explain every positive test."""
+    answer = design.pd(outcome)
     union = 0
-    for m in masks:
+    for m in answer.masks:
         union |= m
-    if outcome.positive_mask & ~union:
+    if union != answer.all_positive:
         raise MalformedOutcomeError("positive test with no possible-defective member")
-    return pd, masks
+    return answer
 
 
 def comp(design: TestDesign, outcome: OutcomeVector) -> DecodeResult:
     """Declare every possible defective item defective."""
-    pd = tuple(_explained_pd(design, outcome)[0])
+    pd = _explained_pd(design, outcome).items
     return DecodeResult("comp", pd, pd)
 
 
-def _definite_defectives(masks: list[int]) -> list[int]:
+def _definite_defectives(masks: Sequence[int]) -> list[int]:
     """Positions of the PD masks holding a test no other PD mask holds.
 
     Every test containing a PD item is positive, so no positivity check is
@@ -98,12 +101,13 @@ def _definite_defectives(masks: list[int]) -> list[int]:
 
 def dd(design: TestDesign, outcome: OutcomeVector) -> DecodeResult:
     """Declare PD items that are the sole PD member of some positive test."""
-    pd, masks = _explained_pd(design, outcome)
-    definite = tuple(pd[j] for j in _definite_defectives(masks))
-    return DecodeResult("dd", definite, tuple(pd), definite)
+    answer = _explained_pd(design, outcome)
+    pd = answer.items
+    definite = tuple(pd[j] for j in _definite_defectives(answer.masks))
+    return DecodeResult("dd", definite, pd, definite)
 
 
-def _scomp_estimate(masks: list[int], target: int, definite: list[int]) -> list[int]:
+def _scomp_estimate(masks: Sequence[int], target: int, definite: list[int]) -> list[int]:
     """Positions of DD's set plus greedy picks covering `target`, sorted.
 
     While some test of `target` is uncovered, add the PD mask covering the
@@ -130,31 +134,16 @@ def _scomp_estimate(masks: list[int], target: int, definite: list[int]) -> list[
 
 def scomp(design: TestDesign, outcome: OutcomeVector) -> DecodeResult:
     """DD plus greedy cover of the positive tests DD leaves unexplained."""
-    pd, masks = _explained_pd(design, outcome)
-    definite = _definite_defectives(masks)
-    estimate = _scomp_estimate(masks, outcome.positive_mask, definite)
+    answer = _explained_pd(design, outcome)
+    pd = answer.items
+    definite = _definite_defectives(answer.masks)
+    estimate = _scomp_estimate(answer.masks, answer.all_positive, definite)
     return DecodeResult(
         "scomp",
         tuple(pd[j] for j in estimate),
-        tuple(pd),
+        pd,
         tuple(pd[j] for j in definite),
     )
-
-
-def is_satisfying(
-    design: TestDesign, outcome: OutcomeVector, candidate: Iterable[int]
-) -> bool:
-    """True iff `candidate` hits every positive test and no negative one."""
-    model.check_outcome_length(design, outcome)
-    masks = design.item_masks
-    union = 0
-    for i in candidate:
-        if not 0 <= i < design.n_items:
-            raise ValueError(f"candidate item {i} out of range")
-        union |= masks[i]
-    pos = outcome.positive_mask
-    neg = outcome.negative_mask()
-    return (union & neg) == 0 and (pos & ~union) == 0
 
 
 def sss(
@@ -173,28 +162,16 @@ def sss(
     """
     if node_budget < 1:
         raise ValueError(f"node_budget must be >= 1, got {node_budget}")
-    pd, _ = _explained_pd(design, outcome)
-    pos = outcome.positive_mask
-
-    # re-index the PD masks onto the positive tests, a compact bitmask
-    # universe; the search runs on PD positions, whose order is the items'.
-    # Searching on the full-width item masks instead lost 5 of 6 timed
-    # pairs, by 5-9%, on searches of about 2000 nodes at N=500, K=10, T=50:
-    # there a full mask takes two 30-bit digits of a Python int, while a
-    # mask over the positive tests alone fits in one.
-    pos_tests = [t for t in range(design.n_tests) if (pos >> t) & 1]
-    bit_of_test = {t: b for b, t in enumerate(pos_tests)}
-    target = (1 << len(pos_tests)) - 1
-    indptr, indices = design.indptr, design.indices
-    cover: list[int] = []
-    items_of_bit: list[list[int]] = [[] for _ in pos_tests]
-    for j, i in enumerate(pd):
-        m = 0
-        for t in indices[indptr[i] : indptr[i + 1]].tolist():
-            b = bit_of_test[t]
-            m |= 1 << b
-            items_of_bit[b].append(j)
-        cover.append(m)
+    answer = _explained_pd(design, outcome)
+    pd, cover = answer.items, answer.masks
+    target = answer.all_positive
+    # the candidates of each positive test, as positions in the PD list
+    items_of_bit: list[list[int]] = [[] for _ in range(target.bit_length())]
+    for j, m in enumerate(cover):
+        while m:
+            low = m & -m
+            items_of_bit[low.bit_length() - 1].append(j)
+            m ^= low
 
     best = tuple(_scomp_estimate(cover, target, _definite_defectives(cover)))
     best_size = len(best)
@@ -203,7 +180,7 @@ def sss(
     # candidates first, ties by test
     branch_order = [
         (1 << b, items_of_bit[b])
-        for b in sorted(range(len(pos_tests)), key=lambda b: (len(items_of_bit[b]), b))
+        for b in sorted(range(len(items_of_bit)), key=lambda b: (len(items_of_bit[b]), b))
     ]
 
     # the masks with their own test counts, largest first; a mask gains at

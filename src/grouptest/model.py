@@ -6,12 +6,11 @@ rows (CSR), one row per item: item i is in the tests
 int64 array of N + 1 row pointers; ``indices`` holds all rows back to back in
 the narrowest unsigned type that fits T. Every constructor (the generators,
 hand-written per-item lists, the JSON loader) ends in one vectorised
-validation. The arrays are one of two representations of an item's tests;
-the other, ``item_masks`` (one Python-int bitmask per item), is built from
-them on first use, never through a dense N x T matrix, and answers every set
-question: the PD set, the decoders and the per-item counts, which say
-which defectives are masked. ``rows()`` lists the arrays' rows. Three
-random constructions are provided:
+validation. The arrays are the one representation of a design; the PD
+(possible defective) step reads them with an outcome and masks only the PD
+items, over the positive tests (:func:`possible_defectives`), and the design
+keeps that answer for its last outcome (:meth:`TestDesign.pd`).
+``rows()`` lists the arrays' rows. Three random constructions are provided:
 
 * ``bernoulli``       -- every (test, item) cell is included independently
                          with probability p.
@@ -30,8 +29,8 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 from itertools import chain, repeat
 
 import numpy as np
@@ -52,9 +51,6 @@ _STREAM_COLUMNS = {KIND_BERNOULLI: 1, KIND_NEAR_CONSTANT: 2, KIND_EXACT_CONSTANT
 _STREAM_DEFECTIVE = 4
 
 _SEED_LIMIT = 1 << 64
-
-# Dense bool cells per row chunk when item masks are packed (256 kB).
-_MASK_CHUNK_CELLS = 1 << 18
 
 # Cells (Bernoulli) or draws (near-constant) per generation block: 512 kB per
 # uint64 buffer, so a block's buffers stay in a core's L2 cache (a
@@ -111,7 +107,8 @@ class TestDesign:
     ``TestDesign(kind, n_items, n_tests, params, seed, columns)`` takes one
     sequence of test indices per item; the generators build the CSR arrays
     directly through :meth:`from_csr`. Both go through the same validation.
-    The arrays are read-only, so the lazily built item masks stay valid.
+    The arrays are read-only, so the PD answer the design keeps for its last
+    outcome (:meth:`pd`) stays valid.
     """
 
     __test__ = False  # the name matches pytest's collector; this is not a test
@@ -184,7 +181,7 @@ class TestDesign:
         self.indices = indices.astype(_index_dtype(self.n_tests), copy=False)
         self.indptr.flags.writeable = False
         self.indices.flags.writeable = False
-        self._masks: tuple[int, ...] | None = None
+        self._pd: tuple[tuple, PossibleDefectives] | None = None  # (bits, answer)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TestDesign):
@@ -209,29 +206,15 @@ class TestDesign:
         bounds = self.indptr.tolist()
         return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
-    @property
-    def item_masks(self) -> tuple[int, ...]:
-        """Per-item bitmask of tests (bit t set iff test t contains the item).
-
-        Built on first use, a bounded chunk of rows at a time: the chunk's
-        cells are set in a dense bool block of whole-byte rows, packed
-        little-endian by ``np.packbits``, viewed as one bytes object per row
-        and read back by ``int.from_bytes``.
-        """
-        if self._masks is None:
-            width = -(-self.n_tests // 8)  # bytes per mask
-            chunk = max(1, _MASK_CHUNK_CELLS // (8 * width))
-            masks: list[int] = []
-            for lo in range(0, self.n_items, chunk):
-                ptr = self.indptr[lo : lo + chunk + 1]
-                n_rows = ptr.shape[0] - 1
-                block = np.zeros(n_rows * 8 * width, dtype=bool)
-                row_at = np.repeat(np.arange(0, block.shape[0], 8 * width), np.diff(ptr))
-                block[row_at + self.indices[ptr[0] : ptr[-1]]] = True
-                packed = np.packbits(block, bitorder="little").view(f"V{width}").tolist()
-                masks.extend(map(int.from_bytes, packed, repeat("little")))
-            self._masks = tuple(masks)
-        return self._masks
+    def pd(self, outcome: OutcomeVector) -> PossibleDefectives:
+        """The PD answer for `outcome`, kept for the last outcome asked about
+        (keyed by its bits), so the decoders and :func:`compute_item_stats`
+        on one instance share one :func:`possible_defectives` pass."""
+        bits = tuple(outcome.bits)
+        kept = self._pd
+        if kept is None or kept[0] != bits:
+            kept = self._pd = (bits, possible_defectives(self, outcome))
+        return kept[1]
 
 
 def _csr_from_columns(columns) -> tuple[np.ndarray, np.ndarray]:
@@ -276,18 +259,10 @@ class OutcomeVector:
     """The T boolean test results."""
 
     bits: tuple[bool, ...]
-    positive_mask: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        packed = np.packbits(np.array(self.bits, dtype=bool), bitorder="little")
-        object.__setattr__(self, "positive_mask", int.from_bytes(packed.tobytes(), "little"))
 
     @property
     def n_tests(self) -> int:
         return len(self.bits)
-
-    def negative_mask(self) -> int:
-        return ((1 << len(self.bits)) - 1) ^ self.positive_mask
 
 
 @dataclass(frozen=True)
@@ -315,6 +290,20 @@ class ItemStats:
     solo_pd_tests: tuple[int, ...]
     masked_nondefectives: int
     pd_set: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class PossibleDefectives:
+    """The PD items of one outcome (increasing) and, aligned, their masks.
+
+    Bit b of a mask is the b-th positive test, and ``all_positive`` has a bit
+    per positive test. A PD item is in positive tests only, so its mask holds
+    all its tests in fewer Python-int digits than a mask over all T tests.
+    """
+
+    items: tuple[int, ...]
+    masks: tuple[int, ...]
+    all_positive: int
 
 
 def sample_defective_set(n_items: int, k: int, seed: int) -> DefectiveSet:
@@ -472,8 +461,9 @@ def _checked_params(
     The generators and the JSON loader share these rules. ValueError when
     `params` carries the other kind's parameter (p for a weight design, L for
     Bernoulli) or, if `required`, lacks its own; when p lies outside (0, 1);
-    when L is below 1, or above T on an exact-constant design; or when nu is
-    given and is not positive and finite.
+    when L is below 1, or above T on an exact-constant design; when T is
+    above 2**63 on a weight design (a test index is a bounded draw); or when
+    nu is given and is not positive and finite.
     """
     if kind == KIND_BERNOULLI:
         own, other, message = params.p, params.draws, "bernoulli designs take p, not L"
@@ -483,6 +473,8 @@ def _checked_params(
         raise ValueError(f"unknown design kind {kind!r}")
     if other is not None or (required and own is None):
         raise ValueError(message)
+    if kind != KIND_BERNOULLI and n_tests > rng.BOUND_MAX:
+        raise ValueError(f"T must be at most 2**63 on a {kind} design, got {n_tests}")
     p, draws, nu = params.p, params.draws, params.nu
     if p is not None and not 0.0 < p < 1.0:
         raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
@@ -536,15 +528,29 @@ def params_from_nu(kind: str, nu: float, n_tests: int, k: int) -> DesignParams:
     return DesignParams(draws=draws, nu=nu)
 
 
+def tests_containing(design: TestDesign, items: Iterable[int]) -> list[bool]:
+    """One bool per test of `design`: True iff the test contains one of `items`.
+    (A list: for a defective set's few rows it beats a numpy write per row.)"""
+    hit = [False] * design.n_tests
+    indptr, indices = design.indptr, design.indices
+    for i in items:
+        if not 0 <= i < design.n_items:
+            raise ValueError(f"item {i} out of range for {design.n_items} items")
+        for t in indices[indptr[i] : indptr[i + 1]].tolist():
+            hit[t] = True
+    return hit
+
+
 def run_tests(design: TestDesign, truth: DefectiveSet) -> OutcomeVector:
     """Noiseless outcomes: test t is positive iff it contains a defective."""
-    positive = np.zeros(design.n_tests, dtype=bool)
-    indptr, indices = design.indptr, design.indices
-    for i in truth.items:
-        if i >= design.n_items:
-            raise ValueError(f"defective index {i} out of range for {design.n_items} items")
-        positive[indices[indptr[i] : indptr[i + 1]]] = True
-    return OutcomeVector(tuple(positive.tolist()))
+    return OutcomeVector(tuple(tests_containing(design, truth.items)))
+
+
+def is_satisfying(design: TestDesign, outcome: OutcomeVector, candidate: Iterable[int]) -> bool:
+    """True iff `candidate` hits every positive test and no negative one: the
+    rule of :func:`run_tests`, read from the CSR arrays, not the PD masks."""
+    check_outcome_length(design, outcome)
+    return tests_containing(design, candidate) == list(map(bool, outcome.bits))
 
 
 def check_outcome_length(design: TestDesign, outcome: OutcomeVector) -> None:
@@ -571,12 +577,30 @@ def others_unions(masks: Sequence[int]) -> list[int]:
     return others
 
 
-def possible_defectives(design: TestDesign, outcome: OutcomeVector) -> list[int]:
-    """Items appearing in no negative test (the PD set of COMP step 1)."""
+def possible_defectives(design: TestDesign, outcome: OutcomeVector) -> PossibleDefectives:
+    """The PD step of COMP: the items in no negative test, with their masks.
+
+    One gather of the outcome over the CSR indices and a running count of
+    negative entries find the PD rows. Their entries, ranked among the
+    positive tests, are OR-ed into whole-byte rows (memory in proportion to
+    the masks, not to PD items x T) and read back by ``int.from_bytes``.
+    """
     check_outcome_length(design, outcome)
-    neg = outcome.negative_mask()
-    masks = design.item_masks
-    return [i for i in range(design.n_items) if masks[i] & neg == 0]
+    positive = np.array(outcome.bits, dtype=bool)
+    indptr, indices = design.indptr, design.indices
+    negatives = np.zeros(indices.shape[0] + 1, dtype=np.intp)
+    np.add.accumulate(~positive[indices], out=negatives[1:], dtype=np.intp)
+    is_pd = negatives[indptr[1:]] == negatives[indptr[:-1]]
+    pd = is_pd.nonzero()[0]
+    sizes = indptr[1:] - indptr[:-1]
+    positive_tests = positive.nonzero()[0]
+    width = positive_tests.shape[0] // 8 + 1  # bytes per mask; the spare byte keeps it positive
+    bits = np.searchsorted(positive_tests, indices[np.repeat(is_pd, sizes)])
+    byte_at = np.repeat(np.arange(0, pd.shape[0] * width, width), sizes[pd]) + (bits >> 3)
+    packed = np.zeros(pd.shape[0] * width, dtype=np.uint8)
+    np.bitwise_or.at(packed, byte_at, np.left_shift(1, bits & 7).astype(np.uint8))
+    masks = tuple(map(int.from_bytes, packed.view(f"V{width}").tolist(), repeat("little")))
+    return PossibleDefectives(tuple(pd.tolist()), masks, (1 << positive_tests.shape[0]) - 1)
 
 
 def compute_item_stats(
@@ -586,33 +610,25 @@ def compute_item_stats(
 
     For defective i with tests m_i, W_i counts the tests of the other
     defectives, M_i the tests in m_i and in no other defective's, and L_i
-    the tests in m_i and in no other PD item's.
+    the tests in m_i and in no other PD item's, all read from the PD masks.
     """
-    check_outcome_length(design, outcome)
-    item_masks = design.item_masks
-    if truth.items and truth.items[-1] >= design.n_items:
-        raise ValueError(f"defective index {truth.items[-1]} out of range")
-    masks = [item_masks[i] for i in truth.items]
-    union = 0
-    for m in masks:
-        union |= m
-    if union != outcome.positive_mask:
+    answer = design.pd(outcome)
+    if not is_satisfying(design, outcome, truth.items):
         raise ValueError("outcome is inconsistent with (design, truth)")
-
+    # so every defective is a PD item
+    at = {item: j for j, item in enumerate(answer.items)}
+    masks = [answer.masks[at[i]] for i in truth.items]
     others = others_unions(masks)
-    pd = possible_defectives(design, outcome)
-    # every defective is a PD item, since all its tests are positive
-    pd_others = dict(zip(pd, others_unions([item_masks[j] for j in pd])))
-    truth_set = set(truth.items)
+    pd_others = others_unions(answer.masks)
     return ItemStats(
-        covered_tests=union.bit_count(),
+        covered_tests=answer.all_positive.bit_count(),
         covered_without=tuple(o.bit_count() for o in others),
         solo_defective_tests=tuple((m & ~o).bit_count() for m, o in zip(masks, others)),
         solo_pd_tests=tuple(
-            (m & ~pd_others[i]).bit_count() for i, m in zip(truth.items, masks)
+            (m & ~pd_others[at[i]]).bit_count() for i, m in zip(truth.items, masks)
         ),
-        masked_nondefectives=sum(1 for j in pd if j not in truth_set),
-        pd_set=tuple(pd),
+        masked_nondefectives=len(answer.items) - truth.k,
+        pd_set=answer.items,
     )
 
 

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 MASK64 = (1 << 64) - 1
-_BOUND_MAX = 1 << 63
+BOUND_MAX = 1 << 63
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
@@ -54,7 +54,7 @@ def _rejection_threshold(bound: int) -> int:
     The bounded draws take 1 <= bound <= 2**63, so every draw fits an int64
     and at least half of all words are accepted; ValueError otherwise.
     """
-    if not 1 <= bound <= _BOUND_MAX:
+    if not 1 <= bound <= BOUND_MAX:
         raise ValueError(f"bound must lie in [1, 2**63], got {bound}")
     return (MASK64 + 1) - ((MASK64 + 1) % bound)
 

@@ -105,18 +105,18 @@ def exhaustive_smallest_satisfying(
 
     Subset enumeration is independent of the branch-and-bound path; it stops
     at the first satisfying subset, which by construction is the
-    minimum-size, lexicographically-smallest one.
+    minimum-size, lexicographically-smallest one. It builds its own
+    full-width masks from ``rows()``, sharing no code with the decoders.
     """
     model.check_outcome_length(design, outcome)
-    masks = design.item_masks
-    pos = outcome.positive_mask
-    neg = outcome.negative_mask()
+    masks = [sum(1 << t for t in row) for row in design.rows()]
+    pos = sum(1 << t for t, bit in enumerate(outcome.bits) if bit)
     for size in range(design.n_items + 1):
         for combo in itertools.combinations(range(design.n_items), size):
             union = 0
             for i in combo:
                 union |= masks[i]
-            if union & neg == 0 and pos & ~union == 0:
+            if union == pos:
                 return combo
     raise AssertionError("no satisfying set; outcome not generated by run_tests?")
 

@@ -20,11 +20,13 @@ LN2 = math.log(2)
 
 
 def _one_error_line(capsys, argv):
-    """Run the CLI on argv; it must exit 1 with a single ``error:`` line."""
+    """Run the CLI on argv; it must exit 1 with a single ``error:`` line,
+    which is returned."""
     rc = main(argv)
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
 
 
 @pytest.fixture
@@ -129,9 +131,11 @@ class TestDesignCommand:
     @pytest.mark.parametrize("kind,n_tests", [("ncc", 2**63 + 1), ("ccw", 2**64), ("ncc", 2**64)])
     def test_t_beyond_the_bounded_draws(self, capsys, kind, n_tests):
         # a test index is a bounded draw, which takes bounds up to 2**63
-        _one_error_line(
+        err = _one_error_line(
             capsys, ["design", "--kind", kind, "--N", "2", "--T", str(n_tests), "--L", "2"]
         )
+        kind_name = simlab.DESIGN_ALIASES[kind]
+        assert f"T must be at most 2**63 on a {kind_name} design, got {n_tests}" in err
 
     def test_io_error_exit_code(self):
         rc = main(
@@ -373,7 +377,8 @@ class TestSimulateCommand:
 
     def test_t_beyond_the_bounded_draws(self, tmp_path, capsys):
         cfg = self._config(tmp_path, t_grid=[2**64])
-        _one_error_line(capsys, ["simulate", "--config", str(cfg)])
+        err = _one_error_line(capsys, ["simulate", "--config", str(cfg)])
+        assert f"T must be at most 2**63 on a near_constant design, got {2**64}" in err
 
     def test_unsatisfiable_grid_invalid(self, tmp_path):
         cfg = self._config(tmp_path, t_grid=[10, 5])

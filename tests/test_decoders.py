@@ -241,9 +241,8 @@ class TestSss:
 def reference_sss(design, outcome, node_budget):
     """SSS with the lower bound from a full max-gain pass over every PD mask
     at every call, kept as the reference for the search's prune."""
-    pd, _ = _explained_pd(design, outcome)
-    pos = outcome.positive_mask
-    pos_tests = [t for t in range(design.n_tests) if (pos >> t) & 1]
+    pd = _explained_pd(design, outcome).items
+    pos_tests = [t for t, bit in enumerate(outcome.bits) if bit]
     bit_of_test = {t: b for b, t in enumerate(pos_tests)}
     target = (1 << len(pos_tests)) - 1
     cover = []
@@ -310,8 +309,9 @@ class TestSssMatchesReference:
             inst = fuzz_instance(seed, idx, **sizes)
             d, y = inst.design, inst.outcome
             kinds.add(d.kind)
-            pd = possible_defectives(d, y)
-            row_sizes = {(d.item_masks[i] & y.positive_mask).bit_count() for i in pd}
+            # a PD item's tests are all positive
+            pd = possible_defectives(d, y).items
+            row_sizes = {int(d.indptr[i + 1] - d.indptr[i]) for i in pd}
             if d.kind == "bernoulli" and len(row_sizes) > 1:
                 uneven_bernoulli += 1
             for budget in (DEFAULT_NODE_BUDGET, 1, 5, 20):
@@ -384,6 +384,41 @@ class TestIsMasked:
     def test_empty_column_vacuously_masked(self):
         d = design_of(1, [[], [0]])
         assert is_masked(d, 0, set())
+
+
+class TestKeptPdAnswer:
+    """The PD answer a design keeps for the last outcome it was asked about."""
+
+    def test_truthy_entries_decode_as_booleans(self):
+        # positive tests 0 and 2, also when given as the integers 2 and 1
+        d = design_of(3, [[0], [1], [2], [0, 2]])
+        want = {"comp": (0, 2, 3), "dd": (), "scomp": (3,), "sss": (3,)}
+        for bits in ((2, 0, 1), (True, False, True), (2, 0, 1)):
+            y = OutcomeVector(bits)
+            assert {alg: decode(alg, d, y).estimate for alg in ALGORITHMS} == want
+
+    def test_never_stale(self):
+        d = gen_near_constant(30, 12, 3, seed=5)
+        cases = [(t, run_tests(d, t)) for t in (DefectiveSet((3, 17)), DefectiveSet((1, 8, 22, 29)))]
+        assert len({comp(d, y).estimate for _, y in cases}) == 2
+        wrong = OutcomeVector(cases[0][1].bits[:-1])
+        entries = [lambda y, alg=alg: decode(alg, d, y) for alg in ALGORITHMS] + [
+            lambda y: compute_item_stats(d, cases[0][0], y),
+            lambda y: is_satisfying(d, y, cases[0][0].items),
+        ]
+        for truth, y in cases + cases[::-1] + cases:
+            for entry in entries:
+                with pytest.raises(ValueError, match="outcome has"):
+                    entry(wrong)
+            fresh = TestDesign.from_csr(
+                d.kind, d.n_items, d.n_tests, d.params, d.seed, d.indptr, d.indices
+            )
+            for alg in ALGORITHMS:
+                assert decode(alg, d, y) == decode(alg, fresh, y)
+            assert compute_item_stats(d, truth, y) == compute_item_stats(fresh, truth, y)
+            for other, _ in cases:
+                assert is_satisfying(d, y, other.items) == is_satisfying(fresh, y, other.items)
+                assert is_satisfying(d, y, other.items) == (other == truth)
 
 
 class TestOutcomeLength:

@@ -13,6 +13,7 @@ from grouptest import (
     DefectiveSet,
     DesignParams,
     OutcomeVector,
+    PossibleDefectives,
     TestDesign,
     compute_item_stats,
     design_from_json,
@@ -24,6 +25,7 @@ from grouptest import (
     gen_near_constant,
     generate_design,
     params_from_nu,
+    possible_defectives,
     regenerate_design,
     run_tests,
     sample_defective_set,
@@ -259,13 +261,30 @@ class TestCsrDesigns:
 
     @pytest.mark.parametrize("t", [1, 8, 9, 63, 64, 65, 400, 2000])
     def test_item_masks_match_shift_loop(self, t):
-        # at T = 2000 a mask chunk holds 131 rows, so N = 1200 spans ten
-        d = gen_near_constant(1200, t, min(6, t), seed=t)
-        assert d.item_masks == _ref_masks(d.rows())
+        """The PD items and their masks over the positive tests, against a
+        shift loop over ``rows()``, on a design with empty columns."""
+        rows = gen_near_constant(1200, t, min(6, t), seed=t).rows()
+        for i in range(0, 1200, 7):
+            rows[i] = []
+        d = TestDesign("near_constant", 1200, t, DesignParams(draws=min(6, t)), t, rows)
+        truth = sample_defective_set(1200, 3, t)
+        for y in (run_tests(d, truth), OutcomeVector(tuple(c % 3 > 0 for c in range(t)))):
+            bit_of_test = {c: b for b, c in enumerate(c for c in range(t) if y.bits[c])}
+            pd = [i for i, row in enumerate(rows) if all(y.bits[c] for c in row)]
+            masks = []
+            for i in pd:
+                m = 0
+                for c in rows[i]:
+                    m |= 1 << bit_of_test[c]
+                masks.append(m)
+            want = PossibleDefectives(tuple(pd), tuple(masks), (1 << len(bit_of_test)) - 1)
+            assert possible_defectives(d, y) == want
 
     def test_item_masks_with_empty_columns(self):
+        # an empty column is a PD item with no test; bits 0, 1, 2 are tests 0, 3, 9
         d = TestDesign("bernoulli", 4, 10, DesignParams(p=0.5), 0, ((), (9,), (), (0, 3)))
-        assert d.item_masks == (0, 1 << 9, 0, 0b1001)
+        y = OutcomeVector(tuple(c in (0, 3, 9) for c in range(10)))
+        assert possible_defectives(d, y) == PossibleDefectives((0, 1, 2, 3), (0, 0b100, 0, 0b11), 0b111)
 
     @pytest.mark.parametrize("t,dtype", [(256, np.uint8), (257, np.uint16), (70_000, np.uint32)])
     def test_indices_use_narrowest_type(self, t, dtype):
@@ -347,7 +366,6 @@ class TestCsrDesigns:
                 m |= _ref_masks(d.rows())[i]
             assert y.bits == tuple(bool((m >> c) & 1) for c in range(t))
             assert all(type(b) is bool for b in y.bits)
-            assert y.positive_mask == m
 
 
 class TestParamsFromNu:
