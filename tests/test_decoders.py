@@ -3,6 +3,7 @@
 import gc
 import itertools
 import json
+import math
 
 import pytest
 from hypothesis import given
@@ -29,6 +30,7 @@ from grouptest import (
     run_tests,
     sample_defective_set,
     scomp,
+    simlab,
     sss,
 )
 from grouptest.cli import main
@@ -322,6 +324,36 @@ class TestSssMatchesReference:
         assert uneven_bernoulli >= 50
         # draws whose search outlasts the largest budget
         assert deep >= 40
+
+
+class TestSssMatchesReferenceDeep:
+    """The sss-deep regime: N=500, K=10 below the DD threshold, where the
+    searches run to thousands of nodes. Bernoulli's uneven mask sizes put
+    many prunes below the largest mask size."""
+
+    def test_budgeted_searches(self):
+        kinds_deep = {"near_constant": 0, "bernoulli": 0}
+        uneven_bernoulli = 0
+        for kind in ("ncc", "bernoulli"):
+            arm = simlab.DesignArm(kind, math.log(2))
+            for n_tests in (50, 60):
+                for r in range(3):
+                    seed = simlab.trial_seed(13, 0, n_tests, r)
+                    inst = simlab.trial_instance(arm, 500, 10, n_tests, seed)
+                    d, y = inst.design, inst.outcome
+                    pd = possible_defectives(d, y).items
+                    row_sizes = {int(d.indptr[i + 1] - d.indptr[i]) for i in pd}
+                    if d.kind == "bernoulli" and len(row_sizes) > 2:
+                        uneven_bernoulli += 1
+                    for budget in (1, 5, 20, 200):
+                        got = sss_outcome(sss, d, y, budget)
+                        assert got == sss_outcome(reference_sss, d, y, budget), (
+                            kind, n_tests, r, budget
+                        )
+                    kinds_deep[d.kind] += not isinstance(got, DecodeResult)
+        assert uneven_bernoulli == 6
+        # draws of each kind whose search outlasts budget 200
+        assert min(kinds_deep.values()) >= 3
 
 
 def is_masked(design, item, others):
