@@ -89,21 +89,24 @@ def comp(design: TestDesign, outcome: OutcomeVector) -> DecodeResult:
     return DecodeResult("comp", pd, pd)
 
 
-def _definite_defectives(masks: Sequence[int]) -> list[int]:
+def _definite_defectives(masks: Sequence[int], solo: Sequence[int] | None = None) -> list[int]:
     """Positions of the PD masks holding a test no other PD mask holds.
 
-    Every test containing a PD item is positive, so no positivity check is
-    needed.
+    `solo` holds each mask's tests that no other mask holds (a PD answer's
+    :attr:`~model.PossibleDefectives.solo`); without it they are found from
+    `masks`. Every test containing a PD item is positive, so no positivity
+    check is needed.
     """
-    others = model.others_unions(masks)
-    return [j for j, (m, o) in enumerate(zip(masks, others)) if m & ~o]
+    if solo is None:
+        solo = [m & ~o for m, o in zip(masks, model.others_unions(masks))]
+    return [j for j, s in enumerate(solo) if s]
 
 
 def dd(design: TestDesign, outcome: OutcomeVector) -> DecodeResult:
     """Declare PD items that are the sole PD member of some positive test."""
     answer = _explained_pd(design, outcome)
     pd = answer.items
-    definite = tuple(pd[j] for j in _definite_defectives(answer.masks))
+    definite = tuple(pd[j] for j in _definite_defectives(answer.masks, answer.solo))
     return DecodeResult("dd", definite, pd, definite)
 
 
@@ -136,7 +139,7 @@ def scomp(design: TestDesign, outcome: OutcomeVector) -> DecodeResult:
     """DD plus greedy cover of the positive tests DD leaves unexplained."""
     answer = _explained_pd(design, outcome)
     pd = answer.items
-    definite = _definite_defectives(answer.masks)
+    definite = _definite_defectives(answer.masks, answer.solo)
     estimate = _scomp_estimate(answer.masks, answer.all_positive, definite)
     return DecodeResult(
         "scomp",
@@ -165,15 +168,19 @@ def sss(
     answer = _explained_pd(design, outcome)
     pd, cover = answer.items, answer.masks
     target = answer.all_positive
-    # the candidates of each positive test, as positions in the PD list
+    # the candidates of each positive test, as positions in the PD list and
+    # as a set of them (bit j for position j)
     items_of_bit: list[list[int]] = [[] for _ in range(target.bit_length())]
+    holders = [0] * target.bit_length()
     for j, m in enumerate(cover):
         while m:
             low = m & -m
-            items_of_bit[low.bit_length() - 1].append(j)
+            b = low.bit_length() - 1
+            items_of_bit[b].append(j)
+            holders[b] |= 1 << j
             m ^= low
 
-    best = tuple(_scomp_estimate(cover, target, _definite_defectives(cover)))
+    best = tuple(_scomp_estimate(cover, target, _definite_defectives(cover, answer.solo)))
     best_size = len(best)
 
     # each node branches on the first uncovered test in this order: fewest
@@ -183,43 +190,67 @@ def sss(
         for b in sorted(range(len(items_of_bit)), key=lambda b: (len(items_of_bit[b]), b))
     ]
 
-    # the masks with their own test counts, largest first; a mask gains at
-    # most its own count, so the prune's scan stops at the first one too small
-    by_size = sorted(((m.bit_count(), m) for m in cover), reverse=True)
+    # the masks with their own test counts, largest first, and at_least[s],
+    # the set of positions whose masks hold at least s tests
+    sizes = [m.bit_count() for m in cover]
+    by_size = sorted(zip(sizes, cover), reverse=True)
+    top = by_size[0][0] if by_size else 0
+    at_least = [0] * (top + 1)
+    for j, size in enumerate(sizes):
+        at_least[size] |= 1 << j
+    for size in range(top - 1, -1, -1):
+        at_least[size] |= at_least[size + 1]
+    # touch[j]: the set of positions whose masks share a test with mask j,
+    # built on first use (0 until then; a nonempty mask touches itself)
+    touch = [0] * len(cover)
 
     nodes = 0
 
-    def search(covered: int, chosen: list[int]) -> None:
+    def search(uncovered: int, count: int, chosen: list[int], hit: int) -> None:
+        # `count` tests are uncovered; `hit` is the set of positions whose
+        # masks meet a chosen one, so the masks outside it gain their full
+        # size. The caller has checked that len(chosen) + ceil(count / slack)
+        # stays within best_size, with slack >= 1.
         nonlocal nodes, best, best_size
-        if covered == target:
-            cand = tuple(sorted(chosen))
-            if (len(cand), cand) < (best_size, best):
-                best, best_size = cand, len(cand)
-            return
-        # lower bound: uncovered tests / best single-item gain among ALL
-        # masks (not just those covering the branch test), else the bound
-        # overshoots and prunes optimal subtrees. len(chosen) + that bound
-        # exceeds best_size iff no mask gains `need` = ceil(uncovered /
-        # slack) tests; every uncovered test has a candidate, so a mask
-        # gains 1
         slack = best_size - len(chosen)
-        if slack < 1:
-            return
-        uncovered = target & ~covered
-        need = -(-uncovered.bit_count() // slack)
-        if need > 1:
-            for size, m in by_size:
-                if size < need:
-                    return
-                if (m & uncovered).bit_count() >= need:
+        if slack == 1:
+            # only a mask holding every uncovered test completes a cover; it
+            # holds the lowest one, whose candidates are listed by position,
+            # so the first such candidate gives the smallest sorted tuple
+            for j in items_of_bit[(uncovered & -uncovered).bit_length() - 1]:
+                if not uncovered & ~cover[j]:
                     break
             else:
                 return
+        else:
+            # lower bound: uncovered tests / best single-item gain among ALL
+            # masks (not just those covering the branch test), else the bound
+            # overshoots and prunes optimal subtrees. The node is kept iff
+            # some mask gains `need` = ceil(count / slack) tests; every
+            # uncovered test has a candidate, so a mask gains 1. A mask
+            # outside `hit` of size >= need is a witness; else the touched
+            # masks gain less than their size, so only those larger than
+            # `need` can be one
+            need = -(-count // slack)
+            if need > 1 and not at_least[need] & ~hit:
+                for size, m in by_size:
+                    if size <= need:
+                        return
+                    if (m & uncovered).bit_count() >= need:
+                        break
+                else:
+                    return
         nodes += 1
         if nodes > node_budget:
             raise UnresolvedSearchError(
                 f"node budget {node_budget} exceeded", tuple(pd[j] for j in best), nodes
             )
+        if slack == 1:
+            # the cover has best_size items, so it can only win the tie-break
+            cand = tuple(sorted([*chosen, j]))
+            if cand < best:
+                best = cand
+            return
         # a chosen item covers no uncovered test, so the candidates of an
         # uncovered test are all unchosen, and there is at least one: the PD
         # set explains every positive test
@@ -228,14 +259,36 @@ def sss(
                 break
         # branch over the items covering the most-constrained uncovered test,
         # trying larger coverage first (ties by item index)
-        order = sorted(branch_items, key=lambda j: (-(cover[j] & uncovered).bit_count(), j))
-        for j in order:
+        for neg_gain, j in sorted([(-(cover[j] & uncovered).bit_count(), j) for j in branch_items]):
+            left = count + neg_gain
+            if not left:
+                # the first completion is smaller than the incumbent, and
+                # after it no sibling can do better
+                best = tuple(sorted([*chosen, j]))
+                best_size = len(best)
+                return
+            # the child would prune if no mask gains ceil(left / its slack);
+            # none gains more than `top`, and the later siblings gain no more
+            # and have no more slack, so they would prune too
+            if left > top * (best_size - len(chosen) - 1):
+                return
+            if not touch[j]:
+                t = 0
+                m = cover[j]
+                while m:
+                    low = m & -m
+                    t |= holders[low.bit_length() - 1]
+                    m ^= low
+                touch[j] = t
             chosen.append(j)
-            search(covered | cover[j], chosen)
+            search(uncovered & ~cover[j], left, chosen, hit | touch[j])
             chosen.pop()
 
     try:
-        search(0, [])
+        # the incumbent covers target with best_size masks, so some mask
+        # gains ceil(count / best_size) tests at the root
+        if target:
+            search(target, target.bit_count(), [], 0)
     finally:
         # search refers to itself through its closure; emptying that cell
         # frees the decode's lists on return instead of at the next cyclic

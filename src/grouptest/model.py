@@ -31,6 +31,7 @@ import json
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, repeat
 
 import numpy as np
@@ -56,6 +57,12 @@ _SEED_LIMIT = 1 << 64
 # uint64 buffer, so a block's buffers stay in a core's L2 cache (a
 # 10^4 x 384 Bernoulli design took 26 ms in such blocks, 64 ms in 2 MB ones).
 _GEN_BLOCK = 1 << 16
+
+# The most entries (N * min(L, T)) a weight design may be generated with: its
+# index arrays alone take 8 GiB beyond that, and rows of about 10^18 draws
+# would never finish. The largest design the tests, criteria and benchmark
+# build holds 1.7e5.
+MAX_WEIGHT_ENTRIES = 1 << 31
 
 
 def is_integer(value: object) -> bool:
@@ -305,6 +312,15 @@ class PossibleDefectives:
     masks: tuple[int, ...]
     all_positive: int
 
+    @cached_property
+    def solo(self) -> tuple[int, ...]:
+        """Per mask, its tests that no other PD mask holds.
+
+        Found on first use and kept with the answer, so DD, SCOMP, SSS and
+        :func:`compute_item_stats` on one outcome share one pass.
+        """
+        return tuple(m & ~o for m, o in zip(self.masks, others_unions(self.masks)))
+
 
 def sample_defective_set(n_items: int, k: int, seed: int) -> DefectiveSet:
     """Uniform K-subset of [0, n_items), by partial Fisher-Yates.
@@ -493,8 +509,14 @@ def generate_design(
 ) -> TestDesign:
     """Dispatch to the generator for `kind`, which takes p for Bernoulli and
     draws (L) otherwise; ValueError unless `params` carries its kind's
-    parameter and not the other one, with values the kind allows."""
+    parameter and not the other one, with values the kind allows, or when a
+    weight design would hold more than ``MAX_WEIGHT_ENTRIES`` entries."""
     _checked_params(kind, n_tests, params)
+    if kind != KIND_BERNOULLI and n_items * min(params.draws, n_tests) > MAX_WEIGHT_ENTRIES:
+        raise ValueError(
+            f"a {kind} design of N={n_items}, L={params.draws}, T={n_tests} holds up to "
+            f"N*min(L, T) entries, more than 2**31"
+        )
     if kind == KIND_BERNOULLI:
         return gen_bernoulli(n_items, n_tests, params.p, seed, nu=params.nu)
     gen = gen_near_constant if kind == KIND_NEAR_CONSTANT else gen_exact_constant
@@ -588,8 +610,14 @@ def possible_defectives(design: TestDesign, outcome: OutcomeVector) -> PossibleD
     check_outcome_length(design, outcome)
     positive = np.array(outcome.bits, dtype=bool)
     indptr, indices = design.indptr, design.indices
-    negatives = np.zeros(indices.shape[0] + 1, dtype=np.intp)
-    np.add.accumulate(~positive[indices], out=negatives[1:], dtype=np.intp)
+    # np.take reads the narrow indices as they are (indexing casts them to
+    # intp first). The count may wrap modulo 2**32, but a row holds fewer
+    # than 2**32 entries, so its two ends still agree iff it has no negative
+    # entry.
+    negatives = np.zeros(indices.shape[0] + 1, dtype=np.uint32)
+    np.add.accumulate(
+        np.take((~positive).view(np.uint8), indices), out=negatives[1:], dtype=np.uint32
+    )
     is_pd = negatives[indptr[1:]] == negatives[indptr[:-1]]
     pd = is_pd.nonzero()[0]
     sizes = indptr[1:] - indptr[:-1]
@@ -617,16 +645,14 @@ def compute_item_stats(
         raise ValueError("outcome is inconsistent with (design, truth)")
     # so every defective is a PD item
     at = {item: j for j, item in enumerate(answer.items)}
-    masks = [answer.masks[at[i]] for i in truth.items]
+    pos = [at[i] for i in truth.items]
+    masks = [answer.masks[j] for j in pos]
     others = others_unions(masks)
-    pd_others = others_unions(answer.masks)
     return ItemStats(
         covered_tests=answer.all_positive.bit_count(),
         covered_without=tuple(o.bit_count() for o in others),
         solo_defective_tests=tuple((m & ~o).bit_count() for m, o in zip(masks, others)),
-        solo_pd_tests=tuple(
-            (m & ~pd_others[at[i]]).bit_count() for i, m in zip(truth.items, masks)
-        ),
+        solo_pd_tests=tuple(answer.solo[j].bit_count() for j in pos),
         masked_nondefectives=len(answer.items) - truth.k,
         pd_set=answer.items,
     )

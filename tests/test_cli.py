@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 import tracemalloc
 
 import pytest
@@ -136,6 +137,19 @@ class TestDesignCommand:
         )
         kind_name = simlab.DESIGN_ALIASES[kind]
         assert f"T must be at most 2**63 on a {kind_name} design, got {n_tests}" in err
+
+    @pytest.mark.parametrize("kind", ["ncc", "ccw"])
+    def test_refuses_a_design_past_the_entry_cap(self, capsys, kind):
+        # L = round(0.69 * 2**62) draws per item would never finish
+        n_tests = 2**62
+        start = time.perf_counter()
+        err = _one_error_line(
+            capsys,
+            ["design", "--kind", kind, "--N", "2", "--T", str(n_tests), "--nu", "0.69", "--K", "1"],
+        )
+        assert time.perf_counter() - start < 1
+        draws = round(0.69 * n_tests)
+        assert f"N=2, L={draws}, T={n_tests}" in err
 
     def test_io_error_exit_code(self):
         rc = main(
@@ -379,6 +393,17 @@ class TestSimulateCommand:
         cfg = self._config(tmp_path, t_grid=[2**64])
         err = _one_error_line(capsys, ["simulate", "--config", str(cfg)])
         assert f"T must be at most 2**63 on a near_constant design, got {2**64}" in err
+
+    @pytest.mark.parametrize("kind", ["ncc", "ccw"])
+    def test_refuses_a_design_past_the_entry_cap(self, tmp_path, capsys, kind):
+        n_tests = 2**62
+        cfg = self._config(
+            tmp_path, t_grid=[n_tests], designs=[{"kind": kind, "nu": 0.69}], k=1
+        )
+        start = time.perf_counter()
+        err = _one_error_line(capsys, ["simulate", "--config", str(cfg)])
+        assert time.perf_counter() - start < 1
+        assert f"N=20, L={round(0.69 * n_tests)}, T={n_tests}" in err
 
     def test_unsatisfiable_grid_invalid(self, tmp_path):
         cfg = self._config(tmp_path, t_grid=[10, 5])

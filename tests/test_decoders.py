@@ -26,6 +26,7 @@ from grouptest import (
     gen_exact_constant,
     gen_near_constant,
     is_satisfying,
+    model,
     possible_defectives,
     run_tests,
     sample_defective_set,
@@ -451,6 +452,34 @@ class TestKeptPdAnswer:
             for other, _ in cases:
                 assert is_satisfying(d, y, other.items) == is_satisfying(fresh, y, other.items)
                 assert is_satisfying(d, y, other.items) == (other == truth)
+
+    def test_solo_tests_found_once_per_answer(self, monkeypatch):
+        # the answer's solo tests serve DD, SCOMP, SSS and the item stats; the
+        # stats' own pass over the defectives' masks is the one other call
+        calls = []
+        others_unions = model.others_unions
+
+        def counted(masks):
+            calls.append(len(masks))
+            return others_unions(masks)
+
+        monkeypatch.setattr(model, "others_unions", counted)
+        for idx in range(40):
+            inst = fuzz_instance(2024, idx, n_max=50, k_max=8, t_max=40)
+            d, y = inst.design, inst.outcome
+            answer = d.pd(y)
+            calls.clear()
+            for alg in ALGORITHMS:
+                decode(alg, d, y)
+            compute_item_stats(d, inst.truth, y)
+            assert calls == [len(answer.masks), inst.truth.k]
+            rows = d.rows()
+            pd_at = [sum(t in rows[i] for i in answer.items) for t in range(d.n_tests)]
+            positive = [t for t, bit in enumerate(y.bits) if bit]
+            assert answer.solo == tuple(
+                sum(1 << b for b, t in enumerate(positive) if t in rows[i] and pd_at[t] == 1)
+                for i in answer.items
+            )
 
 
 class TestOutcomeLength:

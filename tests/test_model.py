@@ -1,6 +1,7 @@
 """Designs, defective sets, outcomes, and per-item counts."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -30,7 +31,12 @@ from grouptest import (
     run_tests,
     sample_defective_set,
 )
-from grouptest.model import KIND_BERNOULLI, KIND_EXACT_CONSTANT, KIND_NEAR_CONSTANT
+from grouptest.model import (
+    KIND_BERNOULLI,
+    KIND_EXACT_CONSTANT,
+    KIND_NEAR_CONSTANT,
+    MAX_WEIGHT_ENTRIES,
+)
 from grouptest.verify import fuzz_instance
 
 LN2 = math.log(2)
@@ -428,6 +434,31 @@ class TestGenerateDesign:
         # nu is only recorded, but the record must stay valid JSON
         with pytest.raises(ValueError, match="nu must be positive and finite"):
             generate_design(kind, 5, 7, 0, replace(params, nu=nu))
+
+    @pytest.mark.parametrize("kind", [KIND_NEAR_CONSTANT, KIND_EXACT_CONSTANT])
+    @pytest.mark.parametrize(
+        "n_items,draws,n_tests",
+        # N * min(L, T) just past 2**31, with L below and above T
+        [(2**16, 2**15 + 1, 2**16), (2**16 + 1, 2**40, 2**15), (2, 2**62, 2**62)],
+    )
+    def test_refuses_a_weight_design_past_the_entry_cap(self, kind, n_items, draws, n_tests):
+        if kind == KIND_EXACT_CONSTANT:
+            draws = min(draws, n_tests)
+        # refused before any draw: nothing near the cap is allocated
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"N={n_items}, L={draws}, T={n_tests}"):
+                generate_design(kind, n_items, n_tests, 0, DesignParams(draws=draws))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_cap_counts_entries_not_draws(self):
+        # L far above T is fine at small N
+        assert MAX_WEIGHT_ENTRIES == 2**31
+        d = generate_design(KIND_NEAR_CONSTANT, 3, 4, 0, DesignParams(draws=2**40))
+        assert d.rows() == [[0, 1, 2, 3]] * 3
 
 
 def _design_from_columns(n_tests, columns):
