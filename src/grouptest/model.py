@@ -30,8 +30,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from itertools import chain, repeat
 
 import numpy as np
@@ -306,20 +305,19 @@ class PossibleDefectives:
     Bit b of a mask is the b-th positive test, and ``all_positive`` has a bit
     per positive test. A PD item is in positive tests only, so its mask holds
     all its tests in fewer Python-int digits than a mask over all T tests.
+    ``solo`` holds, per mask, its tests that no other PD mask holds; it is
+    found once with the answer, so DD, SCOMP, SSS and
+    :func:`compute_item_stats` on one outcome share one pass.
     """
 
     items: tuple[int, ...]
     masks: tuple[int, ...]
     all_positive: int
+    solo: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def solo(self) -> tuple[int, ...]:
-        """Per mask, its tests that no other PD mask holds.
-
-        Found on first use and kept with the answer, so DD, SCOMP, SSS and
-        :func:`compute_item_stats` on one outcome share one pass.
-        """
-        return tuple(m & ~o for m, o in zip(self.masks, others_unions(self.masks)))
+    def __post_init__(self) -> None:
+        solo = tuple(m & ~o for m, o in zip(self.masks, others_unions(self.masks)))
+        object.__setattr__(self, "solo", solo)
 
 
 def sample_defective_set(n_items: int, k: int, seed: int) -> DefectiveSet:

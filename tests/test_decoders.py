@@ -454,8 +454,8 @@ class TestKeptPdAnswer:
                 assert is_satisfying(d, y, other.items) == (other == truth)
 
     def test_solo_tests_found_once_per_answer(self, monkeypatch):
-        # the answer's solo tests serve DD, SCOMP, SSS and the item stats; the
-        # stats' own pass over the defectives' masks is the one other call
+        # the PD answer's solo tests serve DD, SCOMP, SSS and the item stats;
+        # the stats' own pass over the defectives' masks is the one other call
         calls = []
         others_unions = model.others_unions
 
@@ -467,11 +467,11 @@ class TestKeptPdAnswer:
         for idx in range(40):
             inst = fuzz_instance(2024, idx, n_max=50, k_max=8, t_max=40)
             d, y = inst.design, inst.outcome
-            answer = d.pd(y)
             calls.clear()
             for alg in ALGORITHMS:
                 decode(alg, d, y)
             compute_item_stats(d, inst.truth, y)
+            answer = d.pd(y)
             assert calls == [len(answer.masks), inst.truth.k]
             rows = d.rows()
             pd_at = [sum(t in rows[i] for i in answer.items) for t in range(d.n_tests)]
