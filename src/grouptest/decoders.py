@@ -262,8 +262,9 @@ def sss(
         for neg_gain, j in sorted([(-(cover[j] & uncovered).bit_count(), j) for j in branch_items]):
             left = count + neg_gain
             if not left:
-                # the first completion is smaller than the incumbent, and
-                # after it no sibling can do better
+                # the first completion has fewer items than the incumbent;
+                # the later ones are lexicographically larger, and the other
+                # siblings need more items
                 best = tuple(sorted([*chosen, j]))
                 best_size = len(best)
                 return
