@@ -250,8 +250,6 @@ def phi(j: int, s: float, v: int) -> float:
     alternating and decreasing) is used instead; elsewhere the direct sum is
     numerically benign. Result clamped to [0, 1].
     """
-    if isinstance(s, Fraction):
-        return float(phi_exact(j, s, v))
     _check_phi_args(j, s, v)
     if j == 0:
         return 1.0

@@ -75,10 +75,7 @@ class EvalRecord:
 def _explained_pd(design: TestDesign, outcome: OutcomeVector) -> model.PossibleDefectives:
     """The design's PD answer for `outcome`, checked to explain every positive test."""
     answer = design.pd(outcome)
-    union = 0
-    for m in answer.masks:
-        union |= m
-    if union != answer.all_positive:
+    if not answer.explains:
         raise MalformedOutcomeError("positive test with no possible-defective member")
     return answer
 
@@ -89,16 +86,13 @@ def comp(design: TestDesign, outcome: OutcomeVector) -> DecodeResult:
     return DecodeResult("comp", pd, pd)
 
 
-def _definite_defectives(masks: Sequence[int], solo: Sequence[int] | None = None) -> list[int]:
+def _definite_defectives(solo: Sequence[int]) -> list[int]:
     """Positions of the PD masks holding a test no other PD mask holds.
 
     `solo` holds each mask's tests that no other mask holds (a PD answer's
-    :attr:`~model.PossibleDefectives.solo`); without it they are found from
-    `masks`. Every test containing a PD item is positive, so no positivity
-    check is needed.
+    :attr:`~model.PossibleDefectives.solo`). Every test containing a PD item
+    is positive, so no positivity check is needed.
     """
-    if solo is None:
-        solo = [m & ~o for m, o in zip(masks, model.others_unions(masks))]
     return [j for j, s in enumerate(solo) if s]
 
 
@@ -106,7 +100,7 @@ def dd(design: TestDesign, outcome: OutcomeVector) -> DecodeResult:
     """Declare PD items that are the sole PD member of some positive test."""
     answer = _explained_pd(design, outcome)
     pd = answer.items
-    definite = tuple(pd[j] for j in _definite_defectives(answer.masks, answer.solo))
+    definite = tuple(pd[j] for j in _definite_defectives(answer.solo))
     return DecodeResult("dd", definite, pd, definite)
 
 
@@ -139,7 +133,7 @@ def scomp(design: TestDesign, outcome: OutcomeVector) -> DecodeResult:
     """DD plus greedy cover of the positive tests DD leaves unexplained."""
     answer = _explained_pd(design, outcome)
     pd = answer.items
-    definite = _definite_defectives(answer.masks, answer.solo)
+    definite = _definite_defectives(answer.solo)
     estimate = _scomp_estimate(answer.masks, answer.all_positive, definite)
     return DecodeResult(
         "scomp",
@@ -180,7 +174,7 @@ def sss(
             holders[b] |= 1 << j
             m ^= low
 
-    best = tuple(_scomp_estimate(cover, target, _definite_defectives(cover, answer.solo)))
+    best = tuple(_scomp_estimate(cover, target, _definite_defectives(answer.solo)))
     best_size = len(best)
 
     # each node branches on the first uncovered test in this order: fewest

@@ -57,11 +57,11 @@ _SEED_LIMIT = 1 << 64
 # 10^4 x 384 Bernoulli design took 26 ms in such blocks, 64 ms in 2 MB ones).
 _GEN_BLOCK = 1 << 16
 
-# The most entries (N * min(L, T)) a weight design may be generated with: its
-# index arrays alone take 8 GiB beyond that, and rows of about 10^18 draws
-# would never finish. The largest design the tests, criteria and benchmark
-# build holds 1.7e5.
-MAX_WEIGHT_ENTRIES = 1 << 31
+# The most entries a design may be generated with (N * T cells for
+# Bernoulli, N * min(L, T) for a weight design): its index arrays alone take
+# 8 GiB beyond that, and rows of about 10^18 draws would never finish. The
+# largest design the tests, criteria and benchmark build holds 1.7e5.
+MAX_ENTRIES = 1 << 31
 
 
 def is_integer(value: object) -> bool:
@@ -305,19 +305,24 @@ class PossibleDefectives:
     Bit b of a mask is the b-th positive test, and ``all_positive`` has a bit
     per positive test. A PD item is in positive tests only, so its mask holds
     all its tests in fewer Python-int digits than a mask over all T tests.
-    ``solo`` holds, per mask, its tests that no other PD mask holds; it is
-    found once with the answer, so DD, SCOMP, SSS and
-    :func:`compute_item_stats` on one outcome share one pass.
+    ``solo`` holds, per mask, its tests that no other PD mask holds, and
+    ``explains`` is True iff the masks cover every positive test. Both are
+    found once with the answer, in one pass, so every decoder and
+    :func:`compute_item_stats` on one outcome share it.
     """
 
     items: tuple[int, ...]
     masks: tuple[int, ...]
     all_positive: int
     solo: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    explains: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        solo = tuple(m & ~o for m, o in zip(self.masks, others_unions(self.masks)))
+        others = others_unions(self.masks)
+        solo = tuple(m & ~o for m, o in zip(self.masks, others))
+        union = self.masks[0] | others[0] if self.masks else 0
         object.__setattr__(self, "solo", solo)
+        object.__setattr__(self, "explains", union == self.all_positive)
 
 
 def sample_defective_set(n_items: int, k: int, seed: int) -> DefectiveSet:
@@ -355,9 +360,7 @@ def gen_bernoulli(
     ``np.flatnonzero``: a cell's test is its flat position modulo T, and the
     row pointers count the cells before each multiple of T.
     """
-    params = _checked_params(KIND_BERNOULLI, n_tests, DesignParams(p=p, nu=nu))
-    if n_items < 1 or n_tests < 1:
-        raise ValueError("n_items and n_tests must be positive")
+    params = _checked_params(KIND_BERNOULLI, n_items, n_tests, DesignParams(p=p, nu=nu))
     seed = _check_seed(seed)
     keys = rng.mix64_np(seed, _STREAM_COLUMNS[KIND_BERNOULLI], np.arange(n_items, dtype=np.uint64))
     counters = np.arange(n_tests, dtype=np.uint64)
@@ -393,11 +396,7 @@ def gen_near_constant(
     drawn in column blocks merged into its distinct set, and stops early once
     it holds every test.
     """
-    params = _checked_params(KIND_NEAR_CONSTANT, n_tests, DesignParams(draws=draws, nu=nu))
-    if n_tests < 1:
-        raise ValueError(f"n_tests must be >= 1, got {n_tests}")
-    if n_items < 1:
-        raise ValueError(f"n_items must be >= 1, got {n_items}")
+    params = _checked_params(KIND_NEAR_CONSTANT, n_items, n_tests, DesignParams(draws=draws, nu=nu))
     seed = _check_seed(seed)
     keys = rng.mix64_np(seed, _STREAM_COLUMNS[KIND_NEAR_CONSTANT], np.arange(n_items, dtype=np.uint64))
     dtype = _index_dtype(n_tests)
@@ -448,9 +447,7 @@ def gen_exact_constant(
     n_items: int, n_tests: int, draws: int, seed: int, *, nu: float | None = None
 ) -> TestDesign:
     """Design with a uniform L-subset of tests per item (without replacement)."""
-    params = _checked_params(KIND_EXACT_CONSTANT, n_tests, DesignParams(draws=draws, nu=nu))
-    if n_items < 1:
-        raise ValueError(f"n_items must be >= 1, got {n_items}")
+    params = _checked_params(KIND_EXACT_CONSTANT, n_items, n_tests, DesignParams(draws=draws, nu=nu))
     seed = _check_seed(seed)
     tag = _STREAM_COLUMNS[KIND_EXACT_CONSTANT]
     flat: list[int] = []
@@ -468,18 +465,24 @@ def gen_exact_constant(
 
 
 def _checked_params(
-    kind: str, n_tests: int, params: DesignParams, *, required: bool = True
+    kind: str, n_items: int, n_tests: int, params: DesignParams, *, required: bool = True
 ) -> DesignParams:
-    """`params`, checked against the rules of a `kind` design of `n_tests` tests.
+    """`params`, checked against the rules of a `kind` design of N items, T tests.
 
-    The generators and the JSON loader share these rules. ValueError when
-    `params` carries the other kind's parameter (p for a weight design, L for
-    Bernoulli) or, if `required`, lacks its own; when p lies outside (0, 1);
-    when L is below 1, or above T on an exact-constant design; when T is
-    above 2**63 on a weight design (a test index is a bounded draw); or when
-    nu is given and is not positive and finite.
+    The generators, the lab's config and the JSON loader share these rules.
+    ValueError when N or T is not a positive integer; when `params` carries
+    the other kind's parameter (p for a weight design, L for Bernoulli) or, if
+    `required`, lacks its own; when p lies outside (0, 1); when L is below 1,
+    or above T on an exact-constant design; when T is above 2**63 on a weight
+    design (a test index is a bounded draw); when nu is given and is not
+    positive and finite; or, if `required` (the design is to be generated),
+    when it could hold more than ``MAX_ENTRIES`` entries: N*T for Bernoulli,
+    N*min(L, T) for a weight design.
     """
-    if kind == KIND_BERNOULLI:
+    n_items = _check_size(n_items, "n_items")
+    n_tests = _check_size(n_tests, "n_tests")
+    bernoulli = kind == KIND_BERNOULLI
+    if bernoulli:
         own, other, message = params.p, params.draws, "bernoulli designs take p, not L"
     elif kind in DESIGN_KINDS:
         own, other, message = params.draws, params.p, f"{kind} designs take L, not p"
@@ -487,7 +490,7 @@ def _checked_params(
         raise ValueError(f"unknown design kind {kind!r}")
     if other is not None or (required and own is None):
         raise ValueError(message)
-    if kind != KIND_BERNOULLI and n_tests > rng.BOUND_MAX:
+    if not bernoulli and n_tests > rng.BOUND_MAX:
         raise ValueError(f"T must be at most 2**63 on a {kind} design, got {n_tests}")
     p, draws, nu = params.p, params.draws, params.nu
     if p is not None and not 0.0 < p < 1.0:
@@ -499,6 +502,11 @@ def _checked_params(
     # compared, not passed to math.isfinite, which overflows on a huge JSON integer
     if nu is not None and not 0.0 < nu < math.inf:
         raise ValueError(f"nu must be positive and finite, got {nu}")
+    if required and n_items * (n_tests if bernoulli else min(draws, n_tests)) > MAX_ENTRIES:
+        raise ValueError(
+            f"a {kind} design of N={n_items}, {'p' if bernoulli else 'L'}={own}, T={n_tests} "
+            f"holds more than 2**31 entries"
+        )
     return params
 
 
@@ -507,14 +515,9 @@ def generate_design(
 ) -> TestDesign:
     """Dispatch to the generator for `kind`, which takes p for Bernoulli and
     draws (L) otherwise; ValueError unless `params` carries its kind's
-    parameter and not the other one, with values the kind allows, or when a
-    weight design would hold more than ``MAX_WEIGHT_ENTRIES`` entries."""
-    _checked_params(kind, n_tests, params)
-    if kind != KIND_BERNOULLI and n_items * min(params.draws, n_tests) > MAX_WEIGHT_ENTRIES:
-        raise ValueError(
-            f"a {kind} design of N={n_items}, L={params.draws}, T={n_tests} holds up to "
-            f"N*min(L, T) entries, more than 2**31"
-        )
+    parameter and not the other one, with values the kind allows
+    (`_checked_params`, which each generator applies too)."""
+    _checked_params(kind, n_items, n_tests, params)
     if kind == KIND_BERNOULLI:
         return gen_bernoulli(n_items, n_tests, params.p, seed, nu=params.nu)
     gen = gen_near_constant if kind == KIND_NEAR_CONSTANT else gen_exact_constant
@@ -713,7 +716,7 @@ def design_from_json_dict(obj: dict) -> TestDesign:
         nu=_optional_param(raw_params, "nu", integral=False),
     )
     design = TestDesign(kind, n_items, n_tests, params, seed, columns)
-    _checked_params(kind, design.n_tests, params, required=False)
+    _checked_params(kind, design.n_items, design.n_tests, params, required=False)
     return design
 
 

@@ -136,8 +136,11 @@ class ExperimentConfig:
             raise ValueError("sss_node_budget must be >= 1")
         if not 0 <= self.master_seed < 1 << 64:
             raise ValueError("master_seed must be a 64-bit unsigned integer")
-        for arm in self.designs:  # L = nu*T/K is largest at the last grid point
-            arm.params(self.t_grid[-1], self.k)
+        # N*T and N*min(L, T), with L = nu*T/K, grow with T: each arm's largest
+        # design is at the last grid point, so it is refused before any trial
+        t_max = self.t_grid[-1]
+        for arm in self.designs:
+            model._checked_params(arm.kind, self.n_items, t_max, arm.params(t_max, self.k))
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":

@@ -138,9 +138,14 @@ class TestDesignCommand:
         kind_name = simlab.DESIGN_ALIASES[kind]
         assert f"T must be at most 2**63 on a {kind_name} design, got {n_tests}" in err
 
-    @pytest.mark.parametrize("kind", ["ncc", "ccw"])
-    def test_refuses_a_design_past_the_entry_cap(self, capsys, kind):
-        # L = round(0.69 * 2**62) draws per item would never finish
+    @pytest.mark.parametrize(
+        "kind,param",
+        # L = round(0.69 * 2**62) draws per item would never finish, and
+        # Bernoulli's N * T cells would not fit in memory
+        [("ncc", f"L={round(0.69 * 2**62)}"), ("ccw", f"L={round(0.69 * 2**62)}"),
+         ("bernoulli", "p=0.69")],
+    )
+    def test_refuses_a_design_past_the_entry_cap(self, capsys, kind, param):
         n_tests = 2**62
         start = time.perf_counter()
         err = _one_error_line(
@@ -148,8 +153,7 @@ class TestDesignCommand:
             ["design", "--kind", kind, "--N", "2", "--T", str(n_tests), "--nu", "0.69", "--K", "1"],
         )
         assert time.perf_counter() - start < 1
-        draws = round(0.69 * n_tests)
-        assert f"N=2, L={draws}, T={n_tests}" in err
+        assert f"N=2, {param}, T={n_tests}" in err
 
     def test_io_error_exit_code(self):
         rc = main(
@@ -394,16 +398,23 @@ class TestSimulateCommand:
         err = _one_error_line(capsys, ["simulate", "--config", str(cfg)])
         assert f"T must be at most 2**63 on a near_constant design, got {2**64}" in err
 
-    @pytest.mark.parametrize("kind", ["ncc", "ccw"])
-    def test_refuses_a_design_past_the_entry_cap(self, tmp_path, capsys, kind):
-        n_tests = 2**62
+    @pytest.mark.parametrize(
+        "kind,param",
+        [("ncc", f"L={round(0.69 * 2**62)}"), ("ccw", f"L={round(0.69 * 2**62)}"),
+         ("bernoulli", "p=0.69")],
+    )
+    @pytest.mark.parametrize("t_grid,trials", [([2**62], 25), ([50, 2**62], 10**6)])
+    def test_refuses_a_design_past_the_entry_cap(
+        self, tmp_path, capsys, kind, param, t_grid, trials
+    ):
+        # refused before the first trial, not after every trial at T=50
         cfg = self._config(
-            tmp_path, t_grid=[n_tests], designs=[{"kind": kind, "nu": 0.69}], k=1
+            tmp_path, t_grid=t_grid, designs=[{"kind": kind, "nu": 0.69}], k=1, trials=trials
         )
         start = time.perf_counter()
         err = _one_error_line(capsys, ["simulate", "--config", str(cfg)])
         assert time.perf_counter() - start < 1
-        assert f"N=20, L={round(0.69 * n_tests)}, T={n_tests}" in err
+        assert f"N=20, {param}, T={2**62}" in err
 
     def test_unsatisfiable_grid_invalid(self, tmp_path):
         cfg = self._config(tmp_path, t_grid=[10, 5])

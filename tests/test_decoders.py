@@ -256,7 +256,8 @@ def reference_sss(design, outcome, node_budget):
             m |= 1 << bit_of_test[t]
             items_of_bit[bit_of_test[t]].append(j)
         cover.append(m)
-    best = tuple(_scomp_estimate(cover, target, _definite_defectives(cover)))
+    solo = [m & ~o for m, o in zip(cover, model.others_unions(cover))]
+    best = tuple(_scomp_estimate(cover, target, _definite_defectives(solo)))
     branch_order = [
         (1 << b, items_of_bit[b])
         for b in sorted(range(len(pos_tests)), key=lambda b: (len(items_of_bit[b]), b))

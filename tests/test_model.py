@@ -35,7 +35,7 @@ from grouptest.model import (
     KIND_BERNOULLI,
     KIND_EXACT_CONSTANT,
     KIND_NEAR_CONSTANT,
-    MAX_WEIGHT_ENTRIES,
+    MAX_ENTRIES,
 )
 from grouptest.verify import fuzz_instance
 
@@ -435,20 +435,30 @@ class TestGenerateDesign:
         with pytest.raises(ValueError, match="nu must be positive and finite"):
             generate_design(kind, 5, 7, 0, replace(params, nu=nu))
 
-    @pytest.mark.parametrize("kind", [KIND_NEAR_CONSTANT, KIND_EXACT_CONSTANT])
+    @pytest.mark.parametrize("kind", [KIND_NEAR_CONSTANT, KIND_EXACT_CONSTANT, KIND_BERNOULLI])
     @pytest.mark.parametrize(
         "n_items,draws,n_tests",
-        # N * min(L, T) just past 2**31, with L below and above T
+        # N * min(L, T) just past 2**31, with L below and above T; Bernoulli
+        # takes p = 0.5 instead of L, and its N * T cells pass 2**31 at each
         [(2**16, 2**15 + 1, 2**16), (2**16 + 1, 2**40, 2**15), (2, 2**62, 2**62)],
     )
     def test_refuses_a_weight_design_past_the_entry_cap(self, kind, n_items, draws, n_tests):
-        if kind == KIND_EXACT_CONSTANT:
-            draws = min(draws, n_tests)
-        # refused before any draw: nothing near the cap is allocated
+        if kind == KIND_BERNOULLI:
+            params, shown, gen = DesignParams(p=0.5), "p=0.5", gen_bernoulli
+        else:
+            if kind == KIND_EXACT_CONSTANT:
+                draws = min(draws, n_tests)
+            gen = gen_near_constant if kind == KIND_NEAR_CONSTANT else gen_exact_constant
+            params, shown = DesignParams(draws=draws), f"L={draws}"
+        # refused before any draw, by the dispatch and by the kind's own
+        # generator: nothing near the cap is allocated
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=f"N={n_items}, L={draws}, T={n_tests}"):
-                generate_design(kind, n_items, n_tests, 0, DesignParams(draws=draws))
+            match = f"N={n_items}, {shown}, T={n_tests}"
+            with pytest.raises(ValueError, match=match):
+                generate_design(kind, n_items, n_tests, 0, params)
+            with pytest.raises(ValueError, match=match):
+                gen(n_items, n_tests, params.p or params.draws, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -456,7 +466,7 @@ class TestGenerateDesign:
 
     def test_cap_counts_entries_not_draws(self):
         # L far above T is fine at small N
-        assert MAX_WEIGHT_ENTRIES == 2**31
+        assert MAX_ENTRIES == 2**31
         d = generate_design(KIND_NEAR_CONSTANT, 3, 4, 0, DesignParams(draws=2**40))
         assert d.rows() == [[0, 1, 2, 3]] * 3
 
