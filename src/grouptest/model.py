@@ -515,8 +515,8 @@ def generate_design(
 ) -> TestDesign:
     """Dispatch to the generator for `kind`, which takes p for Bernoulli and
     draws (L) otherwise; ValueError unless `params` carries its kind's
-    parameter and not the other one, with values the kind allows
-    (`_checked_params`, which each generator applies too)."""
+    parameter and not the other one, with values the kind allows, and the
+    design fits ``MAX_ENTRIES`` (`_checked_params`, as in each generator)."""
     _checked_params(kind, n_items, n_tests, params)
     if kind == KIND_BERNOULLI:
         return gen_bernoulli(n_items, n_tests, params.p, seed, nu=params.nu)
