@@ -1,5 +1,6 @@
 """CLI subcommands, file formats, and exit codes."""
 
+import hashlib
 import json
 import math
 import time
@@ -10,11 +11,14 @@ import pytest
 from grouptest import simlab, verify
 from grouptest.cli import main
 from grouptest.model import (
+    DesignParams,
     design_from_json,
     design_to_json,
     design_to_json_dict,
+    gen_bernoulli,
     gen_exact_constant,
     gen_near_constant,
+    generate_design,
 )
 
 LN2 = math.log(2)
@@ -161,6 +165,78 @@ class TestDesignCommand:
              "--out", "/nonexistent/dir/x.json"]
         )
         assert rc == 3
+
+
+def _indented(design) -> bytes:
+    """The bytes `design` must write: json's indent=2 text of the design's dict."""
+    return (json.dumps(design_to_json_dict(design), indent=2) + "\n").encode()
+
+
+def _written(tmp_path, argv) -> bytes:
+    out = tmp_path / "d.json"
+    assert main(["design", *argv, "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+class TestDesignOutputBytes:
+    """`design` writes exactly json.dumps(design_to_json_dict(d), indent=2) + "\\n"."""
+
+    # 3500 rows span more than three of the design encoder's 1024-row blocks
+    @pytest.mark.parametrize(
+        "kind,flag,param",
+        [("bernoulli", "--p=0.05", DesignParams(p=0.05)), ("ncc", "--L=3", DesignParams(draws=3)),
+         ("ccw", "--L=3", DesignParams(draws=3))],
+    )
+    def test_many_rows(self, tmp_path, kind, flag, param):
+        got = _written(tmp_path, ["--kind", kind, "--N", "3500", "--T", "40", flag, "--seed", "3"])
+        want = generate_design(simlab.DESIGN_ALIASES[kind], 3500, 40, 3, param)
+        assert got == _indented(want)
+
+    def test_empty_first_middle_and_last_rows(self, tmp_path):
+        want = gen_bernoulli(12, 8, 0.15, 7)
+        lengths = [len(row) for row in want.rows()]
+        assert lengths[0] == lengths[-1] == 0 and 0 in lengths[1:-1] and max(lengths) >= 3
+        got = _written(tmp_path, ["--kind", "bernoulli", "--N", "12", "--T", "8", "--p", "0.15", "--seed", "7"])
+        assert got == _indented(want)
+
+    def test_every_row_empty(self, tmp_path):
+        want = gen_bernoulli(4, 3, 1e-6, 0)
+        assert want.rows() == [[]] * 4
+        got = _written(tmp_path, ["--kind", "bernoulli", "--N", "4", "--T", "3", "--p", "1e-6", "--seed", "0"])
+        assert got == _indented(want)
+
+    @pytest.mark.parametrize("kind", ["bernoulli", "ncc", "ccw"])
+    def test_one_item(self, tmp_path, kind):
+        got = _written(tmp_path, ["--kind", kind, "--N", "1", "--T", "9", "--nu", repr(LN2), "--K", "1"])
+        want = simlab.build_design(simlab.DesignArm(kind, LN2), 1, 1, 9, 0)
+        assert got == _indented(want)
+
+    def test_stdout_matches_the_file(self, tmp_path, capsys):
+        argv = ["--kind", "ncc", "--N", "2000", "--T", "50", "--L", "4", "--seed", "11"]
+        written = _written(tmp_path, argv)
+        capsys.readouterr()
+        assert main(["design", *argv, "--out", "-"]) == 0
+        assert capsys.readouterr().out.encode() == written
+
+    def test_cli_roundtrip_file_digest_and_memory(self, tmp_path):
+        """The N=10^4, T=384 file the cli-roundtrip benchmark writes first: its
+        bytes are pinned, and writing it keeps the traced peak below 6 MB (the
+        whole indented text held at once took 17 MB)."""
+        out = tmp_path / "d.json"
+        argv = ["design", "--kind", "ncc", "--N", "10000", "--T", "384", "--K", "16",
+                "--nu", repr(LN2), "--seed", str((1 << 24) - 1), "--out", str(out)]
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            rc = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < 6 << 20, peak
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "09fba4c4e3308f33b167665ea34c291f55289ca96ddd63a7bd0fdba1efc49015"
+        )
 
 
 class TestDecodeCommand:
