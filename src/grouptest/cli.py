@@ -137,9 +137,8 @@ def _cmd_design(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     with _open_out(args.out) as out:
-        # streamed: json.dumps would hold every chunk of the indented text
-        # (one per test index) at once, about 9x the file's size
-        json.dump(model.design_to_json_dict(design), out, indent=2)
+        # written a block of rows at a time, never the whole text at once
+        out.writelines(model.design_json_chunks(design, indent=2))
         out.write("\n")
     return EXIT_OK
 

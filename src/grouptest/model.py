@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 
@@ -62,6 +62,10 @@ _GEN_BLOCK = 1 << 16
 # 8 GiB beyond that, and rows of about 10^18 draws would never finish. The
 # largest design the tests, criteria and benchmark build holds 1.7e5.
 MAX_ENTRIES = 1 << 31
+
+# Rows per chunk of design JSON text (:func:`design_json_chunks`): a
+# 10^4-item file is written in ten chunks of about 110 kB.
+_JSON_BLOCK = 1024
 
 
 def is_integer(value: object) -> bool:
@@ -329,12 +333,14 @@ def sample_defective_set(n_items: int, k: int, seed: int) -> DefectiveSet:
     """Uniform K-subset of [0, n_items), by partial Fisher-Yates.
 
     Exactly uniform over all C(n_items, k) subsets and O(k) in time and
-    memory, so large item counts are fine.
+    memory, so large item counts are fine. ValueError unless n_items and k
+    are integers (not bools) with 0 <= k <= n_items.
     """
-    if n_items < 0 or k < 0 or k > n_items:
-        raise ValueError(f"need 0 <= k <= n_items, got k={k}, n_items={n_items}")
+    if not (is_integer(n_items) and is_integer(k) and 0 <= k <= n_items):
+        raise ValueError(f"need integers 0 <= k <= n_items, got k={k!r}, n_items={n_items!r}")
     seed = _check_seed(seed)
-    return DefectiveSet(tuple(_uniform_subset(rng.mix64(seed, _STREAM_DEFECTIVE), n_items, k)))
+    key = rng.mix64(seed, _STREAM_DEFECTIVE)
+    return DefectiveSet(tuple(_uniform_subset(key, int(n_items), int(k))))
 
 
 def _uniform_subset(key: int, n: int, k: int) -> list[int]:
@@ -603,25 +609,23 @@ def others_unions(masks: Sequence[int]) -> list[int]:
 def possible_defectives(design: TestDesign, outcome: OutcomeVector) -> PossibleDefectives:
     """The PD step of COMP: the items in no negative test, with their masks.
 
-    One gather of the outcome over the CSR indices and a running count of
-    negative entries find the PD rows. Their entries, ranked among the
-    positive tests, are OR-ed into whole-byte rows (memory in proportion to
-    the masks, not to PD items x T) and read back by ``int.from_bytes``.
+    One gather of the outcome over the CSR indices and one AND per non-empty
+    row find the PD rows. Their entries, ranked among the positive tests,
+    are OR-ed into whole-byte rows (memory in proportion to the masks, not
+    to PD items x T) and read back by ``int.from_bytes``.
     """
     check_outcome_length(design, outcome)
     positive = np.array(outcome.bits, dtype=bool)
     indptr, indices = design.indptr, design.indices
-    # np.take reads the narrow indices as they are (indexing casts them to
-    # intp first). The count may wrap modulo 2**32, but a row holds fewer
-    # than 2**32 entries, so its two ends still agree iff it has no negative
-    # entry.
-    negatives = np.zeros(indices.shape[0] + 1, dtype=np.uint32)
-    np.add.accumulate(
-        np.take((~positive).view(np.uint8), indices), out=negatives[1:], dtype=np.uint32
-    )
-    is_pd = negatives[indptr[1:]] == negatives[indptr[:-1]]
-    pd = is_pd.nonzero()[0]
     sizes = indptr[1:] - indptr[:-1]
+    # An empty row is in no negative test, so it is PD. Without the empty
+    # rows the starts rise strictly, and each reduceat segment is exactly one
+    # row (the last runs to the end). np.take reads the narrow indices as
+    # they are (indexing casts them to intp first).
+    filled = sizes.nonzero()[0]
+    is_pd = np.ones(design.n_items, dtype=bool)
+    is_pd[filled] = np.logical_and.reduceat(np.take(positive, indices), indptr[filled])
+    pd = is_pd.nonzero()[0]
     positive_tests = positive.nonzero()[0]
     width = positive_tests.shape[0] // 8 + 1  # bytes per mask; the spare byte keeps it positive
     bits = np.searchsorted(positive_tests, indices[np.repeat(is_pd, sizes)])
@@ -662,7 +666,7 @@ def compute_item_stats(
 # -- JSON serialization (the CLI's design export/import format) --
 
 
-def design_to_json_dict(design: TestDesign) -> dict:
+def _json_header(design: TestDesign) -> dict:
     params: dict[str, object] = {"nu": design.params.nu}
     if design.kind == KIND_BERNOULLI:
         params["p"] = design.params.p
@@ -674,12 +678,47 @@ def design_to_json_dict(design: TestDesign) -> dict:
         "T": design.n_tests,
         "params": params,
         "seed": design.seed,
-        "columns": design.rows(),
     }
 
 
+def design_to_json_dict(design: TestDesign) -> dict:
+    return {**_json_header(design), "columns": design.rows()}
+
+
+def design_json_chunks(design: TestDesign, indent: int | None = None) -> Iterator[str]:
+    """The text of ``json.dumps(design_to_json_dict(design), indent=indent)``,
+    in chunks of ``_JSON_BLOCK`` rows, for `indent` None or a number of spaces.
+
+    json writes the header, so its floats, nulls and key order are json's
+    own; the rows are joined from the CSR arrays a block at a time (with an
+    indent, json itself encodes in Python and joins one chunk per index).
+    """
+    head = json.dumps(_json_header(design), indent=indent)
+    if indent is None:
+        yield head[:-1] + ', "columns": ['
+        start, sep, end, between, close = "[", ", ", "]", ", ", "]}"
+    else:
+        pad = " " * indent
+        yield f'{head[:-2]},\n{pad}"columns": [\n{pad * 2}'
+        start, sep, end = f"[\n{pad * 3}", f",\n{pad * 3}", f"\n{pad * 2}]"
+        between, close = f",\n{pad * 2}", f"\n{pad}]\n}}"
+    indptr, indices = design.indptr, design.indices
+    # every test's text once, unless the design has fewer entries than tests
+    text = list(map(str, range(design.n_tests))).__getitem__ if design.n_tests <= indices.shape[0] else str
+    for lo in range(0, design.n_items, _JSON_BLOCK):
+        bounds = indptr[lo : lo + _JSON_BLOCK + 1]
+        texts = list(map(text, indices[bounds[0] : bounds[-1]].tolist()))
+        bounds = (bounds - bounds[0]).tolist()
+        rows = [
+            f"{start}{sep.join(texts[a:b])}{end}" if a < b else "[]"
+            for a, b in zip(bounds, bounds[1:])
+        ]
+        yield (between if lo else "") + between.join(rows)
+    yield close
+
+
 def design_to_json(design: TestDesign) -> str:
-    return json.dumps(design_to_json_dict(design))
+    return "".join(design_json_chunks(design))
 
 
 def _optional_param(raw: dict, key: str, integral: bool) -> float | int | None:

@@ -12,6 +12,7 @@ sampling path independent of the package's counter-based streams.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -456,9 +457,18 @@ def check_determinism() -> CheckResult:
     b = simlab.run_success_curve(cfg)
     design = model.gen_near_constant(50, 20, 4, seed=123)
     regen = model.regenerate_design(design)
-    rt = model.design_from_json(model.design_to_json(design))
-    ok = a.points == b.points and design == regen and design == rt
-    return CheckResult("determinism_and_roundtrip", ok, "repeat runs and JSON round-trip")
+    # both formats: the compact text and the CLI's indented one, each read
+    # back and compared with json's own text of the design's dict
+    texts = {indent: "".join(model.design_json_chunks(design, indent)) for indent in (None, 2)}
+    texts_ok = all(
+        text == json.dumps(model.design_to_json_dict(design), indent=indent)
+        and model.design_from_json(text) == design
+        for indent, text in texts.items()
+    )
+    ok = a.points == b.points and design == regen and texts_ok
+    return CheckResult(
+        "determinism_and_roundtrip", ok, "repeat runs, compact and indented JSON round-trips"
+    )
 
 
 @dataclass

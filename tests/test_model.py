@@ -1,5 +1,6 @@
 """Designs, defective sets, outcomes, and per-item counts."""
 
+import json
 import math
 import tracemalloc
 from dataclasses import replace
@@ -51,9 +52,19 @@ class TestSampleDefectiveSet:
         for seed in (0, 7):
             assert sample_defective_set(3, 3, seed).items == (0, 1, 2)
 
-    def test_rejects_k_above_n(self):
-        with pytest.raises(ValueError):
-            sample_defective_set(4, 5, 0)
+    @pytest.mark.parametrize(
+        "n_items,k",
+        # a float size gave float items ((2.0, 4.0) for 5.5, 2); True read as 1
+        [(4, 5), (4, -1), (-1, 0), (5.5, 2), (5, 2.0), (5, 1.0), (True, 1), (3, True), (3, None)],
+    )
+    def test_rejects_a_bad_size(self, n_items, k):
+        with pytest.raises(ValueError, match="need integers 0 <= k <= n_items"):
+            sample_defective_set(n_items, k, 0)
+
+    def test_numpy_sizes_give_python_items(self):
+        items = sample_defective_set(np.int64(9), np.uint8(3), 4).items
+        assert items == sample_defective_set(9, 3, 4).items
+        assert all(type(i) is int for i in items)
 
     def test_deterministic(self):
         assert sample_defective_set(100, 10, 42) == sample_defective_set(100, 10, 42)
@@ -291,6 +302,35 @@ class TestCsrDesigns:
         d = TestDesign("bernoulli", 4, 10, DesignParams(p=0.5), 0, ((), (9,), (), (0, 3)))
         y = OutcomeVector(tuple(c in (0, 3, 9) for c in range(10)))
         assert possible_defectives(d, y) == PossibleDefectives((0, 1, 2, 3), (0, 0b100, 0, 0b11), 0b111)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ((), (), (1,), (0, 2)),  # empty rows first
+            ((0,), (), (), (1, 2), ()),  # in the middle and at the end
+            ((2,), (1,), (), ()),  # a negative last entry before trailing empty rows
+            ((), (), ()),  # no entries at all
+            ((0, 1, 2), (2,)),
+        ],
+    )
+    def test_pd_rows_match_the_count_definition(self, rows):
+        """An item is PD iff none of its tests is negative; an empty row is PD."""
+        d = TestDesign("bernoulli", len(rows), 3, DesignParams(p=0.5), 0, rows)
+        for bits in range(8):
+            y = OutcomeVector(tuple(bool(bits >> c & 1) for c in range(3)))
+            negatives = [sum(not y.bits[c] for c in row) for row in rows]
+            want = tuple(i for i, count in enumerate(negatives) if count == 0)
+            assert possible_defectives(d, y).items == want
+
+    def test_pd_rows_on_fuzz_designs_with_random_outcomes(self):
+        gen = np.random.default_rng(8)
+        for idx in range(300):
+            d = fuzz_instance(13, idx, n_max=50, k_max=8, t_max=40).design
+            rows = d.rows()
+            for _ in range(2):
+                y = OutcomeVector(tuple(gen.random(d.n_tests) < gen.random()))
+                want = tuple(i for i, row in enumerate(rows) if all(y.bits[c] for c in row))
+                assert possible_defectives(d, y).items == want
 
     @pytest.mark.parametrize("t,dtype", [(256, np.uint8), (257, np.uint16), (70_000, np.uint32)])
     def test_indices_use_narrowest_type(self, t, dtype):
@@ -670,6 +710,28 @@ class TestSerialization:
                 f'{{"kind": "{kind}", "N": 2, "T": 3, "params": {params},'
                 ' "seed": 0, "columns": [[0], [1]]}'
             )
+
+    @pytest.mark.parametrize("indent", [None, 0, 2, 4])
+    def test_chunks_are_json_text(self, indent):
+        """design_json_chunks joins to json's text byte for byte: on 300
+        fuzz-corpus designs of all three kinds, and on rows that are empty
+        first, last or everywhere, a one-item design, tests far past the entry
+        count, and a design of more than three blocks."""
+        blocks = 3 * model._JSON_BLOCK + 5
+        designs = [fuzz_instance(11, idx, n_max=50, k_max=8, t_max=40).design for idx in range(300)]
+        designs += [
+            TestDesign(KIND_BERNOULLI, 4, 3, DesignParams(p=0.1 + 0.2), 0, ([], [0, 2], [1], [])),
+            TestDesign(KIND_BERNOULLI, 3, 5, DesignParams(), 0, ([], [], [])),
+            TestDesign(KIND_NEAR_CONSTANT, 1, 1, DesignParams(draws=1, nu=1e-300), 2**64 - 1, ([0],)),
+            TestDesign(KIND_EXACT_CONSTANT, 2, 2**62, DesignParams(draws=2), 0, ([0, 2**62 - 1], [5, 9])),
+            gen_near_constant(blocks, 30, 2, seed=1, nu=LN2),
+        ]
+        assert {d.kind for d in designs} == set(model.DESIGN_KINDS)
+        for d in designs:
+            want = json.dumps(model.design_to_json_dict(d), indent=indent)
+            assert "".join(model.design_json_chunks(d, indent)) == want
+        # a header, one chunk per block of rows, and the closing brackets
+        assert len(list(model.design_json_chunks(designs[-1], indent))) == 4 + 2
 
     def test_columns_validated_on_load(self):
         with pytest.raises(ValueError):

@@ -3,9 +3,11 @@
 import pytest
 
 from grouptest import analysis as an
+from grouptest import model
 from grouptest.verify import (
     CorpusReport,
     check_coupon_pmf,
+    check_determinism,
     check_structural_invariants,
     check_success_conditions,
 )
@@ -37,3 +39,17 @@ def test_coupon_check_catches_a_drift_in_the_comp_law(monkeypatch, name):
     res = check_coupon_pmf()
     assert not res.ok
     assert name in res.detail
+
+
+def test_determinism_check_reads_the_indented_text(monkeypatch):
+    """Indented text that still loads to the same design, but is not json's
+    bytes (CRLF line ends), fails the check."""
+    assert check_determinism().ok
+    real = model.design_json_chunks
+
+    def crlf(design, indent=None):
+        for chunk in real(design, indent):
+            yield chunk.replace("\n", "\r\n")
+
+    monkeypatch.setattr(model, "design_json_chunks", crlf)
+    assert not check_determinism().ok
