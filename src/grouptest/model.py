@@ -10,7 +10,10 @@ validation. The arrays are the one representation of a design; the PD
 (possible defective) step reads them with an outcome and masks only the PD
 items, over the positive tests (:func:`possible_defectives`), and the design
 keeps that answer for its last outcome (:meth:`TestDesign.pd`).
-``rows()`` lists the arrays' rows. Three random constructions are provided:
+``rows()`` lists the arrays' rows. Design JSON text has one encoder,
+:func:`design_json_chunks`, which joins the rows from the arrays in bounded
+chunks, byte-identical to json's compact or indented text of
+:func:`design_to_json_dict`. Three random constructions are provided:
 
 * ``bernoulli``       -- every (test, item) cell is included independently
                          with probability p.
@@ -63,8 +66,8 @@ _GEN_BLOCK = 1 << 16
 # largest design the tests, criteria and benchmark build holds 1.7e5.
 MAX_ENTRIES = 1 << 31
 
-# Rows per chunk of design JSON text (:func:`design_json_chunks`): a
-# 10^4-item file is written in ten chunks of about 110 kB.
+# Rows per chunk of design JSON text (:func:`design_json_chunks`): the
+# indented 10^4-item, T=384 file is written in ten chunks of about 190 kB.
 _JSON_BLOCK = 1024
 
 
@@ -664,6 +667,8 @@ def compute_item_stats(
 
 
 # -- JSON serialization (the CLI's design export/import format) --
+# One encoder writes design JSON text, design_json_chunks; its text is
+# byte-identical to json.dumps of design_to_json_dict, compact or indented.
 
 
 def _json_header(design: TestDesign) -> dict:
@@ -694,6 +699,8 @@ def design_json_chunks(design: TestDesign, indent: int | None = None) -> Iterato
     indent, json itself encodes in Python and joins one chunk per index).
     """
     head = json.dumps(_json_header(design), indent=indent)
+    # the header less its closing "}" (or "\n}"), then the columns as json
+    # separates them: ", " compact, "," and a newline at each depth indented
     if indent is None:
         yield head[:-1] + ', "columns": ['
         start, sep, end, between, close = "[", ", ", "]", ", ", "]}"
@@ -703,8 +710,11 @@ def design_json_chunks(design: TestDesign, indent: int | None = None) -> Iterato
         start, sep, end = f"[\n{pad * 3}", f",\n{pad * 3}", f"\n{pad * 2}]"
         between, close = f",\n{pad * 2}", f"\n{pad}]\n}}"
     indptr, indices = design.indptr, design.indices
-    # every test's text once, unless the design has fewer entries than tests
-    text = list(map(str, range(design.n_tests))).__getitem__ if design.n_tests <= indices.shape[0] else str
+    # each test's text made once, unless the design has fewer entries than tests
+    if design.n_tests <= indices.shape[0]:
+        text = list(map(str, range(design.n_tests))).__getitem__
+    else:
+        text = str
     for lo in range(0, design.n_items, _JSON_BLOCK):
         bounds = indptr[lo : lo + _JSON_BLOCK + 1]
         texts = list(map(text, indices[bounds[0] : bounds[-1]].tolist()))

@@ -52,6 +52,10 @@ class TestSampleDefectiveSet:
         for seed in (0, 7):
             assert sample_defective_set(3, 3, seed).items == (0, 1, 2)
 
+    def test_rejects_k_above_n(self):
+        with pytest.raises(ValueError):
+            sample_defective_set(4, 5, 0)
+
     @pytest.mark.parametrize(
         "n_items,k",
         # a float size gave float items ((2.0, 4.0) for 5.5, 2); True read as 1
