@@ -399,21 +399,38 @@ def expected_distinct(n_draws: int, n_tests: int) -> float:
 # -- exact COMP success on the near-constant design ---------------------------
 
 
+# The least mass a count keeps in the occupancy recursion's window.
+_PMF_FLOOR = 1e-300
+
+
 def _covered_pmf(n_draws: int, n_tests: int) -> np.ndarray:
     """P(n uniform draws from T hit exactly x distinct tests), x = 0..min(n, T).
 
     One occupancy step per draw, P_{m+1}(x) = P_m(x) x/T + P_m(x-1) (T-x+1)/T,
     in float64: every term is positive, so no digit is lost to cancellation.
+    Each step spans only the window [lo, hi] of counts whose mass is at least
+    ``_PMF_FLOOR``: both ends are trimmed after every draw, and the counts
+    outside are 0. Fewer than n + 2 min(n, T) + 2 trims each drop less than
+    1e-300, so the pmf loses less than 1e-290 of its mass.
     """
     top = min(n_draws, n_tests)
     x = np.arange(top + 1)
     stay = x / n_tests
-    enter = (n_tests - x[1:] + 1) / n_tests
+    enter = (n_tests - x + 1) / n_tests  # enter[x]: from x - 1 counts to x
     pmf = np.zeros(top + 1)
     pmf[0] = 1.0
+    lo = hi = 0
     for _ in range(n_draws):
-        pmf[1:] = pmf[1:] * stay[1:] + pmf[:-1] * enter
-        pmf[0] = 0.0
+        hi = min(hi + 1, top)
+        span = slice(lo + 1, hi + 1)
+        pmf[span] = pmf[span] * stay[span] + pmf[lo:hi] * enter[span]
+        pmf[lo] *= stay[lo]
+        while pmf[lo] < _PMF_FLOOR:
+            pmf[lo] = 0.0
+            lo += 1
+        while pmf[hi] < _PMF_FLOOR:
+            pmf[hi] = 0.0
+            hi -= 1
     return pmf
 
 

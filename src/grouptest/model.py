@@ -119,9 +119,13 @@ class TestDesign:
 
     ``TestDesign(kind, n_items, n_tests, params, seed, columns)`` takes one
     sequence of test indices per item; the generators build the CSR arrays
-    directly through :meth:`from_csr`. Both go through the same validation.
-    The arrays are read-only, so the PD answer the design keeps for its last
-    outcome (:meth:`pd`) stays valid.
+    directly through :meth:`from_csr`. Both go through the same validation:
+    the design rules of `_checked_params` (a known kind, positive sizes, the
+    kind's own parameter or none, each value in its range), the seed, and the
+    arrays. So a design that is built at all, by a generator, by hand or
+    from JSON, is one the JSON loader accepts. The arrays are read-only, so
+    the PD answer the design keeps for its last outcome (:meth:`pd`) stays
+    valid.
     """
 
     __test__ = False  # the name matches pytest's collector; this is not a test
@@ -160,12 +164,9 @@ class TestDesign:
         return design
 
     def _init(self, kind, n_items, n_tests, params, seed, indptr, indices) -> None:
-        if kind not in DESIGN_KINDS:
-            raise ValueError(f"unknown design kind {kind!r}")
+        self.params = _checked_params(kind, n_items, n_tests, params, required=False)
         self.kind = kind
-        self.n_items = _check_size(n_items, "n_items")
-        self.n_tests = _check_size(n_tests, "n_tests")
-        self.params = params
+        self.n_items, self.n_tests = int(n_items), int(n_tests)
         self.seed = _check_seed(seed)
         indptr = np.asarray(indptr)
         indices = np.asarray(indices)
@@ -360,39 +361,44 @@ def _uniform_subset(key: int, n: int, k: int) -> list[int]:
     return sorted(chosen)
 
 
+def _generate(kind, n_items, n_tests, params, seed, width, block_rows) -> TestDesign:
+    """The `kind` design whose rows ``block_rows(keys)`` draws, returning a
+    block's row lengths (an array, or one number for all) and its entries.
+
+    Blocks hold ``max(1, _GEN_BLOCK // width)`` items, about ``_GEN_BLOCK``
+    cells or draws when a row takes `width`. A row depends only on its key,
+    so the blocks never change the design.
+    """
+    seed = _check_seed(seed)
+    keys = rng.mix64_np(seed, _STREAM_COLUMNS[kind], np.arange(n_items, dtype=np.uint64))
+    dtype = _index_dtype(n_tests)
+    lengths = np.empty(n_items, dtype=np.int64)
+    parts = []
+    chunk = max(1, _GEN_BLOCK // width)
+    for lo in range(0, n_items, chunk):
+        lengths[lo : lo + chunk], entries = block_rows(keys[lo : lo + chunk])
+        parts.append(entries.astype(dtype))
+    indptr = np.zeros(n_items + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    return TestDesign.from_csr(kind, n_items, n_tests, params, seed, indptr, np.concatenate(parts))
+
+
 def gen_bernoulli(
     n_items: int, n_tests: int, p: float, seed: int, *, nu: float | None = None
 ) -> TestDesign:
     """Design with every cell included independently with probability p.
 
     A block of rows is decided by `rng.below_np` and read back by one
-    ``np.flatnonzero``: a cell's test is its flat position modulo T, and the
-    row pointers count the cells before each multiple of T.
+    ``np.flatnonzero``: a cell's row and test are its flat position divmod T.
     """
     params = _checked_params(KIND_BERNOULLI, n_items, n_tests, DesignParams(p=p, nu=nu))
-    seed = _check_seed(seed)
-    keys = rng.mix64_np(seed, _STREAM_COLUMNS[KIND_BERNOULLI], np.arange(n_items, dtype=np.uint64))
     counters = np.arange(n_tests, dtype=np.uint64)
-    dtype = _index_dtype(n_tests)
-    indptr = np.zeros(n_items + 1, dtype=np.int64)
-    parts = []
-    chunk = max(1, _GEN_BLOCK // n_tests)
-    row_ends = np.arange(n_tests, (chunk + 1) * n_tests, n_tests)
-    for lo in range(0, n_items, chunk):
-        keys_block = keys[lo : lo + chunk, None]
-        flat = np.flatnonzero(rng.below_np(keys_block, counters, p))
-        ends = row_ends[: keys_block.shape[0]]
-        indptr[lo + 1 : lo + 1 + ends.shape[0]] = np.searchsorted(flat, ends) + indptr[lo]
-        parts.append((flat % n_tests).astype(dtype))
-    return TestDesign.from_csr(
-        KIND_BERNOULLI,
-        n_items,
-        n_tests,
-        params,
-        seed,
-        indptr,
-        np.concatenate(parts),
-    )
+
+    def block_rows(keys):
+        rows, tests = np.divmod(np.flatnonzero(rng.below_np(keys[:, None], counters, p)), n_tests)
+        return np.bincount(rows, minlength=keys.shape[0]), tests
+
+    return _generate(KIND_BERNOULLI, n_items, n_tests, params, seed, n_tests, block_rows)
 
 
 def gen_near_constant(
@@ -401,42 +407,25 @@ def gen_near_constant(
     """Design with L uniform draws per item, with replacement (duplicates collapse).
 
     Rows are drawn a block of at most ``_GEN_BLOCK`` draws at a time, each
-    sorted with its duplicates dropped. A row of more draws than that is
-    drawn in column blocks merged into its distinct set, and stops early once
-    it holds every test.
+    sorted with its duplicates dropped. A row of more draws than that is a
+    block of its own, drawn in column blocks merged into its distinct set,
+    and stops early once it holds every test.
     """
     params = _checked_params(KIND_NEAR_CONSTANT, n_items, n_tests, DesignParams(draws=draws, nu=nu))
-    seed = _check_seed(seed)
-    keys = rng.mix64_np(seed, _STREAM_COLUMNS[KIND_NEAR_CONSTANT], np.arange(n_items, dtype=np.uint64))
-    dtype = _index_dtype(n_tests)
-    if draws > _GEN_BLOCK:
-        rows = [_distinct_draws(key, draws, n_tests) for key in keys]
-        lengths = np.fromiter(map(len, rows), np.int64, n_items)
-        parts = [row.astype(dtype) for row in rows]
-    else:
-        counters = np.arange(draws, dtype=np.uint64)
-        lengths = np.empty(n_items, dtype=np.int64)
-        parts = []
-        chunk = _GEN_BLOCK // draws
-        for lo in range(0, n_items, chunk):
-            picks = rng.bounded_np(keys[lo : lo + chunk, None], counters, n_tests)
-            picks.sort(axis=1)
-            # a sorted draw is kept unless it repeats the one before it in its row
-            keep = np.ones(picks.shape, dtype=bool)
-            np.not_equal(picks[:, 1:], picks[:, :-1], out=keep[:, 1:])
-            parts.append(picks[keep].astype(dtype))
-            lengths[lo : lo + chunk] = np.count_nonzero(keep, axis=1)
-    indptr = np.zeros(n_items + 1, dtype=np.int64)
-    np.cumsum(lengths, out=indptr[1:])
-    return TestDesign.from_csr(
-        KIND_NEAR_CONSTANT,
-        n_items,
-        n_tests,
-        params,
-        seed,
-        indptr,
-        np.concatenate(parts),
-    )
+    counters = np.arange(min(draws, _GEN_BLOCK), dtype=np.uint64)
+
+    def block_rows(keys):
+        if draws > _GEN_BLOCK:  # one item per block
+            row = _distinct_draws(keys[0], draws, n_tests)
+            return row.shape[0], row
+        picks = rng.bounded_np(keys[:, None], counters, n_tests)
+        picks.sort(axis=1)
+        # a sorted draw is kept unless it repeats the one before it in its row
+        keep = np.ones(picks.shape, dtype=bool)
+        np.not_equal(picks[:, 1:], picks[:, :-1], out=keep[:, 1:])
+        return np.count_nonzero(keep, axis=1), picks[keep]
+
+    return _generate(KIND_NEAR_CONSTANT, n_items, n_tests, params, seed, draws, block_rows)
 
 
 def _distinct_draws(key: np.uint64, draws: int, n_tests: int) -> np.ndarray:
@@ -455,22 +444,15 @@ def _distinct_draws(key: np.uint64, draws: int, n_tests: int) -> np.ndarray:
 def gen_exact_constant(
     n_items: int, n_tests: int, draws: int, seed: int, *, nu: float | None = None
 ) -> TestDesign:
-    """Design with a uniform L-subset of tests per item (without replacement)."""
+    """Design with a uniform L-subset of tests per item (without replacement):
+    `_uniform_subset` on each item's key, read a block of items at a time."""
     params = _checked_params(KIND_EXACT_CONSTANT, n_items, n_tests, DesignParams(draws=draws, nu=nu))
-    seed = _check_seed(seed)
-    tag = _STREAM_COLUMNS[KIND_EXACT_CONSTANT]
-    flat: list[int] = []
-    for i in range(n_items):
-        flat.extend(_uniform_subset(rng.mix64(seed, tag, i), n_tests, draws))
-    return TestDesign.from_csr(
-        KIND_EXACT_CONSTANT,
-        n_items,
-        n_tests,
-        params,
-        seed,
-        np.arange(0, n_items * draws + 1, draws, dtype=np.int64),
-        np.array(flat, dtype=_index_dtype(n_tests)),
-    )
+
+    def block_rows(keys):
+        rows = map(_uniform_subset, keys.tolist(), repeat(n_tests), repeat(draws))
+        return draws, np.fromiter(chain.from_iterable(rows), np.int64, keys.shape[0] * draws)
+
+    return _generate(KIND_EXACT_CONSTANT, n_items, n_tests, params, seed, draws, block_rows)
 
 
 def _checked_params(
@@ -478,15 +460,18 @@ def _checked_params(
 ) -> DesignParams:
     """`params`, checked against the rules of a `kind` design of N items, T tests.
 
-    The generators, the lab's config and the JSON loader share these rules.
+    The `TestDesign` constructor applies them with `required` False, so a
+    generated, hand-built or loaded design obeys the same rules; the
+    generators and the lab's config apply them again before any draw.
     ValueError when N or T is not a positive integer; when `params` carries
     the other kind's parameter (p for a weight design, L for Bernoulli) or, if
-    `required`, lacks its own; when p lies outside (0, 1); when L is below 1,
-    or above T on an exact-constant design; when T is above 2**63 on a weight
-    design (a test index is a bounded draw); when nu is given and is not
-    positive and finite; or, if `required` (the design is to be generated),
-    when it could hold more than ``MAX_ENTRIES`` entries: N*T for Bernoulli,
-    N*min(L, T) for a weight design.
+    `required`, lacks its own; when p or nu is not a number or L not an
+    integer (bools are neither); when p lies outside (0, 1); when L is below
+    1, or above T on an exact-constant design; when T is above 2**63 on a
+    weight design (a test index is a bounded draw); when nu is given and is
+    not positive and finite; or, if `required` (the design is to be
+    generated), when it could hold more than ``MAX_ENTRIES`` entries: N*T for
+    Bernoulli, N*min(L, T) for a weight design.
     """
     n_items = _check_size(n_items, "n_items")
     n_tests = _check_size(n_tests, "n_tests")
@@ -502,6 +487,10 @@ def _checked_params(
     if not bernoulli and n_tests > rng.BOUND_MAX:
         raise ValueError(f"T must be at most 2**63 on a {kind} design, got {n_tests}")
     p, draws, nu = params.p, params.draws, params.nu
+    for name, value, integral in (("p", p, False), ("L", draws, True), ("nu", nu, False)):
+        if value is not None and not (is_integer if integral else is_number)(value):
+            kind_of = "an integer" if integral else "a number"
+            raise ValueError(f"params.{name} must be {kind_of} or null, got {value!r}")
     if p is not None and not 0.0 < p < 1.0:
         raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
     if draws is not None and draws < 1:
@@ -731,23 +720,14 @@ def design_to_json(design: TestDesign) -> str:
     return "".join(design_json_chunks(design))
 
 
-def _optional_param(raw: dict, key: str, integral: bool) -> float | int | None:
-    value = raw.get(key)
-    if value is None:
-        return None
-    if not (is_integer if integral else is_number)(value):
-        kind = "an integer" if integral else "a number"
-        raise ValueError(f"params.{key} must be {kind} or null, got {value!r}")
-    return value
-
-
 def design_from_json_dict(obj: dict) -> TestDesign:
     """Load a design object; any malformed field raises ValueError.
 
-    Types are checked, never coerced: sizes and seed must be JSON integers,
-    and every column a list of integers. ``params`` may leave the kind's own
-    parameter null (a hand-written design), but not carry the other kind's,
-    and the values it gives obey the generators' rules (``_checked_params``).
+    Types are checked, never coerced: sizes, seed and L must be JSON
+    integers, p and nu numbers, and every column a list of integers.
+    ``params`` may leave the kind's own parameter null (a hand-written
+    design), but not carry the other kind's; the constructor applies these
+    rules (``_checked_params``).
     """
     if not isinstance(obj, dict):
         raise ValueError("a design must be a JSON object")
@@ -759,14 +739,8 @@ def design_from_json_dict(obj: dict) -> TestDesign:
         raise ValueError(f"malformed design object: missing {exc}") from exc
     if not isinstance(raw_params, dict):
         raise ValueError("params must be a JSON object")
-    params = DesignParams(
-        p=_optional_param(raw_params, "p", integral=False),
-        draws=_optional_param(raw_params, "L", integral=True),
-        nu=_optional_param(raw_params, "nu", integral=False),
-    )
-    design = TestDesign(kind, n_items, n_tests, params, seed, columns)
-    _checked_params(kind, design.n_items, design.n_tests, params, required=False)
-    return design
+    params = DesignParams(p=raw_params.get("p"), draws=raw_params.get("L"), nu=raw_params.get("nu"))
+    return TestDesign(kind, n_items, n_tests, params, seed, columns)
 
 
 def design_from_json(text: str) -> TestDesign:

@@ -451,6 +451,24 @@ class TestCompMaskingLaw:
                 for w, p in enumerate(got):
                     assert abs(p - an.distinct_coupon_pmf(n_draws, n_tests, w)) <= 1e-12
 
+    def test_window_matches_the_full_recursion(self):
+        """2000 draws from 3000 tests: the window drops counts that the full
+        recursion holds below 1e-300 at both ends, and matches it elsewhere."""
+        n_draws, n_tests = 2000, 3000
+        stay = np.arange(n_draws + 1) / n_tests
+        full = np.zeros(n_draws + 1)
+        full[0] = 1.0
+        for _ in range(n_draws):
+            full[1:] = full[1:] * stay[1:] + full[:-1] * (1.0 - stay[:-1])
+            full[0] = 0.0
+        got = an._covered_pmf(n_draws, n_tests)
+        kept = np.flatnonzero(got)
+        lo, hi = kept[0], kept[-1]
+        assert kept.shape[0] == hi - lo + 1
+        for tail in (full[:lo], full[hi + 1 :]):
+            assert 0.0 < tail.max() < 1e-300
+        np.testing.assert_allclose(got, full, rtol=1e-12, atol=1e-290)
+
     def test_reads_no_stirling_table(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("the COMP law reads the float recursion only")

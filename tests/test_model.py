@@ -221,6 +221,27 @@ class TestGenExactConstant:
         with pytest.raises(ValueError):
             gen_exact_constant(3, 4, 5, seed=0)
 
+    @pytest.mark.parametrize("block", [1, 7, 37 * 7])
+    def test_generation_blocks_do_not_change_the_design(self, monkeypatch, block):
+        """Blocks of one item (a block smaller than a row), one item, and all."""
+        whole = gen_exact_constant(37, 29, 7, seed=6)
+        monkeypatch.setattr(model, "_GEN_BLOCK", block)
+        d = gen_exact_constant(37, 29, 7, seed=6)
+        assert d == whole and d.rows() == _ref_exact_constant(37, 29, 7, 6)
+
+    def test_memory_stays_near_the_index_arrays(self):
+        """8 * 10^4 entries over T=1000 take 160 kB as uint16 indices. A block
+        holds at most 2^16 draws, so the traced peak stays below 2 MB; a list
+        of all N*L entries as Python ints peaked at 2.7 MB."""
+        tracemalloc.start()
+        try:
+            d = gen_exact_constant(1600, 1000, 50, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.indices.shape == (80_000,) and d.indices.dtype == np.uint16
+        assert peak < 2 << 20, peak
+
 
 # -- the CSR representation against per-item loops -----------------------------
 # Stream tags 1, 2 and 3 key the Bernoulli, near-constant and exact-constant
@@ -404,6 +425,41 @@ class TestCsrDesigns:
     def test_rejects_non_integer_header(self, n_items, n_tests, seed):
         with pytest.raises(ValueError):
             TestDesign("near_constant", n_items, n_tests, DesignParams(draws=1), seed, ((0,), (1,)))
+
+    @pytest.mark.parametrize(
+        "kind,params",
+        [
+            (KIND_BERNOULLI, DesignParams(p=5.0, draws=7, nu=-1.0)),
+            (KIND_BERNOULLI, DesignParams(p=0.3, draws=1)),  # the other kind's parameter
+            (KIND_NEAR_CONSTANT, DesignParams(p=0.3)),
+            (KIND_EXACT_CONSTANT, DesignParams(p=0.3, draws=1)),
+            (KIND_BERNOULLI, DesignParams(p=5.0)),  # p outside (0, 1)
+            (KIND_BERNOULLI, DesignParams(p=0.0)),
+            (KIND_BERNOULLI, DesignParams(p=1.0)),
+            (KIND_BERNOULLI, DesignParams(p=math.nan)),
+            (KIND_NEAR_CONSTANT, DesignParams(draws=1, nu=-1.0)),  # nu <= 0
+            (KIND_EXACT_CONSTANT, DesignParams(draws=1, nu=0.0)),
+            (KIND_BERNOULLI, DesignParams(p=0.3, nu=-0.5)),
+            (KIND_NEAR_CONSTANT, DesignParams(draws=0)),  # L out of range
+            (KIND_EXACT_CONSTANT, DesignParams(draws=4)),  # L above T = 3
+            (KIND_NEAR_CONSTANT, DesignParams(draws=2.5)),  # values of the wrong type
+            (KIND_NEAR_CONSTANT, DesignParams(draws=True)),
+            (KIND_BERNOULLI, DesignParams(p=0.3, nu=True)),
+            ("poisson", DesignParams(draws=1)),
+        ],
+    )
+    def test_constructors_refuse_what_the_loader_refuses(self, kind, params):
+        """A design whose file the loader refuses cannot be built at all."""
+        with pytest.raises(ValueError):
+            TestDesign(kind, 2, 3, params, 0, [[0], [1]])
+        with pytest.raises(ValueError):
+            TestDesign.from_csr(kind, 2, 3, params, 0, np.array([0, 1, 2]), np.array([0, 1]))
+        raw = {"nu": params.nu}
+        raw.update({"p": params.p} if params.p is not None else {})
+        raw.update({"L": params.draws} if params.draws is not None else {})
+        obj = {"kind": kind, "N": 2, "T": 3, "params": raw, "seed": 0, "columns": [[0], [1]]}
+        with pytest.raises(ValueError):
+            model.design_from_json_dict(obj)
 
     @pytest.mark.parametrize("t", [1, 7, 8, 9, 130])
     def test_outcome_matches_shift_loop(self, t):
@@ -734,6 +790,7 @@ class TestSerialization:
         for d in designs:
             want = json.dumps(model.design_to_json_dict(d), indent=indent)
             assert "".join(model.design_json_chunks(d, indent)) == want
+            assert design_from_json(want) == d
         # a header, one chunk per block of rows, and the closing brackets
         assert len(list(model.design_json_chunks(designs[-1], indent))) == 4 + 2
 
