@@ -408,10 +408,8 @@ def _covered_pmf(n_draws: int, n_tests: int) -> np.ndarray:
 
     One occupancy step per draw, P_{m+1}(x) = P_m(x) x/T + P_m(x-1) (T-x+1)/T,
     in float64: every term is positive, so no digit is lost to cancellation.
-    Each step spans only the window [lo, hi] of counts whose mass is at least
-    ``_PMF_FLOOR``: both ends are trimmed after every draw, and the counts
-    outside are 0. Fewer than n + 2 min(n, T) + 2 trims each drop less than
-    1e-300, so the pmf loses less than 1e-290 of its mass.
+    A step spans only the counts of mass at least ``_PMF_FLOOR``; the rest
+    are 0. Each of the at most 2n trims drops less than 1e-300.
     """
     top = min(n_draws, n_tests)
     x = np.arange(top + 1)

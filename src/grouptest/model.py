@@ -119,13 +119,10 @@ class TestDesign:
 
     ``TestDesign(kind, n_items, n_tests, params, seed, columns)`` takes one
     sequence of test indices per item; the generators build the CSR arrays
-    directly through :meth:`from_csr`. Both go through the same validation:
-    the design rules of `_checked_params` (a known kind, positive sizes, the
-    kind's own parameter or none, each value in its range), the seed, and the
-    arrays. So a design that is built at all, by a generator, by hand or
-    from JSON, is one the JSON loader accepts. The arrays are read-only, so
-    the PD answer the design keeps for its last outcome (:meth:`pd`) stays
-    valid.
+    directly through :meth:`from_csr`. Both go through the same validation,
+    the design rules of `_checked_params` included, so any design that can be
+    built can be saved and loaded again. The arrays are read-only, so the PD
+    answer the design keeps for its last outcome (:meth:`pd`) stays valid.
     """
 
     __test__ = False  # the name matches pytest's collector; this is not a test
@@ -354,21 +351,17 @@ def _uniform_subset(key: int, n: int, k: int) -> list[int]:
     chosen = []
     for r in range(k):
         j = r + rng.bounded_at(key, r, n - r)
-        vr = perm.get(r, r)
-        vj = perm.get(j, j)
-        perm[r], perm[j] = vj, vr
-        chosen.append(vj)
+        # swap places r and j; no later step reads place r, so only j is stored
+        chosen.append(perm.get(j, j))
+        perm[j] = perm.get(r, r)
     return sorted(chosen)
 
 
 def _generate(kind, n_items, n_tests, params, seed, width, block_rows) -> TestDesign:
-    """The `kind` design whose rows ``block_rows(keys)`` draws, returning a
-    block's row lengths (an array, or one number for all) and its entries.
-
-    Blocks hold ``max(1, _GEN_BLOCK // width)`` items, about ``_GEN_BLOCK``
-    cells or draws when a row takes `width`. A row depends only on its key,
-    so the blocks never change the design.
-    """
+    """The `kind` design whose rows ``block_rows(keys)`` draws a block of
+    ``max(1, _GEN_BLOCK // width)`` items at a time, returning their lengths
+    (an array, or one number for all) and entries. A row depends only on its
+    key, so the blocks never change the design."""
     seed = _check_seed(seed)
     keys = rng.mix64_np(seed, _STREAM_COLUMNS[kind], np.arange(n_items, dtype=np.uint64))
     dtype = _index_dtype(n_tests)
@@ -412,13 +405,12 @@ def gen_near_constant(
     and stops early once it holds every test.
     """
     params = _checked_params(KIND_NEAR_CONSTANT, n_items, n_tests, DesignParams(draws=draws, nu=nu))
-    counters = np.arange(min(draws, _GEN_BLOCK), dtype=np.uint64)
 
     def block_rows(keys):
         if draws > _GEN_BLOCK:  # one item per block
             row = _distinct_draws(keys[0], draws, n_tests)
             return row.shape[0], row
-        picks = rng.bounded_np(keys[:, None], counters, n_tests)
+        picks = rng.bounded_np(keys[:, None], np.arange(draws, dtype=np.uint64), n_tests)
         picks.sort(axis=1)
         # a sorted draw is kept unless it repeats the one before it in its row
         keep = np.ones(picks.shape, dtype=bool)
@@ -460,9 +452,8 @@ def _checked_params(
 ) -> DesignParams:
     """`params`, checked against the rules of a `kind` design of N items, T tests.
 
-    The `TestDesign` constructor applies them with `required` False, so a
-    generated, hand-built or loaded design obeys the same rules; the
-    generators and the lab's config apply them again before any draw.
+    Every `TestDesign` obeys them (its constructor passes `required` False);
+    the generators and the lab's config apply them before any draw.
     ValueError when N or T is not a positive integer; when `params` carries
     the other kind's parameter (p for a weight design, L for Bernoulli) or, if
     `required`, lacks its own; when p or nu is not a number or L not an

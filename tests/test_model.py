@@ -454,9 +454,7 @@ class TestCsrDesigns:
             TestDesign(kind, 2, 3, params, 0, [[0], [1]])
         with pytest.raises(ValueError):
             TestDesign.from_csr(kind, 2, 3, params, 0, np.array([0, 1, 2]), np.array([0, 1]))
-        raw = {"nu": params.nu}
-        raw.update({"p": params.p} if params.p is not None else {})
-        raw.update({"L": params.draws} if params.draws is not None else {})
+        raw = {"p": params.p, "L": params.draws, "nu": params.nu}
         obj = {"kind": kind, "N": 2, "T": 3, "params": raw, "seed": 0, "columns": [[0], [1]]}
         with pytest.raises(ValueError):
             model.design_from_json_dict(obj)
