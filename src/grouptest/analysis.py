@@ -415,21 +415,22 @@ def _covered_pmf(n_draws: int, n_tests: int) -> np.ndarray:
     x = np.arange(top + 1)
     stay = x / n_tests
     enter = (n_tests - x + 1) / n_tests  # enter[x]: from x - 1 counts to x
-    pmf = np.zeros(top + 1)
-    pmf[0] = 1.0
-    lo = hi = 0
+    pmf = np.zeros(top + 2)  # pmf[x + 1] = P(x), and pmf[0] = P(-1) stays 0
+    pmf[1] = 1.0
+    lo = hi = 0  # P(x) = 0 outside lo <= x <= hi
     for _ in range(n_draws):
         hi = min(hi + 1, top)
-        span = slice(lo + 1, hi + 1)
-        pmf[span] = pmf[span] * stay[span] + pmf[lo:hi] * enter[span]
-        pmf[lo] *= stay[lo]
-        while pmf[lo] < _PMF_FLOOR:
-            pmf[lo] = 0.0
+        entered = pmf[lo : hi + 1] * enter[lo : hi + 1]
+        window = pmf[lo + 1 : hi + 2]  # a view: updated in place
+        window *= stay[lo : hi + 1]
+        window += entered
+        while pmf.item(lo + 1) < _PMF_FLOOR:
+            pmf[lo + 1] = 0.0
             lo += 1
-        while pmf[hi] < _PMF_FLOOR:
-            pmf[hi] = 0.0
+        while pmf.item(hi + 1) < _PMF_FLOOR:
+            pmf[hi + 1] = 0.0
             hi -= 1
-    return pmf
+    return pmf[1:]
 
 
 def _comp_masking_law(

@@ -456,13 +456,13 @@ def _checked_params(
     the generators and the lab's config apply them before any draw.
     ValueError when N or T is not a positive integer; when `params` carries
     the other kind's parameter (p for a weight design, L for Bernoulli) or, if
-    `required`, lacks its own; when p or nu is not a number or L not an
-    integer (bools are neither); when p lies outside (0, 1); when L is below
-    1, or above T on an exact-constant design; when T is above 2**63 on a
-    weight design (a test index is a bounded draw); when nu is given and is
-    not positive and finite; or, if `required` (the design is to be
-    generated), when it could hold more than ``MAX_ENTRIES`` entries: N*T for
-    Bernoulli, N*min(L, T) for a weight design.
+    `required`, lacks its own; when p is not a number strictly inside (0, 1);
+    when L is not an integer >= 1, or is above T on an exact-constant design;
+    when T is above 2**63 on a weight design (a test index is a bounded
+    draw); when nu is given and is not a positive, finite number; or, if
+    `required` (the design is to be generated), when it could hold more than
+    ``MAX_ENTRIES`` entries: N*T for Bernoulli, N*min(L, T) for a weight
+    design.
     """
     n_items = _check_size(n_items, "n_items")
     n_tests = _check_size(n_tests, "n_tests")
@@ -478,19 +478,16 @@ def _checked_params(
     if not bernoulli and n_tests > rng.BOUND_MAX:
         raise ValueError(f"T must be at most 2**63 on a {kind} design, got {n_tests}")
     p, draws, nu = params.p, params.draws, params.nu
-    for name, value, integral in (("p", p, False), ("L", draws, True), ("nu", nu, False)):
-        if value is not None and not (is_integer if integral else is_number)(value):
-            kind_of = "an integer" if integral else "a number"
-            raise ValueError(f"params.{name} must be {kind_of} or null, got {value!r}")
-    if p is not None and not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
-    if draws is not None and draws < 1:
-        raise ValueError(f"draws must be >= 1, got {draws}")
+    # a bool is neither a number nor an integer here (is_number, is_integer)
+    if p is not None and not (is_number(p) and 0.0 < p < 1.0):
+        raise ValueError(f"p must lie strictly inside (0, 1), got {p!r}")
+    if draws is not None and not (is_integer(draws) and draws >= 1):
+        raise ValueError(f"draws must be an integer >= 1, got {draws!r}")
     if draws is not None and kind == KIND_EXACT_CONSTANT and draws > n_tests:
         raise ValueError(f"draws must not exceed n_tests ({n_tests}), got {draws}")
     # compared, not passed to math.isfinite, which overflows on a huge JSON integer
-    if nu is not None and not 0.0 < nu < math.inf:
-        raise ValueError(f"nu must be positive and finite, got {nu}")
+    if nu is not None and not (is_number(nu) and 0.0 < nu < math.inf):
+        raise ValueError(f"nu must be positive and finite, got {nu!r}")
     if required and n_items * (n_tests if bernoulli else min(draws, n_tests)) > MAX_ENTRIES:
         raise ValueError(
             f"a {kind} design of N={n_items}, {'p' if bernoulli else 'L'}={own}, T={n_tests} "

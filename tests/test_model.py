@@ -223,7 +223,8 @@ class TestGenExactConstant:
 
     @pytest.mark.parametrize("block", [1, 7, 37 * 7])
     def test_generation_blocks_do_not_change_the_design(self, monkeypatch, block):
-        """Blocks of one item (a block smaller than a row), one item, and all."""
+        """A block of one draw and one of a row's 7 both hold one item; 37 * 7
+        draws hold all 37 items."""
         whole = gen_exact_constant(37, 29, 7, seed=6)
         monkeypatch.setattr(model, "_GEN_BLOCK", block)
         d = gen_exact_constant(37, 29, 7, seed=6)
