@@ -36,6 +36,7 @@ and converted to float at the end, the others in floats:
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -403,8 +404,11 @@ def expected_distinct(n_draws: int, n_tests: int) -> float:
 _PMF_FLOOR = 1e-300
 
 
+@functools.lru_cache(maxsize=16)
 def _covered_pmf(n_draws: int, n_tests: int) -> np.ndarray:
-    """P(n uniform draws from T hit exactly x distinct tests), x = 0..min(n, T).
+    """P(n uniform draws from T hit exactly x distinct tests), x = 0..min(n, T),
+    as a read-only array; the 16 last used (n, T) keep theirs, so the
+    success and E[G] at one point share one recursion.
 
     One occupancy step per draw, P_{m+1}(x) = P_m(x) x/T + P_m(x-1) (T-x+1)/T,
     in float64: every term is positive, so no digit is lost to cancellation.
@@ -430,6 +434,7 @@ def _covered_pmf(n_draws: int, n_tests: int) -> np.ndarray:
         while pmf.item(hi + 1) < _PMF_FLOOR:
             pmf[hi + 1] = 0.0
             hi -= 1
+    pmf.flags.writeable = False
     return pmf[1:]
 
 

@@ -25,7 +25,10 @@ chunks, byte-identical to json's compact or indented text of
 
 All randomness is counter-based (see :mod:`grouptest.rng`): column i of a
 design depends only on (seed, kind, i), so columns can be generated in any
-order or concurrently with identical results.
+order or concurrently with identical results. Each kind has one row rule,
+which the generators and :func:`pd_instance` share; :func:`pd_instance`
+draws only the cells that decide which items of one trial are PD items, and
+builds the design over those items.
 """
 
 from __future__ import annotations
@@ -60,6 +63,10 @@ _SEED_LIMIT = 1 << 64
 # 10^4 x 384 Bernoulli design took 26 ms in such blocks, 64 ms in 2 MB ones).
 _GEN_BLOCK = 1 << 16
 
+# Cells per item in the first block of `_drop_negative`; the step doubles
+# after each block.
+_DROP_STEP = 32
+
 # The most entries a design may be generated with (N * T cells for
 # Bernoulli, N * min(L, T) for a weight design): its index arrays alone take
 # 8 GiB beyond that, and rows of about 10^18 draws would never finish. The
@@ -93,10 +100,13 @@ def _check_size(value: int, name: str) -> int:
     return int(value)
 
 
+_INDEX_DTYPES = ((np.uint8, 1 << 8), (np.uint16, 1 << 16), (np.uint32, 1 << 32))
+
+
 def _index_dtype(n_tests: int) -> type[np.integer]:
     """The narrowest unsigned type holding every index of a `n_tests`-test design."""
-    for dtype in (np.uint8, np.uint16, np.uint32):
-        if n_tests <= np.iinfo(dtype).max + 1:
+    for dtype, size in _INDEX_DTYPES:
+        if n_tests <= size:
             return dtype
     return np.uint64
 
@@ -357,41 +367,187 @@ def _uniform_subset(key: int, n: int, k: int) -> list[int]:
     return sorted(chosen)
 
 
-def _generate(kind, n_items, n_tests, params, seed, width, block_rows) -> TestDesign:
-    """The `kind` design whose rows ``block_rows(keys)`` draws a block of
-    ``max(1, _GEN_BLOCK // width)`` items at a time, returning their lengths
-    (an array, or one number for all) and entries. A row depends only on its
-    key, so the blocks never change the design."""
-    seed = _check_seed(seed)
-    keys = rng.mix64_np(seed, _STREAM_COLUMNS[kind], np.arange(n_items, dtype=np.uint64))
+def _item_keys(kind: str, seed: int, items: np.ndarray) -> np.ndarray:
+    """The column streams of `items` in a `kind` design of `seed`."""
+    return rng.mix64_np(seed, _STREAM_COLUMNS[kind], items)
+
+
+def _bernoulli_cells(keys: np.ndarray, tests: np.ndarray, p: float) -> np.ndarray:
+    """Whether each item of `keys` is in each of `tests`: the Bernoulli rule,
+    decided by `rng.below_np` on the cell's word."""
+    return rng.below_np(keys[:, None], tests, p)
+
+
+def _bernoulli_rows(keys: np.ndarray, n_tests: int, p: float):
+    """A block's rows, read back by one ``np.flatnonzero``: a cell's row and
+    test are its flat position divmod T."""
+    cells = _bernoulli_cells(keys, np.arange(n_tests, dtype=np.uint64), p)
+    rows, tests = np.divmod(np.flatnonzero(cells), n_tests)
+    return np.bincount(rows, minlength=keys.shape[0]), tests
+
+
+def _near_constant_draws(keys: np.ndarray, counters: np.ndarray, n_tests: int) -> np.ndarray:
+    """The tests drawn at `counters` by each item of `keys`: the near-constant rule."""
+    return rng.bounded_np(keys[:, None], counters, n_tests)
+
+
+def _near_constant_rows(keys: np.ndarray, n_tests: int, draws: int):
+    """A block's rows, each sorted with its repeats dropped; a row of more
+    than ``_GEN_BLOCK`` draws is a block of its own (`_distinct_draws`)."""
+    if draws > _GEN_BLOCK:  # one item per block
+        row = _distinct_draws(keys[:1], draws, n_tests)
+        return row.shape[0], row
+    picks = _near_constant_draws(keys, np.arange(draws, dtype=np.uint64), n_tests)
+    picks.sort(axis=1)
+    # a sorted draw is kept unless it repeats the one before it in its row
+    keep = np.ones(picks.shape, dtype=bool)
+    np.not_equal(picks[:, 1:], picks[:, :-1], out=keep[:, 1:])
+    return np.count_nonzero(keep, axis=1), picks[keep]
+
+
+def _distinct_draws(key: np.ndarray, draws: int, n_tests: int) -> np.ndarray:
+    """The sorted distinct values of the `draws` draws of the one item of
+    `key`, drawn ``_GEN_BLOCK`` at a time; once the row holds all `n_tests`
+    tests, no later draw can change it."""
+    row = np.empty(0, dtype=np.int64)
+    for lo in range(0, draws, _GEN_BLOCK):
+        counters = np.arange(lo, min(draws, lo + _GEN_BLOCK), dtype=np.uint64)
+        row = np.union1d(row, _near_constant_draws(key, counters, n_tests))
+        if row.shape[0] == n_tests:
+            break
+    return row
+
+
+def _exact_constant_rows(keys: np.ndarray, n_tests: int, draws: int):
+    """A block's rows: `_uniform_subset` on each key."""
+    rows = map(_uniform_subset, keys.tolist(), repeat(n_tests), repeat(draws))
+    return draws, np.fromiter(chain.from_iterable(rows), np.int64, keys.shape[0] * draws)
+
+
+def _csr_rows(kind, keys, n_tests, params) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR arrays of the `kind` rows of `keys`, drawn ``max(1,
+    _GEN_BLOCK // width)`` items at a time (width: cells or draws per row)
+    by the kind's row rule, which returns a block's lengths (an array, or one
+    number for all) and entries. A row depends only on its key, so the
+    blocks never change the rows."""
+    if kind == KIND_BERNOULLI:
+        block_rows, param, width = _bernoulli_rows, params.p, n_tests
+    else:
+        block_rows = _near_constant_rows if kind == KIND_NEAR_CONSTANT else _exact_constant_rows
+        param = width = params.draws
     dtype = _index_dtype(n_tests)
-    lengths = np.empty(n_items, dtype=np.int64)
-    parts = []
+    lengths = np.empty(keys.shape[0], dtype=np.int64)
+    parts = [np.empty(0, dtype=dtype)]
     chunk = max(1, _GEN_BLOCK // width)
-    for lo in range(0, n_items, chunk):
-        lengths[lo : lo + chunk], entries = block_rows(keys[lo : lo + chunk])
+    for lo in range(0, keys.shape[0], chunk):
+        lengths[lo : lo + chunk], entries = block_rows(keys[lo : lo + chunk], n_tests, param)
         parts.append(entries.astype(dtype))
-    indptr = np.zeros(n_items + 1, dtype=np.int64)
+    indptr = np.zeros(keys.shape[0] + 1, dtype=np.int64)
     np.cumsum(lengths, out=indptr[1:])
-    return TestDesign.from_csr(kind, n_items, n_tests, params, seed, indptr, np.concatenate(parts))
+    return indptr, np.concatenate(parts)
+
+
+def _generate(kind, n_items, n_tests, params, seed) -> TestDesign:
+    """The `kind` design of `seed`: every item's row by the kind's rule."""
+    seed = _check_seed(seed)
+    keys = _item_keys(kind, seed, np.arange(n_items, dtype=np.uint64))
+    indptr, indices = _csr_rows(kind, keys, n_tests, params)
+    return TestDesign.from_csr(kind, n_items, n_tests, params, seed, indptr, indices)
+
+
+def pd_instance(
+    kind: str, n_items: int, n_tests: int, params: DesignParams, seed: int, truth: DefectiveSet
+) -> tuple[Instance, tuple[int, ...]]:
+    """The instance of ``generate_design(kind, n_items, n_tests, seed,
+    params)`` and `truth`, restricted to its PD items, and those items.
+
+    The defectives' rows are drawn in full: they fix the outcome. Each
+    nondefective then draws its cells on the negative tests (Bernoulli) or
+    its draws (near-constant) a block at a time, and is dropped at the end
+    of the first block that puts it in a negative test (`_drop_negative`);
+    exact-constant reads whole rows. The survivors' rows are drawn in full.
+    Every cell is the full design's, so the PD items' rows, the outcome and
+    each decoder's estimate mapped back by the item tuple are the full
+    design's. The items are in increasing order, so position tie-breaks see
+    the same masks. The design is over positions (item j is the returned
+    item tuple's j-th), and so is the returned truth. A design has an item,
+    so with no PD item (K = 0 and no empty row) it holds item 0, in full,
+    which the PD step drops.
+    """
+    params = _checked_params(kind, n_items, n_tests, params)
+    seed = _check_seed(seed)
+    if truth.items and truth.items[-1] >= n_items:
+        raise ValueError(f"item {truth.items[-1]} out of range for {n_items} items")
+    keys = _item_keys(kind, seed, np.arange(n_items, dtype=np.uint64))
+    defective = np.array(truth.items, dtype=np.int64)
+    indptr, indices = _csr_rows(kind, keys[defective], n_tests, params)
+    positive = np.zeros(n_tests, dtype=bool)
+    positive[indices] = True
+    others = np.ones(n_items, dtype=bool)
+    others[defective] = False
+    survivors = _drop_negative(kind, keys, others.nonzero()[0], n_tests, params, positive)
+    items = defective
+    if survivors.size or not items.size:
+        items = np.sort(np.concatenate((defective, survivors)))
+        if not items.size:
+            items = np.zeros(1, dtype=np.int64)
+        indptr, indices = _csr_rows(kind, keys[items], n_tests, params)
+    design = TestDesign.from_csr(kind, items.shape[0], n_tests, params, seed, indptr, indices)
+    at = DefectiveSet(tuple(np.searchsorted(items, defective).tolist()))
+    return Instance(design, at, OutcomeVector(tuple(positive.tolist()))), tuple(items.tolist())
+
+
+def _drop_negative(kind, keys, items, n_tests, params, positive) -> np.ndarray:
+    """Those of `items` whose `kind` rows (of stream ``keys[item]``) hold no
+    negative test, in the order given.
+
+    The cells are read in blocks of at most ``_GEN_BLOCK``: each item still
+    in reads its next `step` cells (Bernoulli: its cells on the negative
+    tests; near-constant: its draws), and an item with one in a negative
+    test is out. The step starts at ``_DROP_STEP`` and doubles.
+    Exact-constant reads whole rows by its row rule.
+    """
+    negative = ~positive
+    if not negative.any():
+        return items
+    if kind == KIND_BERNOULLI:
+        tests = negative.nonzero()[0].astype(np.uint64)
+        width, step = tests.shape[0], _DROP_STEP
+
+        def lands(block, lo, hi):
+            return _bernoulli_cells(block, tests[lo:hi], params.p).any(axis=1)
+
+    elif kind == KIND_NEAR_CONSTANT:
+        width, step = params.draws, _DROP_STEP
+
+        def lands(block, lo, hi):
+            draws = _near_constant_draws(block, np.arange(lo, hi, dtype=np.uint64), n_tests)
+            return negative[draws].any(axis=1)
+
+    else:
+        width = step = params.draws
+
+        def lands(block, lo, hi):
+            entries = _exact_constant_rows(block, n_tests, width)[1]
+            return negative[entries].reshape(block.shape[0], width).any(axis=1)
+
+    lo = 0
+    while lo < width and items.size:
+        hi = min(width, lo + step)
+        chunk = max(1, _GEN_BLOCK // (hi - lo))
+        out = [lands(keys[items[a : a + chunk]], lo, hi) for a in range(0, items.shape[0], chunk)]
+        items = items[~np.concatenate(out)]
+        lo, step = hi, min(2 * step, _GEN_BLOCK)
+    return items
 
 
 def gen_bernoulli(
     n_items: int, n_tests: int, p: float, seed: int, *, nu: float | None = None
 ) -> TestDesign:
-    """Design with every cell included independently with probability p.
-
-    A block of rows is decided by `rng.below_np` and read back by one
-    ``np.flatnonzero``: a cell's row and test are its flat position divmod T.
-    """
+    """Design with every cell included independently with probability p
+    (`_bernoulli_cells`), drawn a block of at most ``_GEN_BLOCK`` cells at a time."""
     params = _checked_params(KIND_BERNOULLI, n_items, n_tests, DesignParams(p=p, nu=nu))
-    counters = np.arange(n_tests, dtype=np.uint64)
-
-    def block_rows(keys):
-        rows, tests = np.divmod(np.flatnonzero(rng.below_np(keys[:, None], counters, p)), n_tests)
-        return np.bincount(rows, minlength=keys.shape[0]), tests
-
-    return _generate(KIND_BERNOULLI, n_items, n_tests, params, seed, n_tests, block_rows)
+    return _generate(KIND_BERNOULLI, n_items, n_tests, params, seed)
 
 
 def gen_near_constant(
@@ -405,32 +561,7 @@ def gen_near_constant(
     and stops early once it holds every test.
     """
     params = _checked_params(KIND_NEAR_CONSTANT, n_items, n_tests, DesignParams(draws=draws, nu=nu))
-
-    def block_rows(keys):
-        if draws > _GEN_BLOCK:  # one item per block
-            row = _distinct_draws(keys[0], draws, n_tests)
-            return row.shape[0], row
-        picks = rng.bounded_np(keys[:, None], np.arange(draws, dtype=np.uint64), n_tests)
-        picks.sort(axis=1)
-        # a sorted draw is kept unless it repeats the one before it in its row
-        keep = np.ones(picks.shape, dtype=bool)
-        np.not_equal(picks[:, 1:], picks[:, :-1], out=keep[:, 1:])
-        return np.count_nonzero(keep, axis=1), picks[keep]
-
-    return _generate(KIND_NEAR_CONSTANT, n_items, n_tests, params, seed, draws, block_rows)
-
-
-def _distinct_draws(key: np.uint64, draws: int, n_tests: int) -> np.ndarray:
-    """The sorted distinct values of a row's `draws` draws from stream `key`,
-    drawn ``_GEN_BLOCK`` at a time; once the row holds all `n_tests` tests,
-    no later draw can change it."""
-    row = np.empty(0, dtype=np.int64)
-    for lo in range(0, draws, _GEN_BLOCK):
-        counters = np.arange(lo, min(draws, lo + _GEN_BLOCK), dtype=np.uint64)
-        row = np.union1d(row, rng.bounded_np(key, counters, n_tests))
-        if row.shape[0] == n_tests:
-            break
-    return row
+    return _generate(KIND_NEAR_CONSTANT, n_items, n_tests, params, seed)
 
 
 def gen_exact_constant(
@@ -439,12 +570,7 @@ def gen_exact_constant(
     """Design with a uniform L-subset of tests per item (without replacement):
     `_uniform_subset` on each item's key, read a block of items at a time."""
     params = _checked_params(KIND_EXACT_CONSTANT, n_items, n_tests, DesignParams(draws=draws, nu=nu))
-
-    def block_rows(keys):
-        rows = map(_uniform_subset, keys.tolist(), repeat(n_tests), repeat(draws))
-        return draws, np.fromiter(chain.from_iterable(rows), np.int64, keys.shape[0] * draws)
-
-    return _generate(KIND_EXACT_CONSTANT, n_items, n_tests, params, seed, draws, block_rows)
+    return _generate(KIND_EXACT_CONSTANT, n_items, n_tests, params, seed)
 
 
 def _checked_params(
@@ -454,16 +580,18 @@ def _checked_params(
 
     Every `TestDesign` obeys them (its constructor passes `required` False);
     the generators and the lab's config apply them before any draw.
-    ValueError when N or T is not a positive integer; when `params` carries
-    the other kind's parameter (p for a weight design, L for Bernoulli) or, if
-    `required`, lacks its own; when p is not a number strictly inside (0, 1);
-    when L is not an integer >= 1, or is above T on an exact-constant design;
-    when T is above 2**63 on a weight design (a test index is a bounded
-    draw); when nu is given and is not a positive, finite number; or, if
-    `required` (the design is to be generated), when it could hold more than
-    ``MAX_ENTRIES`` entries: N*T for Bernoulli, N*min(L, T) for a weight
-    design.
+    ValueError when `params` is not a `DesignParams`; when N or T is not a
+    positive integer; when `params` carries the other kind's parameter (p
+    for a weight design, L for Bernoulli) or, if `required`, lacks its own;
+    when p is not a number strictly inside (0, 1); when L is not an integer
+    >= 1, or is above T on an exact-constant design; when T is above 2**63
+    on a weight design (a test index is a bounded draw); when nu is given
+    and is not a positive, finite number; or, if `required` (the design is
+    to be generated), when it could hold more than ``MAX_ENTRIES`` entries:
+    N*T for Bernoulli, N*min(L, T) for a weight design.
     """
+    if not isinstance(params, DesignParams):
+        raise ValueError(f"params must be a DesignParams, got {params!r}")
     n_items = _check_size(n_items, "n_items")
     n_tests = _check_size(n_tests, "n_tests")
     bernoulli = kind == KIND_BERNOULLI

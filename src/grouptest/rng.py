@@ -111,14 +111,12 @@ def mix64_np(*values) -> np.ndarray:
         h = _finalize((h + _GOLDEN + (int(v) & MASK64)) & MASK64)
     else:
         return np.uint64(h)
-    state = np.uint64(h)
+    # the first array's addend, folded in Python ints; array arithmetic wraps
+    # without a warning (only numpy scalars warn)
+    addend = np.uint64((h + _GOLDEN) & MASK64)
     for v in values[lead:]:
-        v = np.asarray(v, dtype=np.uint64)
-        words = np.empty(np.broadcast_shapes(np.shape(state), v.shape), dtype=np.uint64)
-        # uint64 wrap-around is the point; silence numpy's scalar-overflow warning
-        with np.errstate(over="ignore"):
-            np.add(v, state + _NP_GOLDEN, out=words)
-        state = _finalize_np(words)
+        state = _finalize_np(np.add(np.asarray(v, dtype=np.uint64), addend))
+        addend = state + _NP_GOLDEN
     return state
 
 
@@ -126,14 +124,14 @@ def _words_np(keys, counters) -> np.ndarray:
     """The stream words as a fresh uint64 buffer, 0-d for scalar inputs."""
     keys = np.asarray(keys, dtype=np.uint64)
     counters = np.asarray(counters, dtype=np.uint64)
-    words = np.empty(np.broadcast_shapes(keys.shape, counters.shape), dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        # the constant goes onto the smaller operand, before the broadcast
-        if keys.size <= counters.size:
-            np.add(keys + _NP_GOLDEN, counters, out=words)
-        else:
-            np.add(keys, counters + _NP_GOLDEN, out=words)
-    return _finalize_np(words)
+    # Array arithmetic wraps without a warning (only numpy scalars warn), and
+    # the constant goes onto the smaller operand, before the broadcast.
+    if keys.size <= counters.size:
+        words = np.add(keys + _NP_GOLDEN, counters)
+    else:
+        words = np.add(keys, counters + _NP_GOLDEN)
+    # a fresh buffer, an array even for scalar inputs
+    return _finalize_np(np.asarray(words))
 
 
 def unit_np(keys, counters) -> np.ndarray:

@@ -5,6 +5,13 @@ Determinism contract: trial r of design arm a at grid point T runs with seed
 and every decoder in the experiment decodes the *same* instance of that
 trial. Results are therefore bitwise reproducible across machines, execution
 orders, and thread counts; the implementation here is sequential.
+
+The lab decodes each trial's PD-item instance (:func:`pd_trial`): the design
+of :func:`trial_instance` restricted to its possible defectives, drawn
+without the cells that only rule a nondefective out a second time. Every
+decoder reads only the PD items, so the estimates, node counts and counts
+are those of the full design; :func:`trial_instance` builds the full design
+for callers that need it, and the tests hold the two to each other.
 """
 
 from __future__ import annotations
@@ -235,15 +242,39 @@ def trial_instance(
     return model.Instance(design, truth, model.run_tests(design, truth))
 
 
+def pd_trial(
+    arm: DesignArm, n_items: int, k: int, n_tests: int, seed: int
+) -> tuple[model.Instance, tuple[int, ...]]:
+    """The trial of :func:`trial_instance` restricted to its PD items, and
+    those items (`model.pd_instance`): the instance the lab decodes."""
+    truth = model.sample_defective_set(n_items, k, seed)
+    return model.pd_instance(arm.kind, n_items, n_tests, arm.params(n_tests, k), seed, truth)
+
+
+def decode_trial(
+    inst: model.Instance, algs: tuple[str, ...], node_budget: int
+) -> dict[str, dec.DecodeResult | None]:
+    """Each decoder's result on `inst`; None for an SSS search that ran out
+    of its node budget."""
+    results: dict[str, dec.DecodeResult | None] = {}
+    for alg in algs:
+        try:
+            results[alg] = dec.decode(alg, inst.design, inst.outcome, node_budget)
+        except dec.UnresolvedSearchError:
+            results[alg] = None
+    return results
+
+
 def run_success_curve(
     config: ExperimentConfig, *, check_invariants: bool = False
 ) -> SuccessCurve:
     """Empirical exact-recovery probability per (design, decoder, T).
 
-    SSS trials that exhaust the node budget are counted as failures in the
-    estimate and reported in the ``unresolved`` column. With
-    ``check_invariants`` a trial whose estimates break any identity of
-    :func:`decoders.invariant_violations` raises AssertionError (test mode).
+    Each trial decodes its PD-item instance (:func:`pd_trial`). SSS trials
+    that exhaust the node budget are counted as failures in the estimate and
+    reported in the ``unresolved`` column. With ``check_invariants`` a trial
+    whose estimates break any identity of :func:`decoders.invariant_violations`
+    raises AssertionError (test mode).
     """
     counts: dict[tuple[int, str, int], list[int]] = {}
     for arm_id, arm in enumerate(config.designs):
@@ -252,19 +283,16 @@ def run_success_curve(
                 counts[(arm_id, alg, n_tests)] = [0, 0]  # successes, unresolved
             for trial in range(config.trials):
                 seed = trial_seed(config.master_seed, arm_id, n_tests, trial)
-                inst = trial_instance(arm, config.n_items, config.k, n_tests, seed)
-                estimates = {}
-                for alg in config.decoders:
+                inst = pd_trial(arm, config.n_items, config.k, n_tests, seed)[0]
+                results = decode_trial(inst, config.decoders, config.sss_node_budget)
+                for alg, res in results.items():
                     cell = counts[(arm_id, alg, n_tests)]
-                    try:
-                        res = dec.decode(alg, inst.design, inst.outcome, config.sss_node_budget)
-                    except dec.UnresolvedSearchError:
+                    if res is None:
                         cell[1] += 1
-                        continue
-                    estimates[alg] = res.estimate
-                    if dec.evaluate(res, inst.truth).exact:
+                    elif dec.evaluate(res, inst.truth).exact:
                         cell[0] += 1
                 if check_invariants:
+                    estimates = {alg: res.estimate for alg, res in results.items() if res is not None}
                     broken = dec.invariant_violations(inst, estimates)
                     if broken:
                         raise AssertionError(f"trial seed {seed} breaks {broken}")

@@ -443,6 +443,45 @@ def counting_bound_excess(curve: simlab.SuccessCurve) -> tuple[int, list[str]]:
     return checked, failures
 
 
+def check_pd_trials(trials: int = 30) -> CheckResult:
+    """The lab's PD-item trials count what full designs count: its successes
+    and unresolved searches, cell by cell, against each trial's full
+    instance (`simlab.trial_instance`) decoded by the same decoders."""
+    cfg = simlab.ExperimentConfig(
+        n_items=40,
+        k=3,
+        t_grid=(4, 10, 18),
+        designs=tuple(simlab.DesignArm(kind, LN2) for kind in model.DESIGN_KINDS),
+        decoders=dec.ALGORITHMS,
+        trials=trials,
+        master_seed=29,
+        sss_node_budget=20,
+    )
+    curve = simlab.run_success_curve(cfg)
+    mismatches = []
+    for arm_id, arm in enumerate(cfg.designs):
+        for n_tests in cfg.t_grid:
+            counts = {alg: [0, 0] for alg in cfg.decoders}
+            for trial in range(cfg.trials):
+                seed = simlab.trial_seed(cfg.master_seed, arm_id, n_tests, trial)
+                inst = simlab.trial_instance(arm, cfg.n_items, cfg.k, n_tests, seed)
+                for alg, res in simlab.decode_trial(inst, cfg.decoders, cfg.sss_node_budget).items():
+                    if res is None:
+                        counts[alg][1] += 1
+                    elif dec.evaluate(res, inst.truth).exact:
+                        counts[alg][0] += 1
+            for alg, full in counts.items():
+                pt = curve.point(arm.kind, alg, n_tests)
+                if [pt.successes, pt.unresolved] != full:
+                    mismatches.append(f"{arm.kind}/{alg}/T={n_tests}: {pt.successes, pt.unresolved} vs {tuple(full)}")
+    cells = len(curve.points)
+    return CheckResult(
+        "pd_trials_match_full_designs",
+        not mismatches,
+        "; ".join(mismatches) or f"{cells} cells of {trials} trials, successes and unresolved equal",
+    )
+
+
 def check_determinism() -> CheckResult:
     cfg = simlab.ExperimentConfig(
         n_items=30,
@@ -511,6 +550,7 @@ def run_verification(quick: bool = False) -> Verification:
         (check_li_zero_empirical, samples),
         (check_masking_implies_sss_failure, 120 if quick else 300),
         (check_counting_bound_cap, trials),
+        (check_pd_trials, 10 if quick else 30),
         (check_determinism,),
     ]
     return Verification(corpus_n, corpus_seconds, [_timed(*call) for call in checks])

@@ -478,6 +478,22 @@ class TestCompMaskingLaw:
         assert an.comp_success_exact(10_000, 16, 384, 17) == pytest.approx(0.896368, abs=1e-6)
         assert an.comp_masked_mean(10_000, 16, 230, 10) == pytest.approx(10.765064, abs=1e-6)
 
+    def test_success_and_mean_share_one_recursion(self):
+        """Criterion 9's success-and-E[G] pairs run the recursion once per
+        point (a cache miss), with the values the criterion reads."""
+        an._covered_pmf.cache_clear()
+        for n_tests, draws, success, mean in ((384, 17, 0.896368, 0.1109), (230, 10, 0.000911, 10.7651)):
+            assert an.comp_success_exact(10_000, 16, n_tests, draws) == pytest.approx(success, abs=1e-6)
+            assert an.comp_masked_mean(10_000, 16, n_tests, draws) == pytest.approx(mean, abs=1e-4)
+        info = an._covered_pmf.cache_info()
+        assert (info.misses, info.hits) == (2, 2)
+
+    def test_kept_pmf_is_read_only(self):
+        pmf = an._covered_pmf(40, 30)
+        with pytest.raises(ValueError):
+            pmf[0] = 1.0
+        assert an._covered_pmf(40, 30) is pmf
+
     def test_memory_stays_small_at_ten_thousand_items(self):
         """N=10^4, K=100, T=1300, L=9 (900 draws): the big-integer Stirling
         rows up to 900 took a 138 MB traced peak; the recursion holds a few arrays

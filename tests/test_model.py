@@ -460,6 +460,14 @@ class TestCsrDesigns:
         with pytest.raises(ValueError):
             model.design_from_json_dict(obj)
 
+    @pytest.mark.parametrize("params", [None, {"p": 0.3}, (0.3, None, None)])
+    def test_constructors_refuse_params_of_another_type(self, params):
+        """A ValueError naming the record, not an AttributeError on ``.p``."""
+        with pytest.raises(ValueError, match="DesignParams"):
+            TestDesign(KIND_BERNOULLI, 2, 3, params, 0, [[0], [1]])
+        with pytest.raises(ValueError, match="DesignParams"):
+            TestDesign.from_csr(KIND_BERNOULLI, 2, 3, params, 0, np.array([0, 1, 2]), np.array([0, 1]))
+
     @pytest.mark.parametrize("t", [1, 7, 8, 9, 130])
     def test_outcome_matches_shift_loop(self, t):
         for seed in range(5):

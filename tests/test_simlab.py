@@ -2,10 +2,13 @@
 
 import io
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from grouptest import (
     DesignArm,
@@ -18,9 +21,12 @@ from grouptest import (
     li_zero_prob,
     mi_pmf,
     run_success_curve,
+    run_tests,
     wilson_interval,
 )
-from grouptest.simlab import trial_instance, trial_seed
+from grouptest import model
+from grouptest.decoders import ALGORITHMS, DEFAULT_NODE_BUDGET, UnresolvedSearchError, decode
+from grouptest.simlab import pd_trial, trial_instance, trial_seed
 
 LN2 = math.log(2)
 
@@ -252,3 +258,175 @@ class TestCollectItemStats:
         want = li_zero_prob(g, w, j, sample.draws)
         sigma = math.sqrt(max(want * (1 - want), 1e-12) / total)
         assert abs(zeros / total - want) <= 3 * sigma + 0.01
+
+
+def _in_items(items):
+    """Map positions of a design over `items` back to item indices."""
+    return lambda positions: tuple(items[j] for j in positions)
+
+
+def _trial_view(inst, items, node_budget):
+    """What a decode reads of an instance, in item indices: the outcome, the
+    truth, the PD items with their masks and rows, the per-item counts and
+    every decoder's result (or SSS's incumbent and node count when it runs
+    out of budget)."""
+    back = _in_items(items)
+    answer = inst.design.pd(inst.outcome)
+    rows = inst.design.rows()
+    stats = compute_item_stats(inst.design, inst.truth, inst.outcome)
+    decoded = {}
+    for alg in ALGORITHMS:
+        try:
+            res = decode(alg, inst.design, inst.outcome, node_budget)
+        except UnresolvedSearchError as exc:
+            decoded[alg] = ("unresolved", back(exc.best), exc.nodes)
+        else:
+            decoded[alg] = (back(res.estimate), back(res.pd_set), back(res.definite_defectives), res.search_nodes)
+    return {
+        "outcome": inst.outcome.bits,
+        "truth": back(inst.truth.items),
+        "pd": back(answer.items),
+        "masks": (answer.masks, answer.all_positive),
+        "pd_rows": [rows[j] for j in answer.items],
+        "stats": replace(stats, pd_set=back(stats.pd_set)),
+        "decoded": decoded,
+    }
+
+
+def assert_pd_trial_is_the_full_trial(arm, n_items, k, n_tests, seed, node_budget=DEFAULT_NODE_BUDGET):
+    """The lab's PD-item trial reads exactly what the full trial reads, and
+    its design's rows are the full design's rows of its items."""
+    full = trial_instance(arm, n_items, k, n_tests, seed)
+    reduced, items = pd_trial(arm, n_items, k, n_tests, seed)
+    assert list(items) == sorted(set(items))
+    assert reduced.design.rows() == [full.design.rows()[i] for i in items]
+    want = _trial_view(full, range(n_items), node_budget)
+    assert _trial_view(reduced, items, node_budget) == want
+    # the items are the PD items, or item 0 alone when there are none
+    assert items == (want["pd"] or (0,))
+    return full, want
+
+
+KINDS = ("ncc", "bernoulli", "ccw")
+
+
+class TestPdTrial:
+    """`simlab.pd_trial`, the instance the lab decodes, against `trial_instance`."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n_tests", [1, 8, 25, 60, 300])
+    def test_matches_the_full_trial(self, kind, n_tests):
+        for r in range(12):
+            seed = trial_seed(5, 0, n_tests, r)
+            assert_pd_trial_is_the_full_trial(DesignArm(kind, LN2), 120, 4, n_tests, seed)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("step", [1, 3])
+    def test_every_cell_is_read(self, kind, step, monkeypatch):
+        """Elimination blocks of 1 or 3 cells, doubling: many blocks per
+        item, none of which may skip or repeat a cell."""
+        monkeypatch.setattr(model, "_DROP_STEP", step)
+        for r in range(12):
+            seed = trial_seed(7, 0, 40, r)
+            assert_pd_trial_is_the_full_trial(DesignArm(kind, 0.4), 80, 3, 40, seed)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_no_defectives(self, kind):
+        """K = 0: every test is negative; the PD items are the empty rows, and
+        with none the design holds item 0 alone, which the PD step drops."""
+        pads = 0
+        for r in range(40):
+            _, view = assert_pd_trial_is_the_full_trial(DesignArm(kind, 0.5), 6, 0, 3, trial_seed(1, 0, 3, r))
+            pads += not view["pd"]
+        assert pads > 0
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_all_positive_outcomes(self, kind):
+        """No negative test: every item is a PD item."""
+        seen = 0
+        for r in range(30):
+            _, view = assert_pd_trial_is_the_full_trial(DesignArm(kind, 3.0), 14, 6, 4, trial_seed(2, 0, 4, r))
+            seen += all(view["outcome"])
+        assert seen > 0
+
+    def test_empty_bernoulli_rows(self):
+        """p = 0.05 over 4 tests: most rows are empty, so they are PD items."""
+        empty = 0
+        for r in range(30):
+            full, _ = assert_pd_trial_is_the_full_trial(DesignArm("bernoulli", 0.1), 30, 2, 4, trial_seed(3, 0, 4, r))
+            empty += sum(not row for row in full.design.rows())
+        assert empty > 0
+
+    def test_sss_out_of_budget(self):
+        """A budget of 3 nodes: the unresolved searches keep their incumbent
+        and node count."""
+        unresolved = 0
+        for r in range(30):
+            seed = trial_seed(4, 0, 12, r)
+            _, view = assert_pd_trial_is_the_full_trial(DesignArm("ncc", LN2), 60, 5, 12, seed, node_budget=3)
+            unresolved += view["decoded"]["sss"][0] == "unresolved"
+        assert unresolved > 0
+
+    def test_near_constant_row_beyond_one_block(self):
+        """L = _GEN_BLOCK + 5 draws per item: the rows are drawn in blocks and
+        the elimination's step doubles up to a block."""
+        draws = model._GEN_BLOCK + 5
+        params = model.DesignParams(draws=draws)
+        for seed in range(3):
+            truth = model.sample_defective_set(4, 1, seed)
+            full = model.generate_design("near_constant", 4, 3, seed, params)
+            reduced, items = model.pd_instance("near_constant", 4, 3, params, seed, truth)
+            outcome = run_tests(full, truth)
+            assert reduced.outcome == outcome
+            assert items == full.pd(outcome).items
+            assert reduced.design.rows() == [full.rows()[i] for i in items]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_blocks_stay_within_the_generation_block(self, kind, monkeypatch):
+        """With blocks of 64 cells, every draw of the PD trial (rows and
+        elimination alike) holds at most 64 cells, and the trial still
+        matches the full one, drawn in the same blocks."""
+        monkeypatch.setattr(model, "_GEN_BLOCK", 64)
+        sizes = []
+        for name in ("_bernoulli_cells", "_near_constant_draws"):
+            real = getattr(model, name)
+
+            def counted(keys, counters, param, real=real):
+                sizes.append(keys.shape[0] * np.size(counters))
+                return real(keys, counters, param)
+
+            monkeypatch.setattr(model, name, counted)
+        real_rows = model._exact_constant_rows
+
+        def counted_rows(keys, n_tests, draws):
+            sizes.append(keys.shape[0] * draws)
+            return real_rows(keys, n_tests, draws)
+
+        monkeypatch.setattr(model, "_exact_constant_rows", counted_rows)
+        for r in range(6):
+            assert_pd_trial_is_the_full_trial(DesignArm(kind, LN2), 90, 3, 40, trial_seed(6, 0, 40, r))
+        assert sizes and max(sizes) <= 64
+
+    @given(
+        kind=st.sampled_from(KINDS),
+        n_items=st.integers(1, 40),
+        k=st.integers(0, 6),
+        n_tests=st.integers(1, 30),
+        nu=st.floats(0.05, 4.0),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_random_small_configs(self, kind, n_items, k, n_tests, nu, seed):
+        arm = DesignArm(kind, nu)
+        assert_pd_trial_is_the_full_trial(arm, n_items, min(k, n_items), n_tests, seed, node_budget=50)
+
+    def test_the_lab_decodes_the_pd_trial(self, monkeypatch):
+        """run_success_curve builds no full design."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the lab built a full design")
+
+        monkeypatch.setattr(model, "generate_design", refuse)
+        cfg = ExperimentConfig(
+            n_items=40, k=3, t_grid=(6, 12), designs=tuple((kind, LN2) for kind in KINDS),
+            decoders=ALGORITHMS, trials=5, master_seed=1,
+        )
+        run_success_curve(cfg, check_invariants=True)

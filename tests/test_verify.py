@@ -8,6 +8,7 @@ from grouptest.verify import (
     CorpusReport,
     check_coupon_pmf,
     check_determinism,
+    check_pd_trials,
     check_structural_invariants,
     check_success_conditions,
 )
@@ -53,3 +54,23 @@ def test_determinism_check_reads_the_indented_text(monkeypatch):
 
     monkeypatch.setattr(model, "design_json_chunks", crlf)
     assert not check_determinism().ok
+
+
+def test_pd_trial_check_catches_a_trial_that_drops_a_pd_item(monkeypatch):
+    """A PD trial that loses its last PD item (a nondefective, when there is
+    one) changes the counts, and the check names the cells."""
+    assert check_pd_trials(10).ok
+    real = model.pd_instance
+
+    def lossy(kind, n_items, n_tests, params, seed, truth):
+        inst, items = real(kind, n_items, n_tests, params, seed, truth)
+        if items[-1] in truth.items:
+            return inst, items
+        rows = inst.design.rows()[:-1]
+        design = model.TestDesign(kind, len(rows), n_tests, params, seed, rows)
+        return model.Instance(design, inst.truth, inst.outcome), items[:-1]
+
+    monkeypatch.setattr(model, "pd_instance", lossy)
+    res = check_pd_trials(10)
+    assert not res.ok
+    assert "/comp/T=" in res.detail
