@@ -367,9 +367,9 @@ def _uniform_subset(key: int, n: int, k: int) -> list[int]:
     return sorted(chosen)
 
 
-def _item_keys(kind: str, seed: int, items: np.ndarray) -> np.ndarray:
-    """The column streams of `items` in a `kind` design of `seed`."""
-    return rng.mix64_np(seed, _STREAM_COLUMNS[kind], items)
+def _item_keys(kind: str, seed: int, n_items: int) -> np.ndarray:
+    """The column stream of each item of a `kind` design of `seed`."""
+    return rng.mix64_np(seed, _STREAM_COLUMNS[kind], np.arange(n_items, dtype=np.uint64))
 
 
 def _bernoulli_cells(keys: np.ndarray, tests: np.ndarray, p: float) -> np.ndarray:
@@ -450,7 +450,7 @@ def _csr_rows(kind, keys, n_tests, params) -> tuple[np.ndarray, np.ndarray]:
 def _generate(kind, n_items, n_tests, params, seed) -> TestDesign:
     """The `kind` design of `seed`: every item's row by the kind's rule."""
     seed = _check_seed(seed)
-    keys = _item_keys(kind, seed, np.arange(n_items, dtype=np.uint64))
+    keys = _item_keys(kind, seed, n_items)
     indptr, indices = _csr_rows(kind, keys, n_tests, params)
     return TestDesign.from_csr(kind, n_items, n_tests, params, seed, indptr, indices)
 
@@ -478,7 +478,7 @@ def pd_instance(
     seed = _check_seed(seed)
     if truth.items and truth.items[-1] >= n_items:
         raise ValueError(f"item {truth.items[-1]} out of range for {n_items} items")
-    keys = _item_keys(kind, seed, np.arange(n_items, dtype=np.uint64))
+    keys = _item_keys(kind, seed, n_items)
     defective = np.array(truth.items, dtype=np.int64)
     indptr, indices = _csr_rows(kind, keys[defective], n_tests, params)
     positive = np.zeros(n_tests, dtype=bool)

@@ -8,7 +8,7 @@ orders, and thread counts; the implementation here is sequential.
 
 The lab decodes each trial's PD-item instance (:func:`pd_trial`): the design
 of :func:`trial_instance` restricted to its possible defectives, drawn
-without the cells that only rule a nondefective out a second time. Every
+without a nondefective's cells past the block that rules it out. Every
 decoder reads only the PD items, so the estimates, node counts and counts
 are those of the full design; :func:`trial_instance` builds the full design
 for callers that need it, and the tests hold the two to each other.
