@@ -112,12 +112,16 @@ def _load_json(path: str) -> object:
             text = handle.read()
     except OSError as exc:
         raise CliError(f"cannot read {path!r}: {exc}", EXIT_IO) from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path!r} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliError(
             f"invalid JSON in {path!r}: {exc.msg} at line {exc.lineno} column {exc.colno}"
         ) from exc
+    except RecursionError as exc:  # json's decoder recurses once per nested array or object
+        raise CliError(f"invalid JSON in {path!r}: nested too deeply") from exc
 
 
 def _cmd_design(args: argparse.Namespace) -> int:

@@ -26,9 +26,13 @@ chunks, byte-identical to json's compact or indented text of
 All randomness is counter-based (see :mod:`grouptest.rng`): column i of a
 design depends only on (seed, kind, i), so columns can be generated in any
 order or concurrently with identical results. Each kind has one row rule,
-which the generators and :func:`pd_instance` share; :func:`pd_instance`
-draws only the cells that decide which items of one trial are PD items, and
-builds the design over those items.
+which the generators and the lab's trial blocks share. :func:`pd_blocks`
+draws a block of trials at once: the item keys, the defective sets, the
+defectives' rows, which fix the outcomes, only the cells that decide which
+nondefectives are PD items, and those items' rows. It reads each trial's
+COMP and DD success from these arrays (:class:`PdBlock`) and builds a
+trial's design over its PD items on request; :func:`pd_instance` is a block
+of one trial.
 """
 
 from __future__ import annotations
@@ -64,8 +68,11 @@ _SEED_LIMIT = 1 << 64
 _GEN_BLOCK = 1 << 16
 
 # Cells per item in the first block of `_drop_negative`; the step doubles
-# after each block.
-_DROP_STEP = 32
+# after each block. A block of trials shares each step's numpy calls, so a
+# short first step costs few calls and saves cells: a Figure-2 nondefective
+# is out after about 2 near-constant draws or 14 Bernoulli cells, and the
+# fig2 sweep ran about 1.5x the trials/s of a first step of 32.
+_DROP_STEP = 4
 
 # The most entries a design may be generated with (N * T cells for
 # Bernoulli, N * min(L, T) for a weight design): its index arrays alone take
@@ -372,36 +379,54 @@ def _item_keys(kind: str, seed: int, n_items: int) -> np.ndarray:
     return rng.mix64_np(seed, _STREAM_COLUMNS[kind], np.arange(n_items, dtype=np.uint64))
 
 
-def _bernoulli_cells(keys: np.ndarray, tests: np.ndarray, p: float) -> np.ndarray:
-    """Whether each item of `keys` is in each of `tests`: the Bernoulli rule,
-    decided by `rng.below_np` on the cell's word."""
-    return rng.below_np(keys[:, None], tests, p)
+def _bernoulli_cells(keys, tests, p: float) -> np.ndarray:
+    """Whether the item of each key is in the test beside it (the two
+    broadcast): the Bernoulli rule, decided by `rng.below_np` on the cell's
+    word."""
+    return rng.below_np(keys, tests, p)
 
 
-def _bernoulli_rows(keys: np.ndarray, n_tests: int, p: float):
-    """A block's rows, read back by one ``np.flatnonzero``: a cell's row and
-    test are its flat position divmod T."""
-    cells = _bernoulli_cells(keys, np.arange(n_tests, dtype=np.uint64), p)
+def _bernoulli_rows(keys: np.ndarray, n_tests, p: float):
+    """A block's rows over tests 0..T-1. With one T for all, one
+    ``np.flatnonzero`` reads them back (a cell's row and test are its flat
+    position divmod T); with one T per key, the keys' cells lie back to back."""
+    if np.ndim(n_tests):
+        owner = np.repeat(np.arange(keys.shape[0]), n_tests)
+        tests = np.arange(owner.shape[0]) - np.repeat(np.cumsum(n_tests) - n_tests, n_tests)
+        hit = np.flatnonzero(_bernoulli_cells(keys[owner], tests, p))
+        return np.bincount(owner[hit], minlength=keys.shape[0]), tests[hit]
+    cells = _bernoulli_cells(keys[:, None], np.arange(n_tests, dtype=np.uint64), p)
     rows, tests = np.divmod(np.flatnonzero(cells), n_tests)
     return np.bincount(rows, minlength=keys.shape[0]), tests
 
 
-def _near_constant_draws(keys: np.ndarray, counters: np.ndarray, n_tests: int) -> np.ndarray:
-    """The tests drawn at `counters` by each item of `keys`: the near-constant rule."""
-    return rng.bounded_np(keys[:, None], counters, n_tests)
+def _near_constant_draws(keys, counters, n_tests) -> np.ndarray:
+    """The test drawn at each counter by the item of the key beside it, of
+    its T tests (the three broadcast): the near-constant rule."""
+    return rng.bounded_np(keys, counters, n_tests)
 
 
-def _near_constant_rows(keys: np.ndarray, n_tests: int, draws: int):
-    """A block's rows, each sorted with its repeats dropped; a row of more
-    than ``_GEN_BLOCK`` draws is a block of its own (`_distinct_draws`)."""
-    if draws > _GEN_BLOCK:  # one item per block
-        row = _distinct_draws(keys[:1], draws, n_tests)
+def _near_constant_rows(keys: np.ndarray, n_tests, draws):
+    """A block's rows, each sorted with its repeats dropped; T and L are one
+    number for all keys or one per key. A row of more than ``_GEN_BLOCK``
+    draws is a block of its own (`_distinct_draws`)."""
+    per_key = np.ndim(draws) > 0
+    width = int(draws.max()) if per_key else draws
+    if width > _GEN_BLOCK:  # one item per block
+        row = _distinct_draws(keys[:1], width, int(n_tests[0]) if per_key else n_tests)
         return row.shape[0], row
-    picks = _near_constant_draws(keys, np.arange(draws, dtype=np.uint64), n_tests)
+    counters = np.arange(width, dtype=np.uint64)
+    if per_key:
+        picks = _near_constant_draws(keys[:, None], counters, n_tests[:, None])
+        picks[np.arange(width) >= draws[:, None]] = -1  # past a key's L; sorts first
+    else:
+        picks = _near_constant_draws(keys[:, None], counters, n_tests)
     picks.sort(axis=1)
     # a sorted draw is kept unless it repeats the one before it in its row
     keep = np.ones(picks.shape, dtype=bool)
     np.not_equal(picks[:, 1:], picks[:, :-1], out=keep[:, 1:])
+    if per_key:
+        keep &= picks >= 0
     return np.count_nonzero(keep, axis=1), picks[keep]
 
 
@@ -412,35 +437,56 @@ def _distinct_draws(key: np.ndarray, draws: int, n_tests: int) -> np.ndarray:
     row = np.empty(0, dtype=np.int64)
     for lo in range(0, draws, _GEN_BLOCK):
         counters = np.arange(lo, min(draws, lo + _GEN_BLOCK), dtype=np.uint64)
-        row = np.union1d(row, _near_constant_draws(key, counters, n_tests))
+        row = np.union1d(row, _near_constant_draws(key[:, None], counters, n_tests))
         if row.shape[0] == n_tests:
             break
     return row
 
 
-def _exact_constant_rows(keys: np.ndarray, n_tests: int, draws: int):
-    """A block's rows: `_uniform_subset` on each key."""
+def _exact_constant_rows(keys: np.ndarray, n_tests, draws):
+    """A block's rows: `_uniform_subset` on each key; T and L are one number
+    for all keys or one per key."""
+    if np.ndim(draws):
+        rows = map(_uniform_subset, keys.tolist(), n_tests.tolist(), draws.tolist())
+        return draws, np.fromiter(chain.from_iterable(rows), np.int64, int(draws.sum()))
     rows = map(_uniform_subset, keys.tolist(), repeat(n_tests), repeat(draws))
     return draws, np.fromiter(chain.from_iterable(rows), np.int64, keys.shape[0] * draws)
 
 
-def _csr_rows(kind, keys, n_tests, params) -> tuple[np.ndarray, np.ndarray]:
+def _kind_param(kind: str, params: DesignParams):
+    """The parameter a `kind` row rule takes: p, or L."""
+    return params.p if kind == KIND_BERNOULLI else params.draws
+
+
+def _csr_rows(kind, keys, n_tests, param) -> tuple[np.ndarray, np.ndarray]:
     """The CSR arrays of the `kind` rows of `keys`, drawn ``max(1,
-    _GEN_BLOCK // width)`` items at a time (width: cells or draws per row)
-    by the kind's row rule, which returns a block's lengths (an array, or one
-    number for all) and entries. A row depends only on its key, so the
-    blocks never change the rows."""
+    _GEN_BLOCK // width)`` items at a time (width: the most cells or draws
+    of a row) by the kind's row rule, which returns a block's lengths (an
+    array, or one number for all) and entries. `param` is p or L; T, and L,
+    are one number for all keys or one per key (arrays beside `keys`). A row
+    depends only on its key, T and parameter, so the blocks never change the
+    rows."""
     if kind == KIND_BERNOULLI:
-        block_rows, param, width = _bernoulli_rows, params.p, n_tests
+        block_rows = _bernoulli_rows
     else:
         block_rows = _near_constant_rows if kind == KIND_NEAR_CONSTANT else _exact_constant_rows
-        param = width = params.draws
-    dtype = _index_dtype(n_tests)
+    per_key = np.ndim(n_tests) > 0
+    t_max = int(n_tests.max(initial=1)) if per_key else n_tests
+    if kind == KIND_BERNOULLI:
+        width = t_max
+    else:
+        width = int(param.max(initial=1)) if per_key else param
+    dtype = _index_dtype(t_max)
     lengths = np.empty(keys.shape[0], dtype=np.int64)
     parts = [np.empty(0, dtype=dtype)]
     chunk = max(1, _GEN_BLOCK // width)
     for lo in range(0, keys.shape[0], chunk):
-        lengths[lo : lo + chunk], entries = block_rows(keys[lo : lo + chunk], n_tests, param)
+        hi = lo + chunk
+        if per_key:
+            rule_param = param if kind == KIND_BERNOULLI else param[lo:hi]
+            lengths[lo:hi], entries = block_rows(keys[lo:hi], n_tests[lo:hi], rule_param)
+        else:
+            lengths[lo:hi], entries = block_rows(keys[lo:hi], n_tests, param)
         parts.append(entries.astype(dtype))
     indptr = np.zeros(keys.shape[0] + 1, dtype=np.int64)
     np.cumsum(lengths, out=indptr[1:])
@@ -451,94 +497,260 @@ def _generate(kind, n_items, n_tests, params, seed) -> TestDesign:
     """The `kind` design of `seed`: every item's row by the kind's rule."""
     seed = _check_seed(seed)
     keys = _item_keys(kind, seed, n_items)
-    indptr, indices = _csr_rows(kind, keys, n_tests, params)
+    indptr, indices = _csr_rows(kind, keys, n_tests, _kind_param(kind, params))
     return TestDesign.from_csr(kind, n_items, n_tests, params, seed, indptr, indices)
 
 
-def pd_instance(
-    kind: str, n_items: int, n_tests: int, params: DesignParams, seed: int, truth: DefectiveSet
-) -> tuple[Instance, tuple[int, ...]]:
-    """The instance of ``generate_design(kind, n_items, n_tests, seed,
-    params)`` and `truth`, restricted to its PD items, and those items.
+def _uniform_subsets(keys: np.ndarray, n: int, k: int) -> np.ndarray:
+    """`_uniform_subset` on each of `keys`, as the sorted rows of a (keys, k)
+    array: the same Fisher-Yates places, one `rng.bounded_np` call per place
+    over all keys, with each key's places in a row of its own."""
+    places = np.tile(np.arange(n, dtype=np.int64), (keys.shape[0], 1))
+    at = np.arange(keys.shape[0])
+    chosen = np.empty((keys.shape[0], k), dtype=np.int64)
+    for r in range(k):
+        j = rng.bounded_np(keys, np.uint64(r), n - r) + r
+        chosen[:, r] = places[at, j]
+        places[at, j] = places[:, r]
+    chosen.sort(axis=1)
+    return chosen
 
-    The defectives' rows are drawn in full: they fix the outcome. Each
-    nondefective then draws its cells on the negative tests (Bernoulli) or
-    its draws (near-constant) a block at a time, and is dropped at the end
-    of the first block that puts it in a negative test (`_drop_negative`);
-    exact-constant reads whole rows. The survivors' rows are drawn in full.
-    Every cell is the full design's, so the PD items' rows, the outcome and
-    each decoder's estimate mapped back by the item tuple are the full
-    design's. The items are in increasing order, so position tie-breaks see
-    the same masks. The design is over positions (item j is the returned
-    item tuple's j-th), and so is the returned truth. A design has an item,
-    so with no PD item (K = 0 and no empty row) it holds item 0, in full,
-    which the PD step drops.
+
+def _drop_negative(kind, keys, trial, n_tests, param, positive) -> np.ndarray:
+    """The positions of those entries (item stream ``keys[e]`` in trial
+    ``trial[e]``, increasing) whose `kind` rows hold no negative test of
+    their trial, in increasing order.
+
+    `positive` holds each trial's outcome in a row, False past its T;
+    `n_tests` and `param` (p, or L) are per trial. The cells are read in
+    blocks of at most ``_GEN_BLOCK``: each entry still in reads its next
+    `step` cells (Bernoulli: its cells on its trial's negative tests;
+    near-constant: its draws), and an entry with one in a negative test is
+    out. The step starts at ``_DROP_STEP`` and doubles. A block of entries
+    reads as many cells as its widest entry, and each entry's cells past its
+    own width are out of it. Exact-constant reads whole rows by its row rule.
     """
-    params = _checked_params(kind, n_items, n_tests, params)
-    seed = _check_seed(seed)
-    if truth.items and truth.items[-1] >= n_items:
-        raise ValueError(f"item {truth.items[-1]} out of range for {n_items} items")
-    keys = _item_keys(kind, seed, n_items)
-    defective = np.array(truth.items, dtype=np.int64)
-    indptr, indices = _csr_rows(kind, keys[defective], n_tests, params)
-    positive = np.zeros(n_tests, dtype=bool)
-    positive[indices] = True
-    others = np.ones(n_items, dtype=bool)
-    others[defective] = False
-    survivors = _drop_negative(kind, keys, others.nonzero()[0], n_tests, params, positive)
-    items = defective
-    if survivors.size or not items.size:
-        items = np.sort(np.concatenate((defective, survivors)))
-        if not items.size:
-            items = np.zeros(1, dtype=np.int64)
-        indptr, indices = _csr_rows(kind, keys[items], n_tests, params)
-    design = TestDesign.from_csr(kind, items.shape[0], n_tests, params, seed, indptr, indices)
-    at = DefectiveSet(tuple(np.searchsorted(items, defective).tolist()))
-    return Instance(design, at, OutcomeVector(tuple(positive.tolist()))), tuple(items.tolist())
-
-
-def _drop_negative(kind, keys, items, n_tests, params, positive) -> np.ndarray:
-    """Those of `items` whose `kind` rows (of stream ``keys[item]``) hold no
-    negative test, in the order given.
-
-    The cells are read in blocks of at most ``_GEN_BLOCK``: each item still
-    in reads its next `step` cells (Bernoulli: its cells on the negative
-    tests; near-constant: its draws), and an item with one in a negative
-    test is out. The step starts at ``_DROP_STEP`` and doubles.
-    Exact-constant reads whole rows by its row rule.
-    """
+    t_max = positive.shape[1]
     negative = ~positive
-    if not negative.any():
-        return items
+    negative[np.arange(t_max) >= n_tests[:, None]] = False
+    step = _DROP_STEP
     if kind == KIND_BERNOULLI:
-        tests = negative.nonzero()[0].astype(np.uint64)
-        width, step = tests.shape[0], _DROP_STEP
+        # each trial's negative tests, in increasing order, ahead of the rest
+        tests = np.argsort(~negative, axis=1, kind="stable").astype(np.uint64)
+        width = np.count_nonzero(negative, axis=1)[trial]
 
-        def lands(block, lo, hi):
-            return _bernoulli_cells(block, tests[lo:hi], params.p).any(axis=1)
+        def lands(entries, lo, hi):
+            return _bernoulli_cells(keys[entries, None], tests[trial[entries], lo:hi], param)
 
     elif kind == KIND_NEAR_CONSTANT:
-        width, step = params.draws, _DROP_STEP
+        width = param[trial]
+        negative = negative.ravel()
 
-        def lands(block, lo, hi):
-            draws = _near_constant_draws(block, np.arange(lo, hi, dtype=np.uint64), n_tests)
-            return negative[draws].any(axis=1)
+        def lands(entries, lo, hi):
+            at = trial[entries, None]
+            counters = np.arange(lo, hi, dtype=np.uint64)
+            return negative[at * t_max + _near_constant_draws(keys[entries, None], counters, n_tests[at])]
 
     else:
-        width = step = params.draws
+        width = param[trial]
+        step = int(width.max(initial=1))
+        negative = negative.ravel()
 
-        def lands(block, lo, hi):
-            entries = _exact_constant_rows(block, n_tests, width)[1]
-            return negative[entries].reshape(block.shape[0], width).any(axis=1)
+        def lands(entries, lo, hi):
+            at = trial[entries]
+            indptr, rows = _csr_rows(kind, keys[entries], n_tests[at], param[at])
+            cells = negative[np.repeat(at * t_max, width[entries]) + rows]
+            # every row is whole and nonempty: one reduceat segment per entry
+            return np.logical_or.reduceat(cells, indptr[:-1])[:, None]
 
+    alive = np.arange(keys.shape[0])
+    survivors = []
     lo = 0
-    while lo < width and items.size:
-        hi = min(width, lo + step)
-        chunk = max(1, _GEN_BLOCK // (hi - lo))
-        out = [lands(keys[items[a : a + chunk]], lo, hi) for a in range(0, items.shape[0], chunk)]
-        items = items[~np.concatenate(out)]
-        lo, step = hi, min(2 * step, _GEN_BLOCK)
-    return items
+    while alive.size:
+        done = width[alive] <= lo
+        survivors.append(alive[done])
+        alive = alive[~done]
+        chunk = max(1, _GEN_BLOCK // step)
+        hit = []
+        for a in range(0, alive.shape[0], chunk):
+            entries = alive[a : a + chunk]
+            own = width[entries]
+            cells = lands(entries, lo, min(lo + step, int(own.max())))
+            if own.min() < lo + cells.shape[1]:
+                cells &= np.arange(lo, lo + cells.shape[1]) < own[:, None]
+            hit.append(cells.any(axis=1))
+        if hit:
+            alive = alive[~np.concatenate(hit)]
+        lo, step = lo + step, min(2 * step, _GEN_BLOCK)
+    return np.sort(np.concatenate(survivors + [alive]))
+
+
+class PdBlock:
+    """A block of trials of one design arm, reduced to their PD items.
+
+    Trial b has T = ``n_tests[b]``, parameters ``params[b]`` and seed
+    ``seeds[b]``; its design and defective set are those of
+    ``generate_design(kind, n_items, T, seed, params)`` and
+    ``sample_defective_set(n_items, k, seed)``. The block draws them for all
+    its trials at once (:func:`pd_blocks`): the item keys, the defective
+    sets (`_uniform_subsets`), the defectives' rows, which fix the outcomes,
+    the elimination of every nondefective in a negative test of its trial
+    (`_drop_negative`), and the survivors' rows. ``comp_exact[b]`` and
+    ``dd_exact[b]`` read whether COMP and DD recover trial b from these
+    arrays: COMP is exact iff no nondefective survives (G = 0), and DD iff
+    every defective holds a positive test that no other PD item holds
+    (min L_i > 0), the :class:`ItemStats` quantities ``masked_nondefectives``
+    and ``solo_pd_tests``. :meth:`instance` builds a trial's PD-item
+    instance from the same arrays.
+    """
+
+    def __init__(self, kind, n_items, k, n_tests, params, seeds) -> None:
+        self.kind, self.n_items, self.k = kind, n_items, k
+        self.n_tests, self.params, self.seeds = n_tests, params, seeds
+        size = seeds.shape[0]
+        if kind == KIND_BERNOULLI:
+            self._param = params[0].p  # the same at every T
+        else:
+            self._param = np.fromiter((prm.draws for prm in params), np.int64, size)
+        t_max = int(n_tests.max())
+        self._keys = rng.mix64_np(seeds[:, None], _STREAM_COLUMNS[kind], np.arange(n_items, dtype=np.uint64))
+        self._defective = _uniform_subsets(rng.mix64_np(seeds, _STREAM_DEFECTIVE), n_items, k)
+        # the defectives' rows, in (trial, defective) order, fix the outcomes
+        def_trial = np.repeat(np.arange(size), k)
+        self._def_rows = self._rows(self._keys[def_trial, self._defective.ravel()], def_trial)
+        def_cells = self._cells(self._def_rows, def_trial, t_max)
+        positive = np.zeros(size * t_max, dtype=bool)
+        positive[def_cells] = True
+        self._positive = positive.reshape(size, t_max)
+        # every other item of each trial, as its flat position trial * N + item
+        others = np.ones((size, n_items), dtype=bool)
+        others[def_trial, self._defective.ravel()] = False
+        others = others.ravel().nonzero()[0]
+        kept = others[
+            _drop_negative(
+                kind, self._keys.ravel()[others], others // n_items, n_tests, self._param, self._positive
+            )
+        ]
+        self._surv_trial, self._surv_items = np.divmod(kept, n_items)
+        self._surv_rows = self._rows(self._keys.ravel()[kept], self._surv_trial)
+        # G: the survivors per trial; L_i: the positive tests of defective i
+        # that no other PD item holds (each row's tests are distinct)
+        self.comp_exact = np.bincount(self._surv_trial, minlength=size) == 0
+        holders = np.bincount(
+            np.concatenate((def_cells, self._cells(self._surv_rows, self._surv_trial, t_max))),
+            minlength=size * t_max,
+        )
+        solo = np.bincount(
+            np.repeat(np.arange(size * k), np.diff(self._def_rows[0])),
+            weights=holders[def_cells] == 1,
+            minlength=size * k,
+        )
+        self.dd_exact = (solo.reshape(size, k) > 0).all(axis=1)
+
+    def __len__(self) -> int:
+        return self.seeds.shape[0]
+
+    def _rows(self, keys, trial):
+        """The CSR rows of `keys`, each of the trial beside it."""
+        param = self._param if self.kind == KIND_BERNOULLI else self._param[trial]
+        return _csr_rows(self.kind, keys, self.n_tests[trial], param)
+
+    @staticmethod
+    def _cells(rows, trial, t_max) -> np.ndarray:
+        """Each entry of `rows` as the flat position trial * t_max + test."""
+        indptr, indices = rows
+        return np.repeat(trial, np.diff(indptr)) * t_max + indices
+
+    def instance(self, b: int) -> tuple[Instance, tuple[int, ...]]:
+        """Trial b restricted to its PD items, and those items.
+
+        Every cell is the full design's, so the PD items' rows, the outcome
+        and each decoder's estimate mapped back by the item tuple are the
+        full design's. The items are in increasing order, so position
+        tie-breaks see the same masks. The design is over positions (item j
+        is the returned item tuple's j-th), and so is the returned truth. It
+        carries its PD answer, built from the same rows. A design has an
+        item, so with no PD item (K = 0 and no empty row) it holds item 0,
+        in full, which the PD step drops.
+        """
+        n_tests, params, kind, k = int(self.n_tests[b]), self.params[b], self.kind, self.k
+        defective = self._defective[b]
+        lo, hi = np.searchsorted(self._surv_trial, (b, b + 1))
+        items = np.concatenate((defective, self._surv_items[lo:hi]))
+        (d_ptr, d_idx), (s_ptr, s_idx) = self._def_rows, self._surv_rows
+        rows = [d_idx[d_ptr[j] : d_ptr[j + 1]] for j in range(b * k, b * k + k)]
+        rows += [s_idx[s_ptr[j] : s_ptr[j + 1]] for j in range(lo, hi)]
+        order = np.argsort(items)
+        items = items[order]
+        positive_tests = self._positive[b, :n_tests].nonzero()[0]
+        if items.size:
+            rows = [rows[j] for j in order]
+            indptr = np.zeros(items.shape[0] + 1, dtype=np.int64)
+            np.cumsum([row.shape[0] for row in rows], out=indptr[1:])
+            indices = np.concatenate(rows)
+            answer = PossibleDefectives(
+                tuple(range(items.shape[0])),
+                _pd_masks(positive_tests, indices, np.diff(indptr)),
+                (1 << positive_tests.shape[0]) - 1,
+            )
+        else:
+            items = np.zeros(1, dtype=np.int64)
+            indptr, indices = _csr_rows(kind, self._keys[b, :1], n_tests, _kind_param(kind, params))
+            answer = PossibleDefectives((), (), (1 << positive_tests.shape[0]) - 1)
+        seed = int(self.seeds[b])
+        design = TestDesign.from_csr(kind, items.shape[0], n_tests, params, seed, indptr, indices)
+        outcome = OutcomeVector(tuple(self._positive[b, :n_tests].tolist()))
+        design._pd = (outcome.bits, answer)
+        at = DefectiveSet(tuple(np.searchsorted(items, defective).tolist()))
+        return Instance(design, at, outcome), tuple(items.tolist())
+
+
+def pd_blocks(
+    kind: str,
+    n_items: int,
+    k: int,
+    n_tests: Sequence[int],
+    params: Sequence[DesignParams],
+    seeds: Sequence[int],
+) -> Iterator[PdBlock]:
+    """The trials of one `kind` arm, reduced to their PD items, in blocks.
+
+    Trial j has T = ``n_tests[j]``, parameters ``params[j]`` and seed
+    ``seeds[j]``, and K = `k` defectives; Bernoulli trials share one p. A
+    block holds at most ``_GEN_BLOCK // max(N, T)`` consecutive trials, so
+    its item keys and outcomes, like every hashed array of its draws, hold
+    at most ``_GEN_BLOCK`` words. ValueError, before any block is drawn, on
+    parameters no `kind` design of its T may take (`_checked_params`), on a
+    K outside [0, N], on a seed outside 64 bits, or on sequences of unequal
+    lengths.
+    """
+    if not (is_integer(n_items) and is_integer(k) and 0 <= k <= n_items):
+        raise ValueError(f"need integers 0 <= k <= n_items, got k={k!r}, n_items={n_items!r}")
+    n_items, k = int(n_items), int(k)
+    if not len(n_tests) == len(params) == len(seeds):
+        raise ValueError("one T, one params record and one seed required per trial")
+    for t, prm in dict.fromkeys(zip(n_tests, params)):
+        _checked_params(kind, n_items, t, prm)
+    if kind == KIND_BERNOULLI and len({prm.p for prm in params}) > 1:
+        raise ValueError("the trials of a Bernoulli block share one p")
+    n_tests = np.asarray(n_tests, dtype=np.int64)
+    if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64):
+        seeds = np.array([_check_seed(seed) for seed in seeds], dtype=np.uint64)
+    size = max(1, _GEN_BLOCK // max(n_items, int(n_tests.max(initial=1))))
+    return (
+        PdBlock(kind, n_items, k, n_tests[lo : lo + size], params[lo : lo + size], seeds[lo : lo + size])
+        for lo in range(0, seeds.shape[0], size)
+    )
+
+
+def pd_instance(
+    kind: str, n_items: int, n_tests: int, params: DesignParams, seed: int, k: int
+) -> tuple[Instance, tuple[int, ...]]:
+    """The instance of ``generate_design(kind, n_items, n_tests, seed,
+    params)`` and ``sample_defective_set(n_items, k, seed)``, restricted to
+    its PD items, and those items: a block of one trial
+    (:meth:`PdBlock.instance`)."""
+    return next(pd_blocks(kind, n_items, k, [n_tests], [params], [seed])).instance(0)
 
 
 def gen_bernoulli(
@@ -718,9 +930,8 @@ def possible_defectives(design: TestDesign, outcome: OutcomeVector) -> PossibleD
     """The PD step of COMP: the items in no negative test, with their masks.
 
     One gather of the outcome over the CSR indices and one AND per non-empty
-    row find the PD rows. Their entries, ranked among the positive tests,
-    are OR-ed into whole-byte rows (memory in proportion to the masks, not
-    to PD items x T) and read back by ``int.from_bytes``.
+    row find the PD rows, and `_pd_masks` packs their masks (memory in
+    proportion to the masks, not to PD items x T).
     """
     check_outcome_length(design, outcome)
     positive = np.array(outcome.bits, dtype=bool)
@@ -735,13 +946,21 @@ def possible_defectives(design: TestDesign, outcome: OutcomeVector) -> PossibleD
     is_pd[filled] = np.logical_and.reduceat(np.take(positive, indices), indptr[filled])
     pd = is_pd.nonzero()[0]
     positive_tests = positive.nonzero()[0]
-    width = positive_tests.shape[0] // 8 + 1  # bytes per mask; the spare byte keeps it positive
-    bits = np.searchsorted(positive_tests, indices[np.repeat(is_pd, sizes)])
-    byte_at = np.repeat(np.arange(0, pd.shape[0] * width, width), sizes[pd]) + (bits >> 3)
-    packed = np.zeros(pd.shape[0] * width, dtype=np.uint8)
-    np.bitwise_or.at(packed, byte_at, np.left_shift(1, bits & 7).astype(np.uint8))
-    masks = tuple(map(int.from_bytes, packed.view(f"V{width}").tolist(), repeat("little")))
+    masks = _pd_masks(positive_tests, indices[np.repeat(is_pd, sizes)], sizes[pd])
     return PossibleDefectives(tuple(pd.tolist()), masks, (1 << positive_tests.shape[0]) - 1)
+
+
+def _pd_masks(positive_tests: np.ndarray, entries: np.ndarray, sizes: np.ndarray) -> tuple[int, ...]:
+    """The mask of each row of `entries` (rows of `sizes` entries back to
+    back, each entry one of the increasing `positive_tests`): bit b is
+    ``positive_tests[b]``. The entries, ranked among the positive tests, are
+    OR-ed into whole-byte rows and read back by ``int.from_bytes``."""
+    width = positive_tests.shape[0] // 8 + 1  # bytes per mask; the spare byte keeps it positive
+    bits = np.searchsorted(positive_tests, entries)
+    byte_at = np.repeat(np.arange(0, sizes.shape[0] * width, width), sizes) + (bits >> 3)
+    packed = np.zeros(sizes.shape[0] * width, dtype=np.uint8)
+    np.bitwise_or.at(packed, byte_at, np.left_shift(1, bits & 7).astype(np.uint8))
+    return tuple(map(int.from_bytes, packed.view(f"V{width}").tolist(), repeat("little")))
 
 
 def compute_item_stats(

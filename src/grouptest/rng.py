@@ -153,17 +153,47 @@ def below_np(keys, counters, p: float) -> np.ndarray:
     return _words_np(keys, counters) < threshold
 
 
-def bounded_np(keys, counters, bound: int) -> np.ndarray:
-    """Vectorized `bounded_at`; elementwise identical to the scalar version."""
-    threshold = _rejection_threshold(bound)
+def _rehash_rejected(h: np.ndarray, last_accepted) -> np.ndarray:
+    """`h` with every word above `last_accepted` re-finalized until none is,
+    as `bounded_at` does; `last_accepted` broadcasts with `h`."""
+    reject = h > last_accepted
+    while reject.any():
+        bumped = h.copy()
+        bumped += _NP_GOLDEN
+        h = np.where(reject, _finalize_np(bumped), h)
+        reject = h > last_accepted
+    return h
+
+
+def bounded_np(keys, counters, bound) -> np.ndarray:
+    """Vectorized `bounded_at`; elementwise identical to the scalar version.
+
+    `bound` is one number, or an integer array broadcast with `keys` and
+    `counters`; every bound lies in [1, 2**63] (ValueError otherwise).
+    """
     h = _words_np(keys, counters)
+    if isinstance(bound, np.ndarray):
+        if bound.dtype.kind not in "iu" or (bound.size and not (bound.min() >= 1 and bound.max() <= BOUND_MAX)):
+            raise ValueError(f"every bound must be an integer in [1, 2**63], got {bound!r}")
+        shape = np.broadcast_shapes(h.shape, bound.shape)
+        if h.shape != shape:
+            h = np.broadcast_to(h, shape).copy()
+        if not bound.size or bound.min() != bound.max():
+            bound = bound.astype(np.uint64)
+            # 2**64 mod b is (2**64 - b) mod b; a word is accepted iff it is
+            # at most 2**64 - 1 - (2**64 mod b), the complement of the
+            # remainder, so a remainder of 0 (b divides 2**64) accepts all
+            h = _rehash_rejected(h, ~(np.negative(bound) % bound))
+            return np.remainder(h, bound, out=h).view(np.int64)[()]
+        bound = int(bound.flat[0])  # one bound for all: the scalar path
+    threshold = _rejection_threshold(bound)
     if threshold <= MASK64:  # 2**64 means bound divides 2**64: accept all
-        limit = np.uint64(threshold)
-        reject = h >= limit
-        while reject.any():
-            bumped = h.copy()
-            bumped += _NP_GOLDEN
-            h = np.where(reject, _finalize_np(bumped), h)
-            reject = h >= limit
+        h = _rehash_rejected(h, np.uint64(threshold - 1))
+    # h mod b as h - (h // b) * b: numpy divides by a scalar without a
+    # hardware division per word, and the result is the same
+    b = np.uint64(bound)
+    quotient = h // b
+    quotient *= b
+    h -= quotient
     # every draw is below 2**63, so the int64 view holds the same values
-    return np.remainder(h, np.uint64(bound), out=h).view(np.int64)[()]
+    return h.view(np.int64)[()]

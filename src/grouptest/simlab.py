@@ -6,12 +6,18 @@ and every decoder in the experiment decodes the *same* instance of that
 trial. Results are therefore bitwise reproducible across machines, execution
 orders, and thread counts; the implementation here is sequential.
 
-The lab decodes each trial's PD-item instance (:func:`pd_trial`): the design
-of :func:`trial_instance` restricted to its possible defectives, drawn
-without a nondefective's cells past the block that rules it out. Every
-decoder reads only the PD items, so the estimates, node counts and counts
-are those of the full design; :func:`trial_instance` builds the full design
-for callers that need it, and the tests hold the two to each other.
+The lab runs each design arm's trials in blocks of consecutive trials in
+(T, r) order, across grid points (`model.pd_blocks`): the Figure-2 sweep runs
+one trial per (arm, T) cell, so a block within one grid point would hold one
+trial. COMP and DD successes are read from each block's arrays: COMP is
+exact iff no nondefective is a possible defective (G = 0), DD iff every
+defective holds a positive test that no other possible defective holds
+(min L_i > 0). SCOMP and SSS decode each trial's PD-item instance: the
+design of :func:`trial_instance` restricted to its possible defectives
+(:func:`pd_trial` is a block of one trial). Every decoder reads only the PD
+items, so the estimates, node counts and counts are those of the full
+design; :func:`trial_instance` builds the full design for callers that need
+it, and the tests hold the two to each other.
 """
 
 from __future__ import annotations
@@ -21,9 +27,11 @@ import statistics
 from dataclasses import dataclass, fields
 from typing import IO
 
+import numpy as np
+
 from . import decoders as dec
 from . import model
-from .rng import mix64
+from .rng import mix64, mix64_np
 
 DESIGN_ALIASES = {
     "bernoulli": model.KIND_BERNOULLI,
@@ -246,9 +254,9 @@ def pd_trial(
     arm: DesignArm, n_items: int, k: int, n_tests: int, seed: int
 ) -> tuple[model.Instance, tuple[int, ...]]:
     """The trial of :func:`trial_instance` restricted to its PD items, and
-    those items (`model.pd_instance`): the instance the lab decodes."""
-    truth = model.sample_defective_set(n_items, k, seed)
-    return model.pd_instance(arm.kind, n_items, n_tests, arm.params(n_tests, k), seed, truth)
+    those items: a block of one trial (`model.pd_instance`), as the lab
+    draws it."""
+    return model.pd_instance(arm.kind, n_items, n_tests, arm.params(n_tests, k), seed, k)
 
 
 def decode_trial(
@@ -270,50 +278,74 @@ def run_success_curve(
 ) -> SuccessCurve:
     """Empirical exact-recovery probability per (design, decoder, T).
 
-    Each trial decodes its PD-item instance (:func:`pd_trial`). SSS trials
-    that exhaust the node budget are counted as failures in the estimate and
-    reported in the ``unresolved`` column. With ``check_invariants`` a trial
-    whose estimates break any identity of :func:`decoders.invariant_violations`
-    raises AssertionError (test mode).
+    Each arm's trials run in blocks of consecutive trials in (T, r) order,
+    across grid points (`model.pd_blocks`). COMP and DD successes are read
+    from each block's counts (`comp_exact`, `dd_exact`); SCOMP and SSS
+    decode each trial's PD-item instance. SSS trials that exhaust the node
+    budget are counted as failures in the estimate and reported in the
+    ``unresolved`` column. With ``check_invariants`` (test mode) every
+    decoder decodes every trial's instance, and a trial whose COMP or DD
+    success differs from the block's, or whose estimates break any identity
+    of :func:`decoders.invariant_violations`, raises AssertionError.
     """
-    counts: dict[tuple[int, str, int], list[int]] = {}
+    grid = config.t_grid
+    n_tests = np.repeat(grid, config.trials)
+    trial = np.tile(np.arange(config.trials), len(grid))
+    point = np.repeat(np.arange(len(grid)), config.trials)
+    counted = [alg for alg in ("comp", "dd") if alg in config.decoders]
+    decoded = tuple(alg for alg in config.decoders if check_invariants or alg not in counted)
+    # (arm, decoder) -> successes and unresolved searches per grid point
+    tally = {
+        (arm_id, alg): np.zeros((2, len(grid)), dtype=np.int64)
+        for arm_id in range(len(config.designs))
+        for alg in config.decoders
+    }
     for arm_id, arm in enumerate(config.designs):
-        for n_tests in config.t_grid:
-            for alg in config.decoders:
-                counts[(arm_id, alg, n_tests)] = [0, 0]  # successes, unresolved
-            for trial in range(config.trials):
-                seed = trial_seed(config.master_seed, arm_id, n_tests, trial)
-                inst = pd_trial(arm, config.n_items, config.k, n_tests, seed)[0]
-                results = decode_trial(inst, config.decoders, config.sss_node_budget)
+        params = [arm.params(t, config.k) for t in grid]
+        seeds = mix64_np(config.master_seed, arm_id, n_tests, trial)
+        start = 0
+        for block in model.pd_blocks(
+            arm.kind, config.n_items, config.k, n_tests, [params[j] for j in point], seeds
+        ):
+            at = point[start : start + len(block)]
+            start += len(block)
+            exact = {"comp": block.comp_exact, "dd": block.dd_exact}
+            for alg in counted:
+                tally[(arm_id, alg)][0] += np.bincount(at[exact[alg]], minlength=len(grid))
+            for b in range(len(block)) if decoded else ():
+                inst = block.instance(b)[0]
+                results = decode_trial(inst, decoded, config.sss_node_budget)
                 for alg, res in results.items():
-                    cell = counts[(arm_id, alg, n_tests)]
                     if res is None:
-                        cell[1] += 1
-                    elif dec.evaluate(res, inst.truth).exact:
-                        cell[0] += 1
+                        tally[(arm_id, alg)][1, at[b]] += 1
+                    elif alg not in counted and dec.evaluate(res, inst.truth).exact:
+                        tally[(arm_id, alg)][0, at[b]] += 1
                 if check_invariants:
+                    seed = int(block.seeds[b])
+                    for alg in counted:
+                        if dec.evaluate(results[alg], inst.truth).exact != exact[alg][b]:
+                            raise AssertionError(f"trial seed {seed}: {alg} success differs from the block's")
                     estimates = {alg: res.estimate for alg, res in results.items() if res is not None}
                     broken = dec.invariant_violations(inst, estimates)
                     if broken:
                         raise AssertionError(f"trial seed {seed} breaks {broken}")
     points = []
-    for arm_id, arm in enumerate(config.designs):
-        for alg in config.decoders:
-            for n_tests in config.t_grid:
-                successes, unresolved = counts[(arm_id, alg, n_tests)]
-                lo, hi = wilson_interval(successes, config.trials)
-                points.append(
-                    SuccessPoint(
-                        design=arm.kind,
-                        nu=arm.nu,
-                        decoder=alg,
-                        n_tests=n_tests,
-                        trials=config.trials,
-                        successes=successes,
-                        unresolved=unresolved,
-                        p_hat=successes / config.trials,
-                        ci_lo=lo,
-                        ci_hi=hi,
-                    )
+    for (arm_id, alg), cells in tally.items():
+        arm = config.designs[arm_id]
+        for n, successes, unresolved in zip(grid, *cells.tolist()):
+            lo, hi = wilson_interval(successes, config.trials)
+            points.append(
+                SuccessPoint(
+                    design=arm.kind,
+                    nu=arm.nu,
+                    decoder=alg,
+                    n_tests=n,
+                    trials=config.trials,
+                    successes=successes,
+                    unresolved=unresolved,
+                    p_hat=successes / config.trials,
+                    ci_lo=lo,
+                    ci_hi=hi,
                 )
+            )
     return SuccessCurve(config, tuple(points))

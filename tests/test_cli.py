@@ -314,6 +314,26 @@ class TestDecodeCommand:
         rc = main(["decode", "--design", str(tmp_path / "none.json"), "--outcome", "1", "--alg", "comp"])
         assert rc == 3
 
+
+# a file that is not UTF-8, and JSON nested past the decoder's recursion limit
+UNREADABLE_FILES = {
+    "not_utf8": b'{"kind": "\xff\xfe"}',
+    "deeply_nested": b"[" * 10**5 + b"]" * 10**5,
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE_FILES))
+@pytest.mark.parametrize("command", ["decode", "simulate"])
+def test_unreadable_input_file_is_one_error_line(tmp_path, capsys, command, name):
+    path = tmp_path / "input.json"
+    path.write_bytes(UNREADABLE_FILES[name])
+    if command == "decode":
+        argv = ["decode", "--design", str(path), "--outcome", "1", "--alg", "comp"]
+    else:
+        argv = ["simulate", "--config", str(path)]
+    err = _one_error_line(capsys, argv)
+    assert repr(str(path)) in err
+
     @pytest.mark.parametrize("alg", ["comp", "dd", "scomp", "sss"])
     def test_positive_test_without_pd_member(self, tmp_path, capsys, alg):
         # items 0 and 1 sit in the negative test 0, so the positive test 1

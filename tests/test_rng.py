@@ -26,14 +26,44 @@ def test_scalar_and_vector_u64_agree():
         assert [int(v) for v in low] == [rng.u64_at(key, c) % 2**63 for c in range(16)]
 
 
-# 2**64 // 3 + 1 rejects about a third of all words, so the re-hash branch runs
-@pytest.mark.parametrize("bound", [1, 2, 3, 7, 13, 64, 1000, 2**32, 2**64 // 3 + 1, 2**63])
+# bounds of every size; 2**64 // 3 + 1, 2**62 + 1 and 3 * 2**61 reject a
+# quarter to a third of all words, so the re-hash branch runs
+BOUNDS = [1, 2, 3, 7, 13, 64, 400, 1000, 2**32, 2**32 + 1, 2**62 + 1, 3 * 2**61, 2**64 // 3 + 1, 2**63 - 1, 2**63]
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
 def test_scalar_and_vector_bounded_agree(bound):
     key = rng.mix64(4, bound)
     got = rng.bounded_np(np.uint64(key), np.arange(64, dtype=np.uint64), bound)
     want = [rng.bounded_at(key, c, bound) for c in range(64)]
     assert [int(v) for v in got] == want
     assert all(0 <= v < bound for v in want)
+
+
+def test_bounded_np_takes_one_bound_per_element():
+    """An array of bounds broadcast with the keys and counters: each draw is
+    `bounded_at`'s at its own bound, whether the bounds differ or are all
+    equal, and for 0-d inputs."""
+    keys = np.array([rng.mix64(6, i) for i in range(40)], dtype=np.uint64)
+    counters = np.arange(8, dtype=np.uint64)
+    got = rng.bounded_np(keys[:, None, None], counters[:, None], np.array(BOUNDS, dtype=np.uint64))
+    want = [[[rng.bounded_at(int(k), c, b) for b in BOUNDS] for c in range(8)] for k in keys]
+    assert got.tolist() == want
+    rejected = sum(rng.u64_at(int(k), c) >= rng._rejection_threshold(b) for k in keys for c in range(8) for b in BOUNDS)
+    assert rejected > 100
+    for bound in BOUNDS:
+        same = rng.bounded_np(keys, np.uint64(3), np.full(keys.shape, bound))
+        assert same.tolist() == [rng.bounded_at(int(k), 3, bound) for k in keys]
+        zero_d = rng.bounded_np(keys[0], np.uint64(5), np.array(bound))
+        assert np.ndim(zero_d) == 0 and int(zero_d) == rng.bounded_at(int(keys[0]), 5, bound)
+
+
+@pytest.mark.parametrize(
+    "bounds", [np.array([0, 3]), np.array([-1, 4]), np.array([2**63 + 1], dtype=np.uint64), np.array([1.5])]
+)
+def test_bounded_np_rejects_bound_arrays_outside_the_range(bounds):
+    with pytest.raises(ValueError, match="2\\*\\*63"):
+        rng.bounded_np(np.uint64(1), np.arange(bounds.shape[0], dtype=np.uint64), bounds)
 
 
 def test_bounded_rejects_nonpositive_bound():

@@ -24,7 +24,7 @@ from grouptest import (
     run_tests,
     wilson_interval,
 )
-from grouptest import model
+from grouptest import model, rng
 from grouptest.decoders import ALGORITHMS, DEFAULT_NODE_BUDGET, UnresolvedSearchError, decode
 from grouptest.simlab import pd_trial, trial_instance, trial_seed
 
@@ -297,14 +297,24 @@ def assert_pd_trial_is_the_full_trial(arm, n_items, k, n_tests, seed, node_budge
     """The lab's PD-item trial reads exactly what the full trial reads, and
     its design's rows are the full design's rows of its items."""
     full = trial_instance(arm, n_items, k, n_tests, seed)
-    reduced, items = pd_trial(arm, n_items, k, n_tests, seed)
+    return full, assert_reduces(full, *pd_trial(arm, n_items, k, n_tests, seed), node_budget)
+
+
+def assert_reduces(full, reduced, items, node_budget=DEFAULT_NODE_BUDGET):
+    """`reduced` over `items` is `full` restricted to its PD items; returns
+    what a decode reads of them."""
     assert list(items) == sorted(set(items))
+    # it carries its PD answer, built with it, which a fresh PD pass repeats
+    kept_bits, kept = reduced.design._pd
+    assert kept_bits == reduced.outcome.bits
+    fresh = model.possible_defectives(reduced.design, reduced.outcome)
+    assert kept == fresh and kept.solo == fresh.solo and kept.explains
     assert reduced.design.rows() == [full.design.rows()[i] for i in items]
-    want = _trial_view(full, range(n_items), node_budget)
+    want = _trial_view(full, range(full.design.n_items), node_budget)
     assert _trial_view(reduced, items, node_budget) == want
     # the items are the PD items, or item 0 alone when there are none
     assert items == (want["pd"] or (0,))
-    return full, want
+    return want
 
 
 KINDS = ("ncc", "bernoulli", "ccw")
@@ -375,7 +385,7 @@ class TestPdTrial:
         for seed in range(3):
             truth = model.sample_defective_set(4, 1, seed)
             full = model.generate_design("near_constant", 4, 3, seed, params)
-            reduced, items = model.pd_instance("near_constant", 4, 3, params, seed, truth)
+            reduced, items = model.pd_instance("near_constant", 4, 3, params, seed, truth.k)
             outcome = run_tests(full, truth)
             assert reduced.outcome == outcome
             assert items == full.pd(outcome).items
@@ -392,14 +402,14 @@ class TestPdTrial:
             real = getattr(model, name)
 
             def counted(keys, counters, param, real=real):
-                sizes.append(keys.shape[0] * np.size(counters))
+                sizes.append(np.broadcast(keys, counters, param).size)
                 return real(keys, counters, param)
 
             monkeypatch.setattr(model, name, counted)
         real_rows = model._exact_constant_rows
 
         def counted_rows(keys, n_tests, draws):
-            sizes.append(keys.shape[0] * draws)
+            sizes.append(np.broadcast_to(draws, keys.shape).sum())
             return real_rows(keys, n_tests, draws)
 
         monkeypatch.setattr(model, "_exact_constant_rows", counted_rows)
@@ -430,3 +440,96 @@ class TestPdTrial:
             decoders=ALGORITHMS, trials=5, master_seed=1,
         )
         run_success_curve(cfg, check_invariants=True)
+
+
+class TestTrialBlocks:
+    """Blocks of lab trials (`model.pd_blocks`) and the COMP and DD counts
+    the lab reads from them."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_each_trial_of_a_block_is_its_full_trial(self, kind):
+        """One block across five grid points, T = 1 included: each trial's
+        instance reduces its full trial, and its COMP and DD successes are
+        G = 0 and min L_i > 0 of the full trial's counts."""
+        arm = DesignArm(kind, LN2)
+        cells = [(t, r) for t in (1, 5, 9, 17, 33) for r in range(4)]
+        n_tests = [t for t, _ in cells]
+        seeds = [trial_seed(8, 0, t, r) for t, r in cells]
+        (block,) = model.pd_blocks(arm.kind, 50, 3, n_tests, [arm.params(t, 3) for t in n_tests], seeds)
+        assert len(block) == len(cells)
+        for b, (t, seed) in enumerate(zip(n_tests, seeds)):
+            full = trial_instance(arm, 50, 3, t, seed)
+            assert_reduces(full, *block.instance(b))
+            stats = compute_item_stats(full.design, full.truth, full.outcome)
+            assert block.comp_exact[b] == (stats.masked_nondefectives == 0)
+            assert block.dd_exact[b] == all(stats.solo_pd_tests)
+
+    def test_reference_csv_from_the_counts(self):
+        """The determinism reference config without ``check_invariants``:
+        COMP and DD read from the blocks' counts give its CSV to the byte."""
+        from test_determinism import REFERENCE_CSV, _reference_config
+
+        buf = io.StringIO()
+        run_success_curve(_reference_config()).write_csv(buf)
+        assert buf.getvalue().replace("\r\n", "\n") == REFERENCE_CSV
+
+    @pytest.mark.parametrize("trials", [1, 7])
+    def test_blocks_across_grid_points(self, trials, monkeypatch):
+        """Blocks of 4 trials (``_GEN_BLOCK`` = 256, N = 60), across grid
+        points: the counts are those of whole-arm blocks and of every trial
+        decoded by the registry (``check_invariants``), and no hashed array
+        holds more than 256 words."""
+        cfg = ExperimentConfig(
+            n_items=60, k=4, t_grid=(3, 6, 10, 14, 18, 24, 30, 40),
+            designs=tuple((kind, LN2) for kind in KINDS), decoders=("comp", "dd"),
+            trials=trials, master_seed=12,
+        )
+        whole = run_success_curve(cfg)
+        monkeypatch.setattr(model, "_GEN_BLOCK", 256)
+        points = []
+        real_blocks = model.pd_blocks
+
+        def recorded(*args):
+            for block in real_blocks(*args):
+                points.append(len(set(block.n_tests.tolist())))
+                yield block
+
+        monkeypatch.setattr(model, "pd_blocks", recorded)
+        sizes = []
+        real_finalize = rng._finalize_np
+        monkeypatch.setattr(rng, "_finalize_np", lambda z: sizes.append(z.size) or real_finalize(z))
+        assert run_success_curve(cfg).points == whole.points
+        assert max(sizes) <= 256
+        assert run_success_curve(cfg, check_invariants=True).points == whole.points
+        assert max(points) > 1
+
+    def test_check_invariants_catches_a_count_that_disagrees(self, monkeypatch):
+        """A block whose DD successes differ from the registry's decodes
+        fails ``check_invariants``."""
+        real = model.PdBlock.__init__
+
+        def flipped(self, *args):
+            real(self, *args)
+            self.dd_exact = ~self.dd_exact
+
+        monkeypatch.setattr(model.PdBlock, "__init__", flipped)
+        cfg = ExperimentConfig(
+            n_items=30, k=2, t_grid=(8,), designs=(("ncc", LN2),), decoders=("dd",), trials=3, master_seed=1
+        )
+        with pytest.raises(AssertionError, match="dd success differs"):
+            run_success_curve(cfg, check_invariants=True)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("bernoulli", 10, 2, [5, 5], [model.DesignParams(p=0.1), model.DesignParams(p=0.2)], [1, 2]),
+            ("near_constant", 10, 2, [5], [model.DesignParams(draws=2)], [1, 2]),
+            ("near_constant", 10, 11, [5], [model.DesignParams(draws=2)], [1]),
+            ("near_constant", 10, 2, [5], [model.DesignParams(draws=2)], [-1]),
+            ("near_constant", 10, 2, [5], [model.DesignParams(p=0.2)], [1]),
+        ],
+        ids=["two_p", "lengths", "k_above_n", "seed", "params"],
+    )
+    def test_pd_blocks_refuses_bad_input(self, args):
+        with pytest.raises(ValueError):
+            model.pd_blocks(*args)

@@ -1,5 +1,6 @@
 """Planted faults fail the checks that should catch them."""
 
+import numpy as np
 import pytest
 
 from grouptest import analysis as an
@@ -57,20 +58,18 @@ def test_determinism_check_reads_the_indented_text(monkeypatch):
 
 
 def test_pd_trial_check_catches_a_trial_that_drops_a_pd_item(monkeypatch):
-    """A PD trial that loses its last PD item (a nondefective, when there is
+    """A block that loses each trial's last PD nondefective (when it has
     one) changes the counts, and the check names the cells."""
     assert check_pd_trials(10).ok
-    real = model.pd_instance
+    real = model._drop_negative
 
-    def lossy(kind, n_items, n_tests, params, seed, truth):
-        inst, items = real(kind, n_items, n_tests, params, seed, truth)
-        if items[-1] in truth.items:
-            return inst, items
-        rows = inst.design.rows()[:-1]
-        design = model.TestDesign(kind, len(rows), n_tests, params, seed, rows)
-        return model.Instance(design, inst.truth, inst.outcome), items[:-1]
+    def lossy(kind, keys, trial, n_tests, param, positive):
+        kept = real(kind, keys, trial, n_tests, param, positive)
+        last = np.ones(kept.shape, dtype=bool)  # each trial's last survivor
+        last[:-1] = trial[kept][1:] != trial[kept][:-1]
+        return kept[~last]
 
-    monkeypatch.setattr(model, "pd_instance", lossy)
+    monkeypatch.setattr(model, "_drop_negative", lossy)
     res = check_pd_trials(10)
     assert not res.ok
     assert "/comp/T=" in res.detail
