@@ -453,6 +453,15 @@ def _exact_constant_rows(keys: np.ndarray, n_tests, draws):
     return draws, np.fromiter(chain.from_iterable(rows), np.int64, keys.shape[0] * draws)
 
 
+def _trial_pass() -> int:
+    """Cells per numpy pass over a block of trials (`_drop_negative`, and
+    rows of one T per key): an eighth of ``_GEN_BLOCK``, since such a pass
+    holds index, counter and key arrays of its size beside the words. With
+    whole generation blocks the fig2 sweep's peak memory rose 3.6% over a
+    lab of one trial at a time."""
+    return _GEN_BLOCK >> 3
+
+
 def _kind_param(kind: str, params: DesignParams):
     """The parameter a `kind` row rule takes: p, or L."""
     return params.p if kind == KIND_BERNOULLI else params.draws
@@ -479,7 +488,7 @@ def _csr_rows(kind, keys, n_tests, param) -> tuple[np.ndarray, np.ndarray]:
     dtype = _index_dtype(t_max)
     lengths = np.empty(keys.shape[0], dtype=np.int64)
     parts = [np.empty(0, dtype=dtype)]
-    chunk = max(1, _GEN_BLOCK // width)
+    chunk = max(1, (_trial_pass() if per_key else _GEN_BLOCK) // width)
     for lo in range(0, keys.shape[0], chunk):
         hi = lo + chunk
         if per_key:
@@ -570,7 +579,7 @@ def _drop_negative(kind, keys, trial, n_tests, param, positive) -> np.ndarray:
         done = width[alive] <= lo
         survivors.append(alive[done])
         alive = alive[~done]
-        chunk = max(1, _GEN_BLOCK // step)
+        chunk = max(1, _trial_pass() // step)
         hit = []
         for a in range(0, alive.shape[0], chunk):
             entries = alive[a : a + chunk]
@@ -601,12 +610,11 @@ class PdBlock:
     every defective holds a positive test that no other PD item holds
     (min L_i > 0), the :class:`ItemStats` quantities ``masked_nondefectives``
     and ``solo_pd_tests``. :meth:`instance` builds a trial's PD-item
-    instance from the same arrays.
+    instance from the block's keys, outcomes and PD items.
     """
 
     def __init__(self, kind, n_items, k, n_tests, params, seeds) -> None:
-        self.kind, self.n_items, self.k = kind, n_items, k
-        self.n_tests, self.params, self.seeds = n_tests, params, seeds
+        self.kind, self.n_tests, self.params, self.seeds = kind, n_tests, params, seeds
         size = seeds.shape[0]
         if kind == KIND_BERNOULLI:
             self._param = params[0].p  # the same at every T
@@ -617,8 +625,8 @@ class PdBlock:
         self._defective = _uniform_subsets(rng.mix64_np(seeds, _STREAM_DEFECTIVE), n_items, k)
         # the defectives' rows, in (trial, defective) order, fix the outcomes
         def_trial = np.repeat(np.arange(size), k)
-        self._def_rows = self._rows(self._keys[def_trial, self._defective.ravel()], def_trial)
-        def_cells = self._cells(self._def_rows, def_trial, t_max)
+        def_rows = self._rows(self._keys[def_trial, self._defective.ravel()], def_trial)
+        def_cells = self._cells(def_rows, def_trial, t_max)
         positive = np.zeros(size * t_max, dtype=bool)
         positive[def_cells] = True
         self._positive = positive.reshape(size, t_max)
@@ -632,16 +640,13 @@ class PdBlock:
             )
         ]
         self._surv_trial, self._surv_items = np.divmod(kept, n_items)
-        self._surv_rows = self._rows(self._keys.ravel()[kept], self._surv_trial)
+        surv_cells = self._cells(self._rows(self._keys.ravel()[kept], self._surv_trial), self._surv_trial, t_max)
         # G: the survivors per trial; L_i: the positive tests of defective i
         # that no other PD item holds (each row's tests are distinct)
         self.comp_exact = np.bincount(self._surv_trial, minlength=size) == 0
-        holders = np.bincount(
-            np.concatenate((def_cells, self._cells(self._surv_rows, self._surv_trial, t_max))),
-            minlength=size * t_max,
-        )
+        holders = np.bincount(np.concatenate((def_cells, surv_cells)), minlength=size * t_max)
         solo = np.bincount(
-            np.repeat(np.arange(size * k), np.diff(self._def_rows[0])),
+            np.repeat(np.arange(size * k), np.diff(def_rows[0])),
             weights=holders[def_cells] == 1,
             minlength=size * k,
         )
@@ -669,39 +674,25 @@ class PdBlock:
         full design's. The items are in increasing order, so position
         tie-breaks see the same masks. The design is over positions (item j
         is the returned item tuple's j-th), and so is the returned truth. It
-        carries its PD answer, built from the same rows. A design has an
-        item, so with no PD item (K = 0 and no empty row) it holds item 0,
-        in full, which the PD step drops.
+        carries its PD answer, packed from its rows. A design has an item, so
+        with no PD item (K = 0 and no empty row) it holds item 0, in full,
+        which the PD step drops.
         """
-        n_tests, params, kind, k = int(self.n_tests[b]), self.params[b], self.kind, self.k
-        defective = self._defective[b]
+        n_tests, params, kind = int(self.n_tests[b]), self.params[b], self.kind
         lo, hi = np.searchsorted(self._surv_trial, (b, b + 1))
-        items = np.concatenate((defective, self._surv_items[lo:hi]))
-        (d_ptr, d_idx), (s_ptr, s_idx) = self._def_rows, self._surv_rows
-        rows = [d_idx[d_ptr[j] : d_ptr[j + 1]] for j in range(b * k, b * k + k)]
-        rows += [s_idx[s_ptr[j] : s_ptr[j + 1]] for j in range(lo, hi)]
-        order = np.argsort(items)
-        items = items[order]
-        positive_tests = self._positive[b, :n_tests].nonzero()[0]
-        if items.size:
-            rows = [rows[j] for j in order]
-            indptr = np.zeros(items.shape[0] + 1, dtype=np.int64)
-            np.cumsum([row.shape[0] for row in rows], out=indptr[1:])
-            indices = np.concatenate(rows)
-            answer = PossibleDefectives(
-                tuple(range(items.shape[0])),
-                _pd_masks(positive_tests, indices, np.diff(indptr)),
-                (1 << positive_tests.shape[0]) - 1,
-            )
-        else:
+        items = np.sort(np.concatenate((self._defective[b], self._surv_items[lo:hi])))
+        n_pd = items.shape[0]
+        if not n_pd:
             items = np.zeros(1, dtype=np.int64)
-            indptr, indices = _csr_rows(kind, self._keys[b, :1], n_tests, _kind_param(kind, params))
-            answer = PossibleDefectives((), (), (1 << positive_tests.shape[0]) - 1)
+        indptr, indices = _csr_rows(kind, self._keys[b, items], n_tests, _kind_param(kind, params))
+        positive_tests = self._positive[b, :n_tests].nonzero()[0]
+        masks = _pd_masks(positive_tests, indices[: indptr[n_pd]], np.diff(indptr[: n_pd + 1]))
+        answer = PossibleDefectives(tuple(range(n_pd)), masks, (1 << positive_tests.shape[0]) - 1)
         seed = int(self.seeds[b])
         design = TestDesign.from_csr(kind, items.shape[0], n_tests, params, seed, indptr, indices)
         outcome = OutcomeVector(tuple(self._positive[b, :n_tests].tolist()))
         design._pd = (outcome.bits, answer)
-        at = DefectiveSet(tuple(np.searchsorted(items, defective).tolist()))
+        at = DefectiveSet(tuple(np.searchsorted(items, self._defective[b]).tolist()))
         return Instance(design, at, outcome), tuple(items.tolist())
 
 

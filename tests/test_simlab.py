@@ -111,6 +111,10 @@ def test_trial_seed_is_stable():
     a = trial_seed(0, 0, 50, 0)
     assert a == trial_seed(0, 0, 50, 0)
     assert len({trial_seed(0, a_, t, r) for a_ in range(2) for t in (5, 10) for r in range(5)}) == 20
+    # the lab's seeds for a whole arm at once
+    cells = [(t, r) for t in (5, 10, 2**40) for r in range(3)]
+    seeds = rng.mix64_np(2**64 - 1, 1, np.array([t for t, _ in cells]), np.array([r for _, r in cells]))
+    assert seeds.tolist() == [trial_seed(2**64 - 1, 1, t, r) for t, r in cells]
 
 
 @pytest.fixture(scope="module")
