@@ -390,7 +390,7 @@ def _bernoulli_rows(keys: np.ndarray, n_tests, p: float):
     """A block's rows over tests 0..T-1. With one T for all, one
     ``np.flatnonzero`` reads them back (a cell's row and test are its flat
     position divmod T); with one T per key, the keys' cells lie back to back."""
-    if np.ndim(n_tests):
+    if isinstance(n_tests, np.ndarray):
         owner = np.repeat(np.arange(keys.shape[0]), n_tests)
         tests = np.arange(owner.shape[0]) - np.repeat(np.cumsum(n_tests) - n_tests, n_tests)
         hit = np.flatnonzero(_bernoulli_cells(keys[owner], tests, p))
@@ -410,7 +410,7 @@ def _near_constant_rows(keys: np.ndarray, n_tests, draws):
     """A block's rows, each sorted with its repeats dropped; T and L are one
     number for all keys or one per key. A row of more than ``_GEN_BLOCK``
     draws is a block of its own (`_distinct_draws`)."""
-    per_key = np.ndim(draws) > 0
+    per_key = isinstance(draws, np.ndarray)
     width = int(draws.max()) if per_key else draws
     if width > _GEN_BLOCK:  # one item per block
         row = _distinct_draws(keys[:1], width, int(n_tests[0]) if per_key else n_tests)
@@ -446,7 +446,7 @@ def _distinct_draws(key: np.ndarray, draws: int, n_tests: int) -> np.ndarray:
 def _exact_constant_rows(keys: np.ndarray, n_tests, draws):
     """A block's rows: `_uniform_subset` on each key; T and L are one number
     for all keys or one per key."""
-    if np.ndim(draws):
+    if isinstance(draws, np.ndarray):
         rows = map(_uniform_subset, keys.tolist(), n_tests.tolist(), draws.tolist())
         return draws, np.fromiter(chain.from_iterable(rows), np.int64, int(draws.sum()))
     rows = map(_uniform_subset, keys.tolist(), repeat(n_tests), repeat(draws))
@@ -456,9 +456,10 @@ def _exact_constant_rows(keys: np.ndarray, n_tests, draws):
 def _trial_pass() -> int:
     """Cells per numpy pass over a block of trials (`_drop_negative`, and
     rows of one T per key): an eighth of ``_GEN_BLOCK``, since such a pass
-    holds index, counter and key arrays of its size beside the words. With
-    whole generation blocks the fig2 sweep's peak memory rose 3.6% over a
-    lab of one trial at a time."""
+    holds index, counter and key arrays of its size beside the words. In
+    passes of a whole ``_GEN_BLOCK`` the fig2 benchmark's peak memory was
+    about 1.2 MB (3.7%) above the lab's of one trial at a time; in these it
+    is about 0.2 MB above."""
     return _GEN_BLOCK >> 3
 
 
@@ -472,14 +473,14 @@ def _csr_rows(kind, keys, n_tests, param) -> tuple[np.ndarray, np.ndarray]:
     _GEN_BLOCK // width)`` items at a time (width: the most cells or draws
     of a row) by the kind's row rule, which returns a block's lengths (an
     array, or one number for all) and entries. `param` is p or L; T, and L,
-    are one number for all keys or one per key (arrays beside `keys`). A row
-    depends only on its key, T and parameter, so the blocks never change the
-    rows."""
+    are one number for all keys or one per key (arrays beside `keys`, drawn
+    ``_trial_pass()`` cells at a time). A row depends only on its key, T and
+    parameter, so the blocks never change the rows."""
     if kind == KIND_BERNOULLI:
         block_rows = _bernoulli_rows
     else:
         block_rows = _near_constant_rows if kind == KIND_NEAR_CONSTANT else _exact_constant_rows
-    per_key = np.ndim(n_tests) > 0
+    per_key = isinstance(n_tests, np.ndarray)
     t_max = int(n_tests.max(initial=1)) if per_key else n_tests
     if kind == KIND_BERNOULLI:
         width = t_max
@@ -527,17 +528,17 @@ def _uniform_subsets(keys: np.ndarray, n: int, k: int) -> np.ndarray:
 
 def _drop_negative(kind, keys, trial, n_tests, param, positive) -> np.ndarray:
     """The positions of those entries (item stream ``keys[e]`` in trial
-    ``trial[e]``, increasing) whose `kind` rows hold no negative test of
-    their trial, in increasing order.
+    ``trial[e]``) whose `kind` rows hold no negative test of their trial, in
+    increasing order.
 
     `positive` holds each trial's outcome in a row, False past its T;
     `n_tests` and `param` (p, or L) are per trial. The cells are read in
-    blocks of at most ``_GEN_BLOCK``: each entry still in reads its next
-    `step` cells (Bernoulli: its cells on its trial's negative tests;
+    passes of at most ``_trial_pass()`` cells: each entry still in reads its
+    next `step` cells (Bernoulli: its cells on its trial's negative tests;
     near-constant: its draws), and an entry with one in a negative test is
-    out. The step starts at ``_DROP_STEP`` and doubles. A block of entries
-    reads as many cells as its widest entry, and each entry's cells past its
-    own width are out of it. Exact-constant reads whole rows by its row rule.
+    out. The step starts at ``_DROP_STEP`` and doubles. A pass reads as many
+    cells per entry as its widest entry, and each entry's cells past its own
+    width are masked out. Exact-constant reads whole rows by its row rule.
     """
     t_max = positive.shape[1]
     negative = ~positive
@@ -590,7 +591,7 @@ def _drop_negative(kind, keys, trial, n_tests, param, positive) -> np.ndarray:
             hit.append(cells.any(axis=1))
         if hit:
             alive = alive[~np.concatenate(hit)]
-        lo, step = lo + step, min(2 * step, _GEN_BLOCK)
+        lo, step = lo + step, min(2 * step, _trial_pass())
     return np.sort(np.concatenate(survivors + [alive]))
 
 

@@ -383,7 +383,7 @@ class TestPdTrial:
 
     def test_near_constant_row_beyond_one_block(self):
         """L = _GEN_BLOCK + 5 draws per item: the rows are drawn in blocks and
-        the elimination's step doubles up to a block."""
+        the elimination's step doubles up to its longest pass."""
         draws = model._GEN_BLOCK + 5
         params = model.DesignParams(draws=draws)
         for seed in range(3):
