@@ -27,7 +27,8 @@ from grouptest import (
     run_tests,
     sample_defective_set,
 )
-from grouptest import decoders
+from grouptest import decoders, model, verify
+from grouptest.rng import bounded_at, mix64, u64_at, unit_at
 from grouptest.simlab import build_design, trial_seed
 
 LN2 = math.log(2)
@@ -84,6 +85,11 @@ DESIGN_PINS = [
     (
         lambda: gen_bernoulli(10_000, 384, LN2 / 16, 3, nu=LN2),
         "4be4e86691ff8c06f07c372ab1cc54c40c8d9e30bb856ce290b779a0ba806195",
+    ),
+    # 78k draws: spans many generation blocks
+    (
+        lambda: gen_exact_constant(3000, 384, 26, 5),
+        "25ed26393235dd485abafac65b07a59d2441611a715bcf1b71dc53fbbc619fa2",
     ),
 ]
 
@@ -195,3 +201,59 @@ def test_sss_deep_pool_search(r, nodes, estimate):
     truth = sample_defective_set(500, 10, seed)
     res = decoders.sss(design, run_tests(design, truth))
     assert (res.search_nodes, res.estimate) == (nodes, estimate)
+
+
+def _scalar_fuzz_instance(seed, idx, *, n_max, k_max, t_max):
+    """The corpus's instance rule drawn one instance at a time, through the
+    public generators: instance idx of a corpus depends only on (seed, idx,
+    sizes)."""
+    h = mix64(seed, idx)
+    n = 2 + bounded_at(h, 0, n_max - 1)
+    t = 1 + bounded_at(h, 1, t_max)
+    k = bounded_at(h, 2, min(k_max, n) + 1)
+    kind = model.DESIGN_KINDS[bounded_at(h, 3, 3)]
+    if kind == model.KIND_BERNOULLI:
+        params = model.DesignParams(p=0.05 + 0.5 * unit_at(h, 4))
+    else:
+        params = model.DesignParams(draws=1 + bounded_at(h, 4, min(8, t)))
+    design = model.generate_design(kind, n, t, u64_at(h, 5), params)
+    truth = model.sample_defective_set(n, k, u64_at(h, 6))
+    return model.Instance(design, truth, run_tests(design, truth))
+
+
+def _assert_same_instance(got, want):
+    """Equal designs, truths and outcomes, with the same index dtype and the
+    same Python types of sizes, seed and params."""
+    assert (got.design, got.truth, got.outcome) == (want.design, want.truth, want.outcome)
+    assert got.design.indices.dtype == want.design.indices.dtype
+    for design in (got.design, want.design):
+        assert type(design.n_items) is type(design.n_tests) is type(design.seed) is int
+    assert list(map(type, vars(got.design.params).values())) == list(
+        map(type, vars(want.design.params).values())
+    )
+
+
+# (seed, n_max, k_max, t_max) of the corpora the tests, criteria and checks read
+CORPUS_PINS = [(2024, 50, 8, 40), (5, 30, 6, 40), (424242, 20, 4, 8), (77, 14, 4, 16), (13, 50, 8, 40)]
+
+
+@pytest.mark.parametrize("seed,n_max,k_max,t_max", CORPUS_PINS)
+def test_corpus_instances_follow_the_scalar_rule(seed, n_max, k_max, t_max):
+    sizes = dict(n_max=n_max, k_max=k_max, t_max=t_max)
+    for idx in range(300):
+        _assert_same_instance(
+            verify.fuzz_instance(seed, idx, **sizes), _scalar_fuzz_instance(seed, idx, **sizes)
+        )
+
+
+def test_corpus_instances_in_any_order():
+    """Out-of-order and repeated indices, and changes of seed or sizes
+    between calls, give each index its own instance."""
+    calls = [(2024, idx, 50, 8, 40) for idx in (40, 3, 40, 31, 32)]
+    calls += [(5, 40, 50, 8, 40), (2024, 40, 30, 6, 40), (2024, 40, 50, 8, 40), (2024, 0, 50, 8, 41)]
+    calls += [(7, 2**64 - 1, 50, 8, 40), (7, 2**64 - 2, 50, 8, 40), (7, 2**64 - 1, 50, 8, 40)]
+    for seed, idx, n_max, k_max, t_max in calls:
+        sizes = dict(n_max=n_max, k_max=k_max, t_max=t_max)
+        _assert_same_instance(
+            verify.fuzz_instance(seed, idx, **sizes), _scalar_fuzz_instance(seed, idx, **sizes)
+        )

@@ -230,6 +230,13 @@ class TestGenExactConstant:
         d = gen_exact_constant(37, 29, 7, seed=6)
         assert d == whole and d.rows() == _ref_exact_constant(37, 29, 7, 6)
 
+    def test_tests_beyond_a_generation_block(self):
+        """T = 2**62 holds no permutation array: the rows are the scalar
+        Fisher-Yates places."""
+        d = gen_exact_constant(3, 2**62, 4, seed=8)
+        assert d.indices.dtype == np.uint64
+        assert d.rows() == _ref_exact_constant(3, 2**62, 4, 8)
+
     def test_memory_stays_near_the_index_arrays(self):
         """8 * 10^4 entries over T=1000 take 160 kB as uint16 indices. A block
         holds at most 2^16 draws, so the traced peak stays below 2 MB; a list
