@@ -26,7 +26,11 @@ chunks, byte-identical to json's compact or indented text of
 All randomness is counter-based (see :mod:`grouptest.rng`): column i of a
 design depends only on (seed, kind, i), so columns can be generated in any
 order or concurrently with identical results. Each kind has one row rule,
-which the generators and the lab's trial blocks share. :func:`pd_blocks`
+which the generators, :func:`generate_designs` (many designs of a kind in
+one pass, each with its own N, T and parameter) and the lab's trial blocks
+share; exact-constant's is a partial Fisher-Yates vectorised over a block
+of keys (`_uniform_subsets`), which also draws the defective sets of
+:func:`sample_defective_sets` and of the trial blocks. :func:`pd_blocks`
 draws a block of trials at once: the item keys, the defective sets, the
 defectives' rows, which fix the outcomes, only the cells that decide which
 nondefectives are PD items, and those items' rows. It reads each trial's
@@ -192,19 +196,18 @@ class TestDesign:
         if indptr.shape[0] != self.n_items + 1:
             raise ValueError("one column required per item")
         nnz = indices.shape[0]
-        if indptr[0] != 0 or indptr[-1] != nnz or np.any(indptr[1:] < indptr[:-1]):
+        if indptr[0] != 0 or indptr[-1] != nnz or (indptr[1:] < indptr[:-1]).any():
             raise ValueError("row pointers must rise from 0 to the number of indices")
-        if nnz and (indices.min() < 0 or indices.max() >= self.n_tests):
+        if nnz and ((indices.dtype.kind == "i" and indices.min() < 0) or indices.max() >= self.n_tests):
             raise ValueError("test index out of range")
-        # strictly increasing rows: the consecutive differences (compared, not
-        # subtracted, so unsigned types cannot wrap) may be <= 0 only where a
-        # new row starts
-        steps_down = np.flatnonzero(indices[1:] <= indices[:-1]) + 1
-        if steps_down.size:
-            row_start = np.zeros(nnz + 1, dtype=bool)
-            row_start[indptr] = True
-            if not row_start[steps_down].all():
-                raise ValueError("columns must be strictly sorted")
+        # strictly increasing rows: each entry is above the one before it
+        # (compared, not subtracted, so unsigned types cannot wrap) or starts
+        # a row
+        rises = np.ones(nnz + 1, dtype=bool)
+        np.greater(indices[1:], indices[:-1], out=rises[1:nnz])
+        rises[indptr] = True
+        if not rises.all():
+            raise ValueError("columns must be strictly sorted")
         self.indptr = indptr.astype(np.int64, copy=False)
         self.indices = indices.astype(_index_dtype(self.n_tests), copy=False)
         self.indptr.flags.writeable = False
@@ -361,6 +364,17 @@ def sample_defective_set(n_items: int, k: int, seed: int) -> DefectiveSet:
     return DefectiveSet(tuple(_uniform_subset(key, int(n_items), int(k))))
 
 
+def sample_defective_sets(n_items: np.ndarray, k: np.ndarray, seeds: np.ndarray) -> list[DefectiveSet]:
+    """``sample_defective_set(n_items[j], k[j], seeds[j])`` for each j, drawn
+    together by `_uniform_subsets`. The sizes are integer arrays and the
+    seeds a uint64 array, all of one length; ValueError unless 0 <= k <= N."""
+    if not (n_items.dtype.kind in "iu" and k.dtype.kind in "iu" and np.all((0 <= k) & (k <= n_items))):
+        raise ValueError(f"need integers 0 <= k <= n_items, got k={k!r}, n_items={n_items!r}")
+    items = _uniform_subsets(rng.mix64_np(seeds, _STREAM_DEFECTIVE), n_items, k).tolist()
+    bounds = np.concatenate(([0], np.cumsum(k))).tolist()
+    return [DefectiveSet(tuple(items[a:b])) for a, b in zip(bounds, bounds[1:])]
+
+
 def _uniform_subset(key: int, n: int, k: int) -> list[int]:
     """Sorted uniform k-subset of [0, n): the first k places of a Fisher-Yates
     shuffle drawn from the stream `key`, with the swaps kept in a dict."""
@@ -379,20 +393,23 @@ def _item_keys(kind: str, seed: int, n_items: int) -> np.ndarray:
     return rng.mix64_np(seed, _STREAM_COLUMNS[kind], np.arange(n_items, dtype=np.uint64))
 
 
-def _bernoulli_cells(keys, tests, p: float) -> np.ndarray:
-    """Whether the item of each key is in the test beside it (the two
-    broadcast): the Bernoulli rule, decided by `rng.below_np` on the cell's
-    word."""
+def _bernoulli_cells(keys, tests, p) -> np.ndarray:
+    """Whether the item of each key is in the test beside it (the two, and
+    a p array, broadcast): the Bernoulli rule, decided by `rng.below_np` on
+    the cell's word."""
     return rng.below_np(keys, tests, p)
 
 
-def _bernoulli_rows(keys: np.ndarray, n_tests, p: float):
+def _bernoulli_rows(keys: np.ndarray, n_tests, p):
     """A block's rows over tests 0..T-1. With one T for all, one
     ``np.flatnonzero`` reads them back (a cell's row and test are its flat
-    position divmod T); with one T per key, the keys' cells lie back to back."""
+    position divmod T); with one T per key, the keys' cells lie back to back,
+    and p is one number for all keys or one per key."""
     if isinstance(n_tests, np.ndarray):
         owner = np.repeat(np.arange(keys.shape[0]), n_tests)
         tests = np.arange(owner.shape[0]) - np.repeat(np.cumsum(n_tests) - n_tests, n_tests)
+        if isinstance(p, np.ndarray):
+            p = p[owner]
         hit = np.flatnonzero(_bernoulli_cells(keys[owner], tests, p))
         return np.bincount(owner[hit], minlength=keys.shape[0]), tests[hit]
     cells = _bernoulli_cells(keys[:, None], np.arange(n_tests, dtype=np.uint64), p)
@@ -444,22 +461,20 @@ def _distinct_draws(key: np.ndarray, draws: int, n_tests: int) -> np.ndarray:
 
 
 def _exact_constant_rows(keys: np.ndarray, n_tests, draws):
-    """A block's rows: `_uniform_subset` on each key; T and L are one number
-    for all keys or one per key."""
-    if isinstance(draws, np.ndarray):
-        rows = map(_uniform_subset, keys.tolist(), n_tests.tolist(), draws.tolist())
-        return draws, np.fromiter(chain.from_iterable(rows), np.int64, int(draws.sum()))
-    rows = map(_uniform_subset, keys.tolist(), repeat(n_tests), repeat(draws))
-    return draws, np.fromiter(chain.from_iterable(rows), np.int64, keys.shape[0] * draws)
+    """A block's rows by `_uniform_subsets`; T and L are one number for all
+    keys or one per key."""
+    return draws, _uniform_subsets(keys, n_tests, draws).ravel()
 
 
 def _trial_pass() -> int:
     """Cells per numpy pass over a block of trials (`_drop_negative`, and
-    rows of one T per key): an eighth of ``_GEN_BLOCK``, since such a pass
-    holds index, counter and key arrays of its size beside the words. In
-    passes of a whole ``_GEN_BLOCK`` the fig2 benchmark's peak memory was
-    about 1.2 MB (3.7%) above the lab's of one trial at a time; in these it
-    is about 0.2 MB above."""
+    rows of one T per key) and draws per block of exact-constant rows: an
+    eighth of ``_GEN_BLOCK``, since such a pass holds index, counter and key
+    arrays of its size beside the words, and a Fisher-Yates block
+    (`_uniform_subsets`) about ten arrays of its draws. In passes of a whole
+    ``_GEN_BLOCK`` the fig2 benchmark's peak memory was about 1.2 MB (3.7%)
+    above the lab's of one trial at a time; in these it is about 0.2 MB
+    above."""
     return _GEN_BLOCK >> 3
 
 
@@ -473,9 +488,10 @@ def _csr_rows(kind, keys, n_tests, param) -> tuple[np.ndarray, np.ndarray]:
     _GEN_BLOCK // width)`` items at a time (width: the most cells or draws
     of a row) by the kind's row rule, which returns a block's lengths (an
     array, or one number for all) and entries. `param` is p or L; T, and L,
-    are one number for all keys or one per key (arrays beside `keys`, drawn
-    ``_trial_pass()`` cells at a time). A row depends only on its key, T and
-    parameter, so the blocks never change the rows."""
+    are one number for all keys or one per key (arrays beside `keys`), and
+    so is p when T is. Rows of one T per key and exact-constant rows are
+    drawn ``_trial_pass()`` cells or draws at a time. A row depends only on
+    its key, T and parameter, so the blocks never change the rows."""
     if kind == KIND_BERNOULLI:
         block_rows = _bernoulli_rows
     else:
@@ -489,11 +505,12 @@ def _csr_rows(kind, keys, n_tests, param) -> tuple[np.ndarray, np.ndarray]:
     dtype = _index_dtype(t_max)
     lengths = np.empty(keys.shape[0], dtype=np.int64)
     parts = [np.empty(0, dtype=dtype)]
-    chunk = max(1, (_trial_pass() if per_key else _GEN_BLOCK) // width)
+    narrow = per_key or kind == KIND_EXACT_CONSTANT
+    chunk = max(1, (_trial_pass() if narrow else _GEN_BLOCK) // width)
     for lo in range(0, keys.shape[0], chunk):
         hi = lo + chunk
         if per_key:
-            rule_param = param if kind == KIND_BERNOULLI else param[lo:hi]
+            rule_param = param[lo:hi] if isinstance(param, np.ndarray) else param
             lengths[lo:hi], entries = block_rows(keys[lo:hi], n_tests[lo:hi], rule_param)
         else:
             lengths[lo:hi], entries = block_rows(keys[lo:hi], n_tests, param)
@@ -511,19 +528,93 @@ def _generate(kind, n_items, n_tests, params, seed) -> TestDesign:
     return TestDesign.from_csr(kind, n_items, n_tests, params, seed, indptr, indices)
 
 
-def _uniform_subsets(keys: np.ndarray, n: int, k: int) -> np.ndarray:
-    """`_uniform_subset` on each of `keys`, as the sorted rows of a (keys, k)
-    array: the same Fisher-Yates places, one `rng.bounded_np` call per place
-    over all keys, with each key's places in a row of its own."""
-    places = np.tile(np.arange(n, dtype=np.int64), (keys.shape[0], 1))
-    at = np.arange(keys.shape[0])
-    chosen = np.empty((keys.shape[0], k), dtype=np.int64)
-    for r in range(k):
-        j = rng.bounded_np(keys, np.uint64(r), n - r) + r
-        chosen[:, r] = places[at, j]
-        places[at, j] = places[:, r]
+def generate_designs(
+    kind: str,
+    n_items: np.ndarray,
+    n_tests: np.ndarray,
+    params: Sequence[DesignParams],
+    seeds: np.ndarray,
+) -> list[TestDesign]:
+    """``generate_design(kind, n_items[j], n_tests[j], seeds[j], params[j])``
+    for each j, drawn together: one `_csr_rows` pass over all the designs'
+    item keys, with T and the parameter per key, split into `from_csr`
+    designs. The sizes are integer arrays and the seeds a uint64 array, all
+    of the length of `params`; ValueError, before any draw, on anything
+    `generate_design` refuses (`_checked_params`)."""
+    sizes, tests = n_items.tolist(), n_tests.tolist()
+    for n, t, prm in zip(sizes, tests, params):
+        _checked_params(kind, n, t, prm)
+    # design j's items are keys bounds[j] .. bounds[j + 1] - 1
+    bounds = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(n_items, out=bounds[1:])
+    owner = np.repeat(np.arange(len(sizes)), n_items)
+    items = (np.arange(owner.shape[0]) - bounds[owner]).astype(np.uint64)
+    param = np.array([_kind_param(kind, prm) for prm in params])
+    keys = rng.mix64_np(seeds[owner], _STREAM_COLUMNS[kind], items)
+    indptr, indices = _csr_rows(kind, keys, n_tests[owner], param[owner])
+    entries = indptr[bounds].tolist()
+    bounds = bounds.tolist()
+    return [
+        TestDesign.from_csr(
+            kind, sizes[j], tests[j], params[j], seed,
+            indptr[bounds[j] : bounds[j + 1] + 1] - entries[j], indices[entries[j] : entries[j + 1]],
+        )
+        for j, seed in enumerate(seeds.tolist())
+    ]
+
+
+def _uniform_subsets(keys: np.ndarray, n, k) -> np.ndarray:
+    """`_uniform_subset` on each of `keys`, n and k one number for all keys
+    or one per key: the sorted rows of a (keys, k) array, or with k per key,
+    those rows back to back.
+
+    One `rng.bounded_np` call draws every key's places j_r, r < k (past a
+    key's own k, with bound 1: j_r = r, a swap of a place with itself,
+    dropped from the rows). Then the k swaps run over all keys at once. A
+    key's swaps touch only its places r < k and the j_r it drew, so each
+    key's places are renumbered into at most 2k slots: place r < k is slot
+    r, and a drawn place j >= k is slot k plus the rank of j among the key's
+    distinct draws. The memory is in proportion to the draws, whatever n.
+    """
+    per_key = isinstance(k, np.ndarray)
+    width = int(k.max(initial=0)) if per_key else k
+    r = np.arange(width)
+    counters = r.astype(np.uint64)
+    # in uint64, which holds an n of 2**63
+    bound = (n.astype(np.uint64)[:, None] if isinstance(n, np.ndarray) else np.uint64(n)) - counters
+    if per_key:
+        live = r < k[:, None]
+        bound = np.where(live, bound, np.uint64(1))
+    j = rng.bounded_np(keys[:, None], counters, bound)
+    j += r
+    # key i's draw r is at i * k + r of j's flat array, and its slot s at
+    # i * 2k + s of the flat places
+    first = np.arange(keys.shape[0])[:, None]
+    order = np.argsort(j, axis=1) + first * width
+    ranked = j.ravel()[order]
+    fresh = np.ones(j.shape, dtype=bool)
+    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=fresh[:, 1:])
+    row = first * (2 * width)
+    slot = np.empty_like(j)
+    slot.ravel()[order] = np.cumsum(fresh, axis=1) + (row + width - 1)
+    np.copyto(slot, j + row, where=j < width)
+    places = np.empty((keys.shape[0], 2 * width), dtype=np.int64)
+    places[:, :width] = r
+    places = places.ravel()
+    places[slot] = j
+    # one row per step: the slots drawn at r, and the slots of places r
+    slot, lead = slot.T.copy(), (row + r).T.copy()
+    chosen = np.empty((width, keys.shape[0]), dtype=np.int64)
+    for step in range(width):
+        places.take(slot[step], out=chosen[step])
+        places[slot[step]] = places[lead[step]]
+    chosen = chosen.T
+    if not per_key:
+        chosen.sort(axis=1)
+        return chosen
+    chosen[~live] = np.iinfo(np.int64).max  # sorts last
     chosen.sort(axis=1)
-    return chosen
+    return chosen[live]
 
 
 def _drop_negative(kind, keys, trial, n_tests, param, positive) -> np.ndarray:
@@ -772,7 +863,8 @@ def gen_exact_constant(
     n_items: int, n_tests: int, draws: int, seed: int, *, nu: float | None = None
 ) -> TestDesign:
     """Design with a uniform L-subset of tests per item (without replacement):
-    `_uniform_subset` on each item's key, read a block of items at a time."""
+    the partial Fisher-Yates of `_uniform_subsets` over a block of items at
+    a time, at most ``_GEN_BLOCK // 8`` draws."""
     params = _checked_params(KIND_EXACT_CONSTANT, n_items, n_tests, DesignParams(draws=draws, nu=nu))
     return _generate(KIND_EXACT_CONSTANT, n_items, n_tests, params, seed)
 

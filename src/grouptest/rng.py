@@ -140,16 +140,24 @@ def unit_np(keys, counters) -> np.ndarray:
     return words * 2.0**-53
 
 
-def below_np(keys, counters, p: float) -> np.ndarray:
+def below_np(keys, counters, p) -> np.ndarray:
     """``unit_np(keys, counters) < p``, decided on the 64-bit words.
 
     For 0 < p < 1, ``(u >> 11) * 2**-53 < p`` holds iff ``(u >> 11) <
     ceil(p * 2**53)``, that is iff ``u < ceil(p * 2**53) << 11``, and the
-    shifted threshold stays below 2**64.
+    shifted threshold stays below 2**64. `p` is one number, or a float
+    array broadcast with `keys` and `counters`; ValueError unless every p
+    lies strictly inside (0, 1) (NaN does not).
     """
-    if not 0.0 < p < 1.0:
+    if isinstance(p, np.ndarray):
+        if not np.all((p > 0.0) & (p < 1.0)):
+            raise ValueError(f"every p must lie strictly inside (0, 1), got {p!r}")
+        # p * 2**53 and its ceiling are exact floats below 2**53
+        threshold = np.ceil(p * 2.0**53).astype(np.uint64) << np.uint64(11)
+    elif 0.0 < p < 1.0:
+        threshold = np.uint64(math.ceil(p * 2.0**53) << 11)
+    else:
         raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
-    threshold = np.uint64(math.ceil(p * 2.0**53) << 11)
     return _words_np(keys, counters) < threshold
 
 
@@ -173,19 +181,24 @@ def bounded_np(keys, counters, bound) -> np.ndarray:
     """
     h = _words_np(keys, counters)
     if isinstance(bound, np.ndarray):
-        if bound.dtype.kind not in "iu" or (bound.size and not (bound.min() >= 1 and bound.max() <= BOUND_MAX)):
+        integers = bound.dtype.kind in "iu"
+        low, top = (int(bound.min()), int(bound.max())) if integers and bound.size else (1, 1)
+        if not (integers and low >= 1 and top <= BOUND_MAX):
             raise ValueError(f"every bound must be an integer in [1, 2**63], got {bound!r}")
         shape = np.broadcast_shapes(h.shape, bound.shape)
         if h.shape != shape:
             h = np.broadcast_to(h, shape).copy()
-        if not bound.size or bound.min() != bound.max():
+        if not bound.size or low != top:
             bound = bound.astype(np.uint64)
             # 2**64 mod b is (2**64 - b) mod b; a word is accepted iff it is
             # at most 2**64 - 1 - (2**64 mod b), the complement of the
-            # remainder, so a remainder of 0 (b divides 2**64) accepts all
-            h = _rehash_rejected(h, ~(np.negative(bound) % bound))
+            # remainder, so a remainder of 0 (b divides 2**64) accepts all.
+            # That limit is at least 2**64 - b, so only words at or above
+            # 2**64 - max(b) need it.
+            if (h >= np.uint64((1 << 64) - top)).any():
+                h = _rehash_rejected(h, ~(np.negative(bound) % bound))
             return np.remainder(h, bound, out=h).view(np.int64)[()]
-        bound = int(bound.flat[0])  # one bound for all: the scalar path
+        bound = top  # one bound for all: the scalar path
     threshold = _rejection_threshold(bound)
     if threshold <= MASK64:  # 2**64 means bound divides 2**64: accept all
         h = _rehash_rejected(h, np.uint64(threshold - 1))

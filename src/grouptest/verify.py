@@ -5,6 +5,12 @@ the registry and exits nonzero if anything fails. The checks are the same
 ones the acceptance test-suite runs, parameterized by instance counts so the
 CLI can run a faster pass.
 
+The fuzz corpus (:func:`fuzz_instance`) is drawn a block of instances at a
+time: one vectorised pass for the block's shapes, one design pass per kind
+(`model.generate_designs`) and one for the defective sets
+(`model.sample_defective_sets`). Instance idx depends only on the seed, idx
+and the sizes, never on the block.
+
 Empirical distributions are sampled with numpy's own generator, keeping the
 sampling path independent of the package's counter-based streams.
 """
@@ -22,9 +28,7 @@ import numpy as np
 
 from . import analysis as an
 from . import decoders as dec
-from . import model
-from . import simlab
-from .rng import bounded_at, mix64, u64_at, unit_at
+from . import model, rng, simlab
 
 LN2 = math.log(2.0)
 
@@ -37,24 +41,88 @@ class CheckResult:
 
 
 # -- fuzzed instance corpus --------------------------------------------------
+# Instance idx of a corpus depends only on (seed, idx, n_max, k_max, t_max):
+# with h = mix64(seed, idx), N = 2 + bounded_at(h, 0, n_max - 1), T = 1 +
+# bounded_at(h, 1, t_max), K = bounded_at(h, 2, min(k_max, N) + 1), the kind
+# bounded_at(h, 3, 3), p = 0.05 + 0.5 * unit_at(h, 4) or L = 1 + bounded_at(h,
+# 4, min(8, T)), the design of seed u64_at(h, 5) and the defective set of
+# seed u64_at(h, 6). The instances are drawn a block at a time.
+
+
+# [low, top) of each corpus argument
+_CORPUS_RANGES = {
+    "seed": (0, 1 << 64),
+    "idx": (0, 1 << 64),
+    "n_max": (2, math.inf),
+    "k_max": (0, math.inf),
+    "t_max": (1, math.inf),
+    "instances": (0, math.inf),
+}
+
+
+def _check_corpus_args(**values: int) -> None:
+    """ValueError naming the first of `values` that is not an integer (a
+    bool is not) in its range (`_CORPUS_RANGES`)."""
+    for name, value in values.items():
+        low, top = _CORPUS_RANGES[name]
+        if not (model.is_integer(value) and low <= value < top):
+            where = f">= {low}" if top == math.inf else "in [0, 2**64)"
+            raise ValueError(f"{name} must be an integer {where}, got {value!r}")
+
+
+def _fuzz_block(seed: int, lo: int, size: int, n_max: int, k_max: int, t_max: int) -> list[model.Instance]:
+    """Instances lo, lo + 1, ... (at most `size`, all below 2**64) of a
+    corpus: their shapes from one vectorised pass of each rule, the designs
+    of each kind from one `model.generate_designs` call, and the defective
+    sets from one `model.sample_defective_sets` call."""
+    idx = np.uint64(lo) + np.arange(min(size, (1 << 64) - lo), dtype=np.uint64)
+    h = rng.mix64_np(seed, idx)
+    n = 2 + rng.bounded_np(h, 0, n_max - 1)
+    t = 1 + rng.bounded_np(h, 1, t_max)
+    k = rng.bounded_np(h, 2, np.minimum(k_max, n) + 1)
+    kinds = rng.bounded_np(h, 3, 3)
+    p = 0.05 + 0.5 * rng.unit_np(h, 4)
+    draws = 1 + rng.bounded_np(h, 4, np.minimum(8, t))
+    design_seeds, truth_seeds = rng._words_np(h, np.arange(5, 7, dtype=np.uint64)[:, None])
+    designs = [None] * idx.shape[0]
+    for code, kind in enumerate(model.DESIGN_KINDS):
+        at = np.flatnonzero(kinds == code)
+        if kind == model.KIND_BERNOULLI:
+            params = [model.DesignParams(p=x) for x in p[at].tolist()]
+        else:
+            params = [model.DesignParams(draws=x) for x in draws[at].tolist()]
+        for j, design in zip(at.tolist(), model.generate_designs(kind, n[at], t[at], params, design_seeds[at])):
+            designs[j] = design
+    truths = model.sample_defective_sets(n, k, truth_seeds)
+    return [model.Instance(d, truth, model.run_tests(d, truth)) for d, truth in zip(designs, truths)]
+
+
+# the last block drawn, keyed by (seed, n_max, k_max, t_max, block), and its
+# instances, each None once handed out
+_kept: tuple[tuple, list] = ((), [])
 
 
 def fuzz_instance(
     seed: int, idx: int, *, n_max: int, k_max: int, t_max: int
 ) -> model.Instance:
-    """Deterministic random instance: any design kind, truth, and outcome."""
-    h = mix64(seed, idx)
-    n = 2 + bounded_at(h, 0, n_max - 1)
-    t = 1 + bounded_at(h, 1, t_max)
-    k = bounded_at(h, 2, min(k_max, n) + 1)
-    kind = model.DESIGN_KINDS[bounded_at(h, 3, 3)]
-    if kind == model.KIND_BERNOULLI:
-        params = model.DesignParams(p=0.05 + 0.5 * unit_at(h, 4))
-    else:
-        params = model.DesignParams(draws=1 + bounded_at(h, 4, min(8, t)))
-    design = model.generate_design(kind, n, t, u64_at(h, 5), params)
-    truth = model.sample_defective_set(n, k, u64_at(h, 6))
-    return model.Instance(design, truth, model.run_tests(design, truth))
+    """Deterministic random instance: any design kind, truth, and outcome.
+
+    Instance idx is drawn with its block, the B = ``max(1, _GEN_BLOCK //
+    (n_max * t_max))`` instances from the multiple of B at or below idx,
+    and the last block drawn is kept, so a pass over the corpus in order
+    draws each block once. Each kept instance is handed out once; asked for
+    again, it is drawn again. ValueError on sizes, seed or idx out of their
+    ranges (`_check_corpus_args`).
+    """
+    global _kept
+    _check_corpus_args(seed=seed, idx=idx, n_max=n_max, k_max=k_max, t_max=t_max)
+    size = max(1, model._GEN_BLOCK // (n_max * t_max))
+    block, at = divmod(int(idx), size)
+    key = (int(seed), int(n_max), int(k_max), int(t_max), block)
+    if _kept[0] != key or _kept[1][at] is None:
+        _kept = (key, _fuzz_block(key[0], block * size, size, *key[1:4]))
+    inst, _kept[1][at] = _kept[1][at], None
+    return inst
 
 
 @dataclass
@@ -86,7 +154,10 @@ def run_decoder_corpus(
     k_max: int = 8,
     t_max: int = 40,
 ) -> CorpusReport:
-    """Fuzz all four decoders plus the per-item counts, tallying violations."""
+    """Fuzz all four decoders plus the per-item counts, tallying violations.
+    ValueError on a negative count, or on a seed or sizes `fuzz_instance`
+    refuses."""
+    _check_corpus_args(instances=instances, seed=seed, n_max=n_max, k_max=k_max, t_max=t_max)
     report = CorpusReport(instances=instances)
     for idx in range(instances):
         inst = fuzz_instance(seed, idx, n_max=n_max, k_max=k_max, t_max=t_max)

@@ -251,6 +251,58 @@ class TestGenExactConstant:
         assert peak < 2 << 20, peak
 
 
+class TestBlockDraws:
+    """The block draws equal their one-at-a-time definitions."""
+
+    def test_uniform_subsets_with_n_and_k_per_key(self):
+        cases = [(1, 0), (1, 1), (5, 0), (5, 5), (7, 3), (50, 8), (2**62, 4), (3, 1)]
+        n = np.array([c[0] for c in cases])
+        k = np.array([c[1] for c in cases])
+        keys = rng.mix64_np(3, np.arange(len(cases), dtype=np.uint64))
+        want = [model._uniform_subset(key, a, b) for key, (a, b) in zip(keys.tolist(), cases)]
+        assert model._uniform_subsets(keys, n, k).tolist() == [v for row in want for v in row]
+
+    @pytest.mark.parametrize("n,k", [(1, 0), (1, 1), (6, 6), (500, 10), (2**63, 3)])
+    def test_uniform_subsets_with_one_n_and_k(self, n, k):
+        keys = rng.mix64_np(4, np.arange(20, dtype=np.uint64))
+        got = model._uniform_subsets(keys, n, k)
+        assert got.shape == (20, k)
+        assert got.tolist() == [model._uniform_subset(key, n, k) for key in keys.tolist()]
+
+    @pytest.mark.parametrize("kind", [KIND_BERNOULLI, KIND_NEAR_CONSTANT, KIND_EXACT_CONSTANT])
+    def test_generate_designs_are_generate_design_s(self, kind):
+        n_items = np.array([1, 7, 40, 3])
+        n_tests = np.array([1, 9, 300, 5])
+        seeds = np.array([0, 5, 2**64 - 1, 5], dtype=np.uint64)
+        if kind == KIND_BERNOULLI:
+            params = [DesignParams(p=p) for p in (0.5, 0.05, 0.3, 1 - 2**-40)]
+        else:
+            params = [DesignParams(draws=d) for d in (1, 9, 17, 2)]
+        got = model.generate_designs(kind, n_items, n_tests, params, seeds)
+        want = [
+            generate_design(kind, n, t, seed, prm)
+            for n, t, seed, prm in zip(n_items.tolist(), n_tests.tolist(), seeds.tolist(), params)
+        ]
+        assert got == want
+        assert [d.indices.dtype for d in got] == [d.indices.dtype for d in want]
+
+    def test_generate_designs_refuse_before_any_draw(self):
+        with pytest.raises(ValueError, match="draws must not exceed"):
+            model.generate_designs(
+                KIND_EXACT_CONSTANT, np.array([4, 4]), np.array([5, 3]),
+                [DesignParams(draws=3), DesignParams(draws=4)], np.array([1, 2], dtype=np.uint64),
+            )
+
+    def test_sample_defective_sets_are_sample_defective_set_s(self):
+        n_items = np.array([1, 1, 9, 50, 2**62])
+        k = np.array([0, 1, 9, 8, 3])
+        seeds = np.array([3, 0, 2**64 - 1, 7, 11], dtype=np.uint64)
+        got = model.sample_defective_sets(n_items, k, seeds)
+        assert got == [sample_defective_set(*args) for args in zip(n_items.tolist(), k.tolist(), seeds.tolist())]
+        with pytest.raises(ValueError):
+            model.sample_defective_sets(np.array([3]), np.array([4]), np.array([1], dtype=np.uint64))
+
+
 # -- the CSR representation against per-item loops -----------------------------
 # Stream tags 1, 2 and 3 key the Bernoulli, near-constant and exact-constant
 # columns of a seed.
@@ -391,6 +443,8 @@ class TestCsrDesigns:
             ((0,), (-1,)),  # negative index
             ((1, 0), (2,)),  # unsorted row
             ((0, 0), (2,)),  # repeated index
+            ((2,), (1, 1)),  # repeated index in the last row
+            ((), (2, 1)),  # unsorted row after an empty one
             ((0,),),  # one column short
             ((0,), (1,), (2,)),  # one column too many
             ((0.5,), (1,)),  # fractional index

@@ -181,3 +181,21 @@ def test_below_np_at_a_word_s_own_unit_value():
 def test_below_np_rejects_p_outside_the_open_unit_interval(p):
     with pytest.raises(ValueError):
         rng.below_np(np.uint64(1), np.arange(3, dtype=np.uint64), p)
+
+
+def test_below_np_takes_one_p_per_element():
+    """An array of p broadcast with the keys and counters: each cell is the
+    scalar call's at its own p."""
+    ps = np.array([2.0**-60, 0.05, 0.5, 1.0 - 2.0**-53])
+    keys, counters = _stream_inputs()
+    got = rng.below_np(keys[..., None], counters[..., None], ps)
+    for j, p in enumerate(ps):
+        assert np.array_equal(got[..., j], rng.below_np(keys, counters, float(p)))
+    words = rng._words_np(keys, counters)
+    assert np.array_equal(got[..., 2], words < np.uint64(1 << 63))
+
+
+@pytest.mark.parametrize("bad", [0.0, 1.0, float("nan")])
+def test_below_np_rejects_any_p_outside_the_open_unit_interval(bad):
+    with pytest.raises(ValueError, match="every p"):
+        rng.below_np(np.uint64(1), np.arange(3, dtype=np.uint64), np.array([0.5, bad, 0.25]))

@@ -1,4 +1,5 @@
-"""Planted faults fail the checks that should catch them."""
+"""Planted faults fail the checks that should catch them, and the corpus
+refuses arguments out of range."""
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from grouptest.verify import (
     check_pd_trials,
     check_structural_invariants,
     check_success_conditions,
+    fuzz_instance,
+    run_decoder_corpus,
 )
 
 
@@ -73,3 +76,24 @@ def test_pd_trial_check_catches_a_trial_that_drops_a_pd_item(monkeypatch):
     res = check_pd_trials(10)
     assert not res.ok
     assert "/comp/T=" in res.detail
+
+
+@pytest.mark.parametrize(
+    "name,call",
+    [
+        ("n_max", lambda: fuzz_instance(1, 0, n_max=1, k_max=2, t_max=4)),
+        ("n_max", lambda: fuzz_instance(1, 0, n_max=10.5, k_max=2, t_max=4)),
+        ("k_max", lambda: fuzz_instance(1, 0, n_max=5, k_max=-1, t_max=4)),
+        ("t_max", lambda: fuzz_instance(1, 0, n_max=5, k_max=2, t_max=0)),
+        ("t_max", lambda: fuzz_instance(1, 0, n_max=5, k_max=2, t_max=True)),
+        ("idx", lambda: fuzz_instance(1, -1, n_max=5, k_max=2, t_max=4)),
+        ("idx", lambda: fuzz_instance(1, 2**64, n_max=5, k_max=2, t_max=4)),
+        ("seed", lambda: fuzz_instance(-1, 0, n_max=5, k_max=2, t_max=4)),
+        ("seed", lambda: fuzz_instance(2**64, 0, n_max=5, k_max=2, t_max=4)),
+        ("instances", lambda: run_decoder_corpus(-3)),
+        ("n_max", lambda: run_decoder_corpus(0, n_max=1)),
+    ],
+)
+def test_corpus_refuses_arguments_out_of_range(name, call):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        call()
