@@ -26,17 +26,16 @@ chunks, byte-identical to json's compact or indented text of
 All randomness is counter-based (see :mod:`grouptest.rng`): column i of a
 design depends only on (seed, kind, i), so columns can be generated in any
 order or concurrently with identical results. Each kind has one row rule,
-which the generators, :func:`generate_designs` (many designs of a kind in
-one pass, each with its own N, T and parameter) and the lab's trial blocks
-share; exact-constant's is a partial Fisher-Yates vectorised over a block
-of keys (`_uniform_subsets`), which also draws the defective sets of
-:func:`sample_defective_sets` and of the trial blocks. :func:`pd_blocks`
-draws a block of trials at once: the item keys, the defective sets, the
-defectives' rows, which fix the outcomes, only the cells that decide which
-nondefectives are PD items, and those items' rows. It reads each trial's
-COMP and DD success from these arrays (:class:`PdBlock`) and builds a
-trial's design over its PD items on request; :func:`pd_instance` is a block
-of one trial.
+which the generators, :func:`generate_designs` (many designs of one kind
+in one pass) and the lab's trial blocks share; exact-constant's is a
+partial Fisher-Yates over a block of keys, which also draws many defective
+sets at once (:func:`sample_defective_sets`, the trial blocks).
+:func:`pd_blocks` draws a block of trials at once: the item keys, the
+defective sets, the defectives' rows, which fix the outcomes, only the cells
+that decide which nondefectives are PD items, and those items' rows. It
+reads each trial's COMP and DD success from these arrays (:class:`PdBlock`)
+and builds a trial's design over its PD items on request;
+:func:`pd_instance` is a block of one trial.
 """
 
 from __future__ import annotations
@@ -470,8 +469,8 @@ def _trial_pass() -> int:
     """Cells per numpy pass over a block of trials (`_drop_negative`, and
     rows of one T per key) and draws per block of exact-constant rows: an
     eighth of ``_GEN_BLOCK``, since such a pass holds index, counter and key
-    arrays of its size beside the words, and a Fisher-Yates block
-    (`_uniform_subsets`) about ten arrays of its draws. In passes of a whole
+    arrays of its size beside the words (a Fisher-Yates block, about ten
+    arrays of its draws). In passes of a whole
     ``_GEN_BLOCK`` the fig2 benchmark's peak memory was about 1.2 MB (3.7%)
     above the lab's of one trial at a time; in these it is about 0.2 MB
     above."""
@@ -609,12 +608,10 @@ def _uniform_subsets(keys: np.ndarray, n, k) -> np.ndarray:
         places.take(slot[step], out=chosen[step])
         places[slot[step]] = places[lead[step]]
     chosen = chosen.T
-    if not per_key:
-        chosen.sort(axis=1)
-        return chosen
-    chosen[~live] = np.iinfo(np.int64).max  # sorts last
+    if per_key:
+        chosen[~live] = np.iinfo(np.int64).max  # sorts last
     chosen.sort(axis=1)
-    return chosen[live]
+    return chosen[live] if per_key else chosen
 
 
 def _drop_negative(kind, keys, trial, n_tests, param, positive) -> np.ndarray:
