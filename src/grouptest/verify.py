@@ -98,7 +98,8 @@ def _fuzz_block(seed: int, lo: int, size: int, n_max: int, k_max: int, t_max: in
 
 
 # the last block drawn, keyed by (seed, n_max, k_max, t_max, block), and its
-# instances, each None once handed out
+# instances, each None once handed out; it saves work, and no instance
+# depends on it
 _kept: tuple[tuple, list] = ((), [])
 
 
