@@ -97,3 +97,21 @@ def test_pd_trial_check_catches_a_trial_that_drops_a_pd_item(monkeypatch):
 def test_corpus_refuses_arguments_out_of_range(name, call):
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):
         call()
+
+
+def _same_answer(got, want):
+    """Equal PD answers, the fields that take no part in equality included."""
+    assert (got.items, got.masks, got.all_positive) == (want.items, want.masks, want.all_positive)
+    assert (got.solo, got.explains) == (want.solo, want.explains)
+
+
+@pytest.mark.parametrize("seed,n_max,k_max,t_max", [(2024, 50, 8, 40), (5, 30, 6, 40), (424242, 20, 4, 8)])
+def test_corpus_outcomes_and_pd_answers_are_one_instance_s(seed, n_max, k_max, t_max):
+    """Each corpus instance's outcome is `run_tests`'s, and its design's PD
+    answer is that of a fresh copy of the same arrays."""
+    for idx in range(300):
+        inst = fuzz_instance(seed, idx, n_max=n_max, k_max=k_max, t_max=t_max)
+        d = inst.design
+        assert inst.outcome == model.run_tests(d, inst.truth)
+        copy = model.TestDesign.from_csr(d.kind, d.n_items, d.n_tests, d.params, d.seed, d.indptr, d.indices)
+        _same_answer(d.pd(inst.outcome), model.possible_defectives(copy, inst.outcome))
