@@ -6,10 +6,14 @@ rows (CSR), one row per item: item i is in the tests
 int64 array of N + 1 row pointers; ``indices`` holds all rows back to back in
 the narrowest unsigned type that fits T. Every constructor (the generators,
 hand-written per-item lists, the JSON loader) ends in one vectorised
-validation. The arrays are the one representation of a design; the PD
-(possible defective) step reads them with an outcome and masks only the PD
-items, over the positive tests (:func:`possible_defectives`), and the design
-keeps that answer for its last outcome (:meth:`TestDesign.pd`).
+validation, of a block of designs at once (`_checked_block`; a single design
+is a block of one). The arrays are the one representation of a design; the
+PD (possible defective) step reads them with an outcome and masks only the
+PD items, over the positive tests (`_pd_answers`, for a block of designs at
+once), and the design keeps that answer for its last outcome
+(:meth:`TestDesign.pd`). :func:`possible_defectives` is the PD step of one
+design, and :func:`block_instances` gives a block of designs their outcomes
+and PD answers in one pass.
 ``rows()`` lists the arrays' rows. Design JSON text has one encoder,
 :func:`design_json_chunks`, which joins the rows from the arrays in bounded
 chunks, byte-identical to json's compact or indented text of
@@ -141,8 +145,9 @@ class TestDesign:
     sequence of test indices per item; the generators build the CSR arrays
     directly through :meth:`from_csr`. Both go through the same validation,
     the design rules of `_checked_params` included, so any design that can be
-    built can be saved and loaded again. The arrays are read-only, so the PD
-    answer the design keeps for its last outcome (:meth:`pd`) stays valid.
+    built can be saved and loaded again; :func:`generate_designs` applies it
+    once to a block of designs. The arrays are read-only, so the PD answer the
+    design keeps for its last outcome (:meth:`pd`) stays valid.
     """
 
     __test__ = False  # the name matches pytest's collector; this is not a test
@@ -181,32 +186,15 @@ class TestDesign:
         return design
 
     def _init(self, kind, n_items, n_tests, params, seed, indptr, indices) -> None:
-        self.params = _checked_params(kind, n_items, n_tests, params, required=False)
-        self.kind = kind
-        self.n_items, self.n_tests = int(n_items), int(n_tests)
-        self.seed = _check_seed(seed)
-        indptr = np.asarray(indptr)
-        indices = np.asarray(indices)
-        if indptr.ndim != 1 or indices.ndim != 1:
-            raise ValueError("row pointers and test indices must be flat arrays")
-        # dtype kinds: signed or unsigned integer; bool, float and object fail
-        if indptr.dtype.kind not in "iu" or indices.dtype.kind not in "iu":
-            raise ValueError("test indices must be integers")
-        if indptr.shape[0] != self.n_items + 1:
-            raise ValueError("one column required per item")
-        nnz = indices.shape[0]
-        if indptr[0] != 0 or indptr[-1] != nnz or (indptr[1:] < indptr[:-1]).any():
-            raise ValueError("row pointers must rise from 0 to the number of indices")
-        if nnz and ((indices.dtype.kind == "i" and indices.min() < 0) or indices.max() >= self.n_tests):
-            raise ValueError("test index out of range")
-        # strictly increasing rows: each entry is above the one before it
-        # (compared, not subtracted, so unsigned types cannot wrap) or starts
-        # a row
-        rises = np.ones(nnz + 1, dtype=bool)
-        np.greater(indices[1:], indices[:-1], out=rises[1:nnz])
-        rises[indptr] = True
-        if not rises.all():
-            raise ValueError("columns must be strictly sorted")
+        params = _checked_params(kind, n_items, n_tests, params, required=False)
+        indptr, indices = _checked_block([n_items], [n_tests], [seed], indptr, indices)
+        self._keep(kind, n_items, n_tests, params, seed, indptr, indices)
+
+    def _keep(self, kind, n_items, n_tests, params, seed, indptr, indices) -> None:
+        """Store a design whose parameters and arrays are checked
+        (`_checked_params`, `_checked_block`), in the stored dtypes."""
+        self.params, self.kind = params, kind
+        self.n_items, self.n_tests, self.seed = int(n_items), int(n_tests), int(seed)
         self.indptr = indptr.astype(np.int64, copy=False)
         self.indices = indices.astype(_index_dtype(self.n_tests), copy=False)
         self.indptr.flags.writeable = False
@@ -239,12 +227,52 @@ class TestDesign:
     def pd(self, outcome: OutcomeVector) -> PossibleDefectives:
         """The PD answer for `outcome`, kept for the last outcome asked about
         (keyed by its bits), so the decoders and :func:`compute_item_stats`
-        on one instance share one :func:`possible_defectives` pass."""
+        on one instance share one :func:`possible_defectives` pass; a design
+        from :func:`block_instances` carries the answer of its block's pass."""
         bits = tuple(outcome.bits)
         kept = self._pd
         if kept is None or kept[0] != bits:
             kept = self._pd = (bits, possible_defectives(self, outcome))
         return kept[1]
+
+
+def _checked_block(n_items, n_tests, seeds, indptr, indices) -> tuple[np.ndarray, np.ndarray]:
+    """The arrays of a block of designs, as arrays, once checked: design j
+    (of the lists `n_items`, `n_tests` and `seeds`) has ``n_items[j]`` rows,
+    which follow design j - 1's. ValueError unless each seed is a 64-bit
+    unsigned integer and the arrays are flat integer arrays of one row per
+    item, the pointers rising from 0 to the number of entries, each entry in
+    [0, T) of its own design and each row strictly increasing."""
+    for seed in seeds:
+        _check_seed(seed)
+    indptr = np.asarray(indptr)
+    indices = np.asarray(indices)
+    if indptr.ndim != 1 or indices.ndim != 1:
+        raise ValueError("row pointers and test indices must be flat arrays")
+    # dtype kinds: signed or unsigned integer; bool, float and object fail
+    if indptr.dtype.kind not in "iu" or indices.dtype.kind not in "iu":
+        raise ValueError("test indices must be integers")
+    if indptr.shape[0] != sum(n_items) + 1:
+        raise ValueError("one column required per item")
+    nnz = indices.shape[0]
+    if indptr[0] != 0 or indptr[-1] != nnz or (indptr[1:] < indptr[:-1]).any():
+        raise ValueError("row pointers must rise from 0 to the number of indices")
+    if nnz:
+        # each entry's design's last test, capped at the indices' largest value
+        top = int(np.iinfo(indices.dtype).max)
+        last = np.array([min(int(t) - 1, top) for t in n_tests], dtype=indices.dtype)
+        if len(n_tests) > 1:
+            last = np.repeat(last, np.diff(indptr[np.cumsum(n_items)], prepend=0))
+        if (indices.dtype.kind == "i" and indices.min() < 0) or (indices > last).any():
+            raise ValueError("test index out of range")
+    # strictly increasing rows: each entry is above the one before it
+    # (compared, not subtracted, so unsigned types cannot wrap) or starts a row
+    rises = np.ones(nnz + 1, dtype=bool)
+    np.greater(indices[1:], indices[:-1], out=rises[1:nnz])
+    rises[indptr] = True
+    if not rises.all():
+        raise ValueError("columns must be strictly sorted")
+    return indptr, indices
 
 
 def _csr_from_columns(columns) -> tuple[np.ndarray, np.ndarray]:
@@ -536,11 +564,12 @@ def generate_designs(
 ) -> list[TestDesign]:
     """``generate_design(kind, n_items[j], n_tests[j], seeds[j], params[j])``
     for each j, drawn together: one `_csr_rows` pass over all the designs'
-    item keys, with T and the parameter per key, split into `from_csr`
-    designs. The sizes are integer arrays and the seeds a uint64 array, all
-    of the length of `params`; ValueError, before any draw, on anything
-    `generate_design` refuses (`_checked_params`)."""
-    sizes, tests = n_items.tolist(), n_tests.tolist()
+    item keys, with T and the parameter per key, checked once as a block
+    (`_checked_block`) and split into designs. The sizes are integer arrays
+    and the seeds a uint64 array, all of the length of `params`; ValueError,
+    before any draw, on anything `generate_design` refuses
+    (`_checked_params`)."""
+    sizes, tests, seed_list = n_items.tolist(), n_tests.tolist(), seeds.tolist()
     for n, t, prm in zip(sizes, tests, params):
         _checked_params(kind, n, t, prm)
     # design j's items are keys bounds[j] .. bounds[j + 1] - 1
@@ -550,16 +579,19 @@ def generate_designs(
     items = (np.arange(owner.shape[0]) - bounds[owner]).astype(np.uint64)
     param = np.array([_kind_param(kind, prm) for prm in params])
     keys = rng.mix64_np(seeds[owner], _STREAM_COLUMNS[kind], items)
-    indptr, indices = _csr_rows(kind, keys, n_tests[owner], param[owner])
+    rows = _csr_rows(kind, keys, n_tests[owner], param[owner])
+    indptr, indices = _checked_block(sizes, tests, seed_list, *rows)
     entries = indptr[bounds].tolist()
     bounds = bounds.tolist()
-    return [
-        TestDesign.from_csr(
+    designs = []
+    for j, seed in enumerate(seed_list):
+        design = TestDesign.__new__(TestDesign)
+        design._keep(
             kind, sizes[j], tests[j], params[j], seed,
             indptr[bounds[j] : bounds[j + 1] + 1] - entries[j], indices[entries[j] : entries[j + 1]],
         )
-        for j, seed in enumerate(seeds.tolist())
-    ]
+        designs.append(design)
+    return designs
 
 
 def _uniform_subsets(keys: np.ndarray, n, k) -> np.ndarray:
@@ -763,24 +795,20 @@ class PdBlock:
         full design's. The items are in increasing order, so position
         tie-breaks see the same masks. The design is over positions (item j
         is the returned item tuple's j-th), and so is the returned truth. It
-        carries its PD answer, packed from its rows. A design has an item, so
-        with no PD item (K = 0 and no empty row) it holds item 0, in full,
-        which the PD step drops.
+        carries its PD answer, from the PD step on its rows. A design has an
+        item, so with no PD item (K = 0 and no empty row) it holds item 0, in
+        full, which the PD step drops.
         """
         n_tests, params, kind = int(self.n_tests[b]), self.params[b], self.kind
         lo, hi = np.searchsorted(self._surv_trial, (b, b + 1))
         items = np.sort(np.concatenate((self._defective[b], self._surv_items[lo:hi])))
-        n_pd = items.shape[0]
-        if not n_pd:
+        if not items.shape[0]:
             items = np.zeros(1, dtype=np.int64)
         indptr, indices = _csr_rows(kind, self._keys[b, items], n_tests, _kind_param(kind, params))
-        positive_tests = self._positive[b, :n_tests].nonzero()[0]
-        masks = _pd_masks(positive_tests, indices[: indptr[n_pd]], np.diff(indptr[: n_pd + 1]))
-        answer = PossibleDefectives(tuple(range(n_pd)), masks, (1 << positive_tests.shape[0]) - 1)
-        seed = int(self.seeds[b])
-        design = TestDesign.from_csr(kind, items.shape[0], n_tests, params, seed, indptr, indices)
-        outcome = OutcomeVector(tuple(self._positive[b, :n_tests].tolist()))
-        design._pd = (outcome.bits, answer)
+        design = TestDesign.from_csr(kind, items.shape[0], n_tests, params, int(self.seeds[b]), indptr, indices)
+        positive = self._positive[b, :n_tests]
+        outcome = OutcomeVector(tuple(positive.tolist()))
+        design._pd = (outcome.bits, _pd_answers([items.shape[0]], [n_tests], indptr, indices, positive)[0])
         at = DefectiveSet(tuple(np.searchsorted(items, self._defective[b]).tolist()))
         return Instance(design, at, outcome), tuple(items.tolist())
 
@@ -1008,36 +1036,97 @@ def others_unions(masks: Sequence[int]) -> list[int]:
 
 
 def possible_defectives(design: TestDesign, outcome: OutcomeVector) -> PossibleDefectives:
-    """The PD step of COMP: the items in no negative test, with their masks.
-
-    One gather of the outcome over the CSR indices and one AND per non-empty
-    row find the PD rows, and `_pd_masks` packs their masks (memory in
-    proportion to the masks, not to PD items x T).
-    """
+    """The PD step of COMP: the items in no negative test, with their masks;
+    `_pd_answers` on a block of one design."""
     check_outcome_length(design, outcome)
     positive = np.array(outcome.bits, dtype=bool)
-    indptr, indices = design.indptr, design.indices
+    return _pd_answers([design.n_items], [design.n_tests], design.indptr, design.indices, positive)[0]
+
+
+def block_instances(designs: Sequence[TestDesign], truths: Sequence[DefectiveSet]) -> list[Instance]:
+    """``Instance(d, truth, run_tests(d, truth))`` for each design and truth,
+    each design carrying its PD answer for that outcome: the designs' rows
+    back to back, each entry read as its test's place among all the designs'
+    tests, give every outcome in one pass and every PD answer in one
+    `_pd_answers` pass. ValueError on a defective outside its design or on
+    lists of unequal lengths."""
+    if len(designs) != len(truths):
+        raise ValueError("one defective set required per design")
+    if not designs:
+        return []
+    for d, truth in zip(designs, truths):
+        if truth.items and truth.items[-1] >= d.n_items:
+            raise ValueError(f"item {truth.items[-1]} out of range for {d.n_items} items")
+    n_items = [d.n_items for d in designs]
+    n_tests = [d.n_tests for d in designs]
+    n_entries = [d.indices.shape[0] for d in designs]
+    first_item = np.cumsum(n_items) - n_items
+    indptr = np.concatenate([np.zeros(1, dtype=np.int64)] + [d.indptr[1:] for d in designs])
+    indptr[1:] += np.repeat(np.cumsum(n_entries) - n_entries, n_items)
+    tests = np.concatenate([d.indices for d in designs]).astype(np.int64)
+    tests += np.repeat(np.cumsum(n_tests) - n_tests, n_entries)
+    # test t of design j is positive iff one of j's defectives' rows holds it
+    defective = np.zeros(indptr.shape[0] - 1, dtype=bool)
+    items = np.fromiter(chain.from_iterable(t.items for t in truths), np.int64)
+    defective[items + np.repeat(first_item, [t.k for t in truths])] = True
+    positive = np.zeros(sum(n_tests), dtype=bool)
+    positive[tests[np.repeat(defective, np.diff(indptr))]] = True
+    answers = _pd_answers(n_items, n_tests, indptr, tests, positive)
+    bits = positive.tolist()
+    bounds = [0, *np.cumsum(n_tests).tolist()]
+    out = []
+    for d, truth, answer, lo, hi in zip(designs, truths, answers, bounds, bounds[1:]):
+        outcome = OutcomeVector(tuple(bits[lo:hi]))
+        d._pd = (outcome.bits, answer)
+        out.append(Instance(d, truth, outcome))
+    return out
+
+
+def _pd_answers(n_items, n_tests, indptr, tests, positive) -> list[PossibleDefectives]:
+    """The PD answer of each design of a block: design j (of the lists
+    `n_items` and `n_tests`) has ``n_items[j]`` rows, which follow design
+    j - 1's in `indptr`; `positive` holds the designs' outcomes back to back,
+    and `tests` each entry's place in it.
+
+    One gather of the outcomes over the entries and one AND per non-empty
+    row find the PD rows, and one `_pd_masks` call packs their masks, each
+    entry ranked among its own design's positive tests (memory in proportion
+    to the masks, not to PD items x T).
+    """
     sizes = indptr[1:] - indptr[:-1]
     # An empty row is in no negative test, so it is PD. Without the empty
     # rows the starts rise strictly, and each reduceat segment is exactly one
-    # row (the last runs to the end). np.take reads the narrow indices as
-    # they are (indexing casts them to intp first).
+    # row (the last runs to the end). np.take reads the narrow indices of a
+    # design as they are (indexing casts them to intp first).
     filled = sizes.nonzero()[0]
-    is_pd = np.ones(design.n_items, dtype=bool)
-    is_pd[filled] = np.logical_and.reduceat(np.take(positive, indices), indptr[filled])
+    is_pd = np.ones(sizes.shape[0], dtype=bool)
+    is_pd[filled] = np.logical_and.reduceat(np.take(positive, tests), indptr[filled])
     pd = is_pd.nonzero()[0]
-    positive_tests = positive.nonzero()[0]
-    masks = _pd_masks(positive_tests, indices[np.repeat(is_pd, sizes)], sizes[pd])
-    return PossibleDefectives(tuple(pd.tolist()), masks, (1 << positive_tests.shape[0]) - 1)
+    # each test's rank among its design's positive tests (read at the
+    # positive ones); design j's PD rows are pd[ends[j]:ends[j + 1]]
+    rank = np.cumsum(positive) - 1
+    items, n_pos, ends = pd, [int(rank[-1]) + 1], [0, pd.shape[0]]
+    if len(n_items) > 1:  # designs after the first are offset in tests and items
+        test_at, item_at = np.cumsum([[0, *n_tests], [0, *n_items]], axis=1)
+        before = np.concatenate(([0], rank[test_at[1:] - 1] + 1))
+        rank -= np.repeat(before[:-1], n_tests)
+        n_pos = np.diff(before).tolist()
+        ends = np.searchsorted(pd, item_at)
+        items = pd - np.repeat(item_at[:-1], np.diff(ends))
+        ends = ends.tolist()
+    masks = _pd_masks(np.take(rank, tests[np.repeat(is_pd, sizes)]), sizes[pd], max(n_pos))
+    items = items.tolist()
+    return [
+        PossibleDefectives(tuple(items[a:b]), masks[a:b], (1 << count) - 1)
+        for a, b, count in zip(ends, ends[1:], n_pos)
+    ]
 
 
-def _pd_masks(positive_tests: np.ndarray, entries: np.ndarray, sizes: np.ndarray) -> tuple[int, ...]:
-    """The mask of each row of `entries` (rows of `sizes` entries back to
-    back, each entry one of the increasing `positive_tests`): bit b is
-    ``positive_tests[b]``. The entries, ranked among the positive tests, are
-    OR-ed into whole-byte rows and read back by ``int.from_bytes``."""
-    width = positive_tests.shape[0] // 8 + 1  # bytes per mask; the spare byte keeps it positive
-    bits = np.searchsorted(positive_tests, entries)
+def _pd_masks(bits: np.ndarray, sizes: np.ndarray, n_bits: int) -> tuple[int, ...]:
+    """The mask of each row of `bits` (rows of `sizes` entries back to back,
+    each entry its bit, below `n_bits`). The bits are OR-ed into whole-byte
+    rows and read back by ``int.from_bytes``."""
+    width = n_bits // 8 + 1  # bytes per mask; the spare byte keeps it positive
     byte_at = np.repeat(np.arange(0, sizes.shape[0] * width, width), sizes) + (bits >> 3)
     packed = np.zeros(sizes.shape[0] * width, dtype=np.uint8)
     np.bitwise_or.at(packed, byte_at, np.left_shift(1, bits & 7).astype(np.uint8))

@@ -7,9 +7,11 @@ CLI can run a faster pass.
 
 The fuzz corpus (:func:`fuzz_instance`) is drawn a block of instances at a
 time: one vectorised pass for the block's shapes, one design pass per kind
-(`model.generate_designs`) and one for the defective sets
-(`model.sample_defective_sets`). Instance idx depends only on the seed, idx
-and the sizes, never on the block.
+(`model.generate_designs`, which checks its designs once as a block), one
+for the defective sets (`model.sample_defective_sets`), and one outcome and
+one PD pass over all the block's designs (`model.block_instances`), so each
+design carries its PD answer. Instance idx depends only on the seed, idx and
+the sizes, never on the block.
 
 Empirical distributions are sampled with numpy's own generator, keeping the
 sampling path independent of the package's counter-based streams.
@@ -73,8 +75,9 @@ def _check_corpus_args(**values: int) -> None:
 def _fuzz_block(seed: int, lo: int, size: int, n_max: int, k_max: int, t_max: int) -> list[model.Instance]:
     """Instances lo, lo + 1, ... (at most `size`, all below 2**64) of a
     corpus: their shapes from one vectorised pass of each rule, the designs
-    of each kind from one `model.generate_designs` call, and the defective
-    sets from one `model.sample_defective_sets` call."""
+    of each kind from one `model.generate_designs` call, the defective sets
+    from one `model.sample_defective_sets` call, and the outcomes and the
+    designs' PD answers from one `model.block_instances` call."""
     idx = np.uint64(lo) + np.arange(min(size, (1 << 64) - lo), dtype=np.uint64)
     h = rng.mix64_np(seed, idx)
     n = 2 + rng.bounded_np(h, 0, n_max - 1)
@@ -93,8 +96,7 @@ def _fuzz_block(seed: int, lo: int, size: int, n_max: int, k_max: int, t_max: in
             params = [model.DesignParams(draws=x) for x in draws[at].tolist()]
         for j, design in zip(at.tolist(), model.generate_designs(kind, n[at], t[at], params, design_seeds[at])):
             designs[j] = design
-    truths = model.sample_defective_sets(n, k, truth_seeds)
-    return [model.Instance(d, truth, model.run_tests(d, truth)) for d, truth in zip(designs, truths)]
+    return model.block_instances(designs, model.sample_defective_sets(n, k, truth_seeds))
 
 
 # the last block drawn, keyed by (seed, n_max, k_max, t_max, block), and its
@@ -111,7 +113,8 @@ def fuzz_instance(
     Instance idx is drawn with its block, the B = ``max(1, _GEN_BLOCK //
     (n_max * t_max))`` instances from the multiple of B at or below idx,
     and the last block drawn is kept, so a pass over the corpus in order
-    draws each block once. Each kept instance is handed out once; asked for
+    draws each block once. Its design carries the PD answer for its outcome,
+    found with the block's. Each kept instance is handed out once; asked for
     again, it is drawn again. ValueError on sizes, seed or idx out of their
     ranges (`_check_corpus_args`).
     """

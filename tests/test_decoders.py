@@ -467,13 +467,18 @@ class TestKeptPdAnswer:
         monkeypatch.setattr(model, "others_unions", counted)
         for idx in range(40):
             inst = fuzz_instance(2024, idx, n_max=50, k_max=8, t_max=40)
-            d, y = inst.design, inst.outcome
+            # a corpus design carries its answer from the draw; a copy of its
+            # arrays finds it at the first decode
+            kept, y = inst.design, inst.outcome
+            d = TestDesign.from_csr(kept.kind, kept.n_items, kept.n_tests, kept.params, kept.seed,
+                                    kept.indptr, kept.indices)
             calls.clear()
             for alg in ALGORITHMS:
                 decode(alg, d, y)
             compute_item_stats(d, inst.truth, y)
-            answer = d.pd(y)
+            answer, want = d.pd(y), kept.pd(y)
             assert calls == [len(answer.masks), inst.truth.k]
+            assert (answer, answer.solo, answer.explains) == (want, want.solo, want.explains)
             rows = d.rows()
             pd_at = [sum(t in rows[i] for i in answer.items) for t in range(d.n_tests)]
             positive = [t for t, bit in enumerate(y.bits) if bit]

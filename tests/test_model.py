@@ -302,6 +302,80 @@ class TestBlockDraws:
         with pytest.raises(ValueError):
             model.sample_defective_sets(np.array([3]), np.array([4]), np.array([1], dtype=np.uint64))
 
+    # a block of two designs, T = 10 and T = 5, three items each; the second
+    # design's arrays carry one fault of each kind `from_csr` refuses
+    BLOCK_FAULTS = {
+        "unsorted row": ([0, 1, 2, 3, 5, 6, 7], [0, 4, 9, 3, 1, 2, 3], "strictly sorted"),
+        "repeated index": ([0, 1, 2, 3, 5, 6, 7], [0, 4, 9, 1, 1, 2, 3], "strictly sorted"),
+        "index at its own T": ([0, 1, 2, 3, 5, 6, 7], [0, 4, 9, 1, 2, 7, 3], "out of range"),
+        "pointers stop short": ([0, 1, 2, 3, 5, 6, 6], [0, 4, 9, 1, 2, 3, 4], "rise from 0"),
+    }
+
+    @pytest.mark.parametrize("fault", BLOCK_FAULTS)
+    def test_generate_designs_refuse_what_from_csr_refuses(self, monkeypatch, fault):
+        indptr, indices, message = self.BLOCK_FAULTS[fault]
+        indptr, indices = np.array(indptr, dtype=np.int64), np.array(indices, dtype=np.uint8)
+        monkeypatch.setattr(model, "_csr_rows", lambda *args: (indptr, indices))
+        with pytest.raises(ValueError, match=message):
+            model.generate_designs(
+                KIND_NEAR_CONSTANT, np.array([3, 3]), np.array([10, 5]),
+                [DesignParams(draws=2), DesignParams(draws=2)], np.array([1, 2], dtype=np.uint64),
+            )
+        with pytest.raises(ValueError, match=message):
+            TestDesign.from_csr(KIND_NEAR_CONSTANT, 3, 5, DesignParams(draws=2), 2, indptr[3:] - 3, indices[3:])
+
+    def test_generate_designs_check_params_once_per_design(self, monkeypatch):
+        calls = []
+        checked_params = model._checked_params
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:3])
+            return checked_params(*args, **kwargs)
+
+        monkeypatch.setattr(model, "_checked_params", counted)
+        model.generate_designs(
+            KIND_BERNOULLI, np.array([4, 2, 9]), np.array([3, 8, 1]),
+            [DesignParams(p=0.5)] * 3, np.array([1, 2, 3], dtype=np.uint64),
+        )
+        assert calls == [(4, 3), (2, 8), (9, 1)]
+
+    def test_block_instances_are_run_tests_and_possible_defectives(self):
+        """Outcomes and PD answers of a block equal those of each design on
+        its own: rows empty first, in the middle and last; a design with no
+        entries; K = 0; every test positive; T = 1 and N = 2; and designs of
+        different T and index types, each ranked among its own tests."""
+        block = [
+            (TestDesign(KIND_BERNOULLI, 5, 3, DesignParams(p=0.5), 0, ([], [0, 2], [], [1], [])), (1,)),
+            (TestDesign(KIND_BERNOULLI, 3, 4, DesignParams(), 1, ([], [], [])), (0, 2)),
+            (TestDesign(KIND_NEAR_CONSTANT, 3, 6, DesignParams(draws=2), 2, ([0, 5], [1, 2], [3])), ()),
+            (TestDesign(KIND_EXACT_CONSTANT, 3, 4, DesignParams(draws=2), 3, ([0, 1], [2, 3], [1, 2])), (0, 1)),
+            (TestDesign(KIND_NEAR_CONSTANT, 2, 1, DesignParams(draws=1), 4, ([0], [])), (0,)),
+            (gen_near_constant(20, 300, 5, seed=3), sample_defective_set(20, 3, 1).items),
+            (gen_bernoulli(9, 17, 0.4, seed=5), (2, 8)),
+        ]
+        designs = [d for d, _ in block]
+        truths = [DefectiveSet(items) for _, items in block]
+        got = model.block_instances(designs, truths)
+        assert [(inst.design, inst.truth) for inst in got] == list(zip(designs, truths))
+        assert all(inst.design is d for inst, d in zip(got, designs))
+        outcomes = [inst.outcome.bits for inst in got]
+        assert not any(outcomes[2]) and all(outcomes[3]) and outcomes[4] == (True,)
+        for inst in got:
+            d = inst.design
+            copy = TestDesign.from_csr(d.kind, d.n_items, d.n_tests, d.params, d.seed, d.indptr, d.indices)
+            assert inst.outcome == run_tests(copy, inst.truth)
+            want = possible_defectives(copy, inst.outcome)
+            answer = d.pd(inst.outcome)
+            assert (answer, answer.solo, answer.explains) == (want, want.solo, want.explains)
+        assert [d.pd(inst.outcome).items for d, inst in zip(designs[:5], got)] == [
+            (0, 1, 2, 4), (0, 1, 2), (), (0, 1, 2), (0, 1),
+        ]
+        assert model.block_instances([], []) == []
+        with pytest.raises(ValueError, match="one defective set"):
+            model.block_instances(designs, truths[1:])
+        with pytest.raises(ValueError, match="out of range"):
+            model.block_instances(designs[:2], [DefectiveSet((1,)), DefectiveSet((3,))])
+
 
 # -- the CSR representation against per-item loops -----------------------------
 # Stream tags 1, 2 and 3 key the Bernoulli, near-constant and exact-constant
