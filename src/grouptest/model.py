@@ -1060,20 +1060,21 @@ def block_instances(designs: Sequence[TestDesign], truths: Sequence[DefectiveSet
     n_items = [d.n_items for d in designs]
     n_tests = [d.n_tests for d in designs]
     n_entries = [d.indices.shape[0] for d in designs]
-    first_item = np.cumsum(n_items) - n_items
+    # design j's first item, test and entry in the block
+    item_at, test_at, entry_at = np.cumsum([[0, *n_items], [0, *n_tests], [0, *n_entries]], axis=1)
     indptr = np.concatenate([np.zeros(1, dtype=np.int64)] + [d.indptr[1:] for d in designs])
-    indptr[1:] += np.repeat(np.cumsum(n_entries) - n_entries, n_items)
+    indptr[1:] += np.repeat(entry_at[:-1], n_items)
     tests = np.concatenate([d.indices for d in designs]).astype(np.int64)
-    tests += np.repeat(np.cumsum(n_tests) - n_tests, n_entries)
+    tests += np.repeat(test_at[:-1], n_entries)
     # test t of design j is positive iff one of j's defectives' rows holds it
-    defective = np.zeros(indptr.shape[0] - 1, dtype=bool)
+    defective = np.zeros(item_at[-1], dtype=bool)
     items = np.fromiter(chain.from_iterable(t.items for t in truths), np.int64)
-    defective[items + np.repeat(first_item, [t.k for t in truths])] = True
-    positive = np.zeros(sum(n_tests), dtype=bool)
+    defective[items + np.repeat(item_at[:-1], [t.k for t in truths])] = True
+    positive = np.zeros(test_at[-1], dtype=bool)
     positive[tests[np.repeat(defective, np.diff(indptr))]] = True
     answers = _pd_answers(n_items, n_tests, indptr, tests, positive)
     bits = positive.tolist()
-    bounds = [0, *np.cumsum(n_tests).tolist()]
+    bounds = test_at.tolist()
     out = []
     for d, truth, answer, lo, hi in zip(designs, truths, answers, bounds, bounds[1:]):
         outcome = OutcomeVector(tuple(bits[lo:hi]))
