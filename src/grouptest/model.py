@@ -6,14 +6,12 @@ rows (CSR), one row per item: item i is in the tests
 int64 array of N + 1 row pointers; ``indices`` holds all rows back to back in
 the narrowest unsigned type that fits T. Every constructor (the generators,
 hand-written per-item lists, the JSON loader) ends in one vectorised
-validation, of a block of designs at once (`_checked_block`; a single design
-is a block of one). The arrays are the one representation of a design; the
-PD (possible defective) step reads them with an outcome and masks only the
-PD items, over the positive tests (`_pd_answers`, for a block of designs at
-once), and the design keeps that answer for its last outcome
-(:meth:`TestDesign.pd`). :func:`possible_defectives` is the PD step of one
-design, and :func:`block_instances` gives a block of designs their outcomes
-and PD answers in one pass.
+validation. The arrays are the one representation of a design; the PD
+(possible defective) step reads them with an outcome and masks only the PD
+items, over the positive tests (:func:`possible_defectives`), and the design
+keeps that answer for its last outcome (:meth:`TestDesign.pd`). Validation
+and the PD step run on a block of designs at once, a single design being a
+block of one; :func:`block_instances` gives a block its outcomes and answers.
 ``rows()`` lists the arrays' rows. Design JSON text has one encoder,
 :func:`design_json_chunks`, which joins the rows from the arrays in bounded
 chunks, byte-identical to json's compact or indented text of
@@ -145,9 +143,8 @@ class TestDesign:
     sequence of test indices per item; the generators build the CSR arrays
     directly through :meth:`from_csr`. Both go through the same validation,
     the design rules of `_checked_params` included, so any design that can be
-    built can be saved and loaded again; :func:`generate_designs` applies it
-    once to a block of designs. The arrays are read-only, so the PD answer the
-    design keeps for its last outcome (:meth:`pd`) stays valid.
+    built can be saved and loaded again. The arrays are read-only, so the PD
+    answer the design keeps for its last outcome (:meth:`pd`) stays valid.
     """
 
     __test__ = False  # the name matches pytest's collector; this is not a test
@@ -191,8 +188,7 @@ class TestDesign:
         self._keep(kind, n_items, n_tests, params, seed, indptr, indices)
 
     def _keep(self, kind, n_items, n_tests, params, seed, indptr, indices) -> None:
-        """Store a design whose parameters and arrays are checked
-        (`_checked_params`, `_checked_block`), in the stored dtypes."""
+        """Store checked parameters and arrays, in the stored dtypes."""
         self.params, self.kind = params, kind
         self.n_items, self.n_tests, self.seed = int(n_items), int(n_tests), int(seed)
         self.indptr = indptr.astype(np.int64, copy=False)
@@ -227,8 +223,7 @@ class TestDesign:
     def pd(self, outcome: OutcomeVector) -> PossibleDefectives:
         """The PD answer for `outcome`, kept for the last outcome asked about
         (keyed by its bits), so the decoders and :func:`compute_item_stats`
-        on one instance share one :func:`possible_defectives` pass; a design
-        from :func:`block_instances` carries the answer of its block's pass."""
+        on one instance share one :func:`possible_defectives` pass."""
         bits = tuple(outcome.bits)
         kept = self._pd
         if kept is None or kept[0] != bits:
@@ -237,12 +232,11 @@ class TestDesign:
 
 
 def _checked_block(n_items, n_tests, seeds, indptr, indices) -> tuple[np.ndarray, np.ndarray]:
-    """The arrays of a block of designs, as arrays, once checked: design j
-    (of the lists `n_items`, `n_tests` and `seeds`) has ``n_items[j]`` rows,
-    which follow design j - 1's. ValueError unless each seed is a 64-bit
-    unsigned integer and the arrays are flat integer arrays of one row per
-    item, the pointers rising from 0 to the number of entries, each entry in
-    [0, T) of its own design and each row strictly increasing."""
+    """The arrays of a block of designs, checked: design j has the j-th of
+    each list and its rows follow design j - 1's. ValueError unless each seed
+    fits 64 bits and the arrays are flat integer arrays, one row per item,
+    the pointers rising from 0 to the entry count, each entry in [0, T) of
+    its own design and each row strictly increasing."""
     for seed in seeds:
         _check_seed(seed)
     indptr = np.asarray(indptr)
@@ -564,7 +558,7 @@ def generate_designs(
 ) -> list[TestDesign]:
     """``generate_design(kind, n_items[j], n_tests[j], seeds[j], params[j])``
     for each j, drawn together: one `_csr_rows` pass over all the designs'
-    item keys, with T and the parameter per key, checked once as a block
+    item keys, with T and the parameter per key, checked once
     (`_checked_block`) and split into designs. The sizes are integer arrays
     and the seeds a uint64 array, all of the length of `params`; ValueError,
     before any draw, on anything `generate_design` refuses
@@ -1044,12 +1038,10 @@ def possible_defectives(design: TestDesign, outcome: OutcomeVector) -> PossibleD
 
 
 def block_instances(designs: Sequence[TestDesign], truths: Sequence[DefectiveSet]) -> list[Instance]:
-    """``Instance(d, truth, run_tests(d, truth))`` for each design and truth,
-    each design carrying its PD answer for that outcome: the designs' rows
-    back to back, each entry read as its test's place among all the designs'
-    tests, give every outcome in one pass and every PD answer in one
-    `_pd_answers` pass. ValueError on a defective outside its design or on
-    lists of unequal lengths."""
+    """``Instance(d, truth, run_tests(d, truth))`` for each pair, each design
+    carrying its PD answer: one outcome pass and one `_pd_answers` pass over
+    the designs' rows back to back. ValueError on a defective outside its
+    design or on lists of unequal lengths."""
     if len(designs) != len(truths):
         raise ValueError("one defective set required per design")
     if not designs:
@@ -1084,27 +1076,21 @@ def block_instances(designs: Sequence[TestDesign], truths: Sequence[DefectiveSet
 
 
 def _pd_answers(n_items, n_tests, indptr, tests, positive) -> list[PossibleDefectives]:
-    """The PD answer of each design of a block: design j (of the lists
-    `n_items` and `n_tests`) has ``n_items[j]`` rows, which follow design
-    j - 1's in `indptr`; `positive` holds the designs' outcomes back to back,
-    and `tests` each entry's place in it.
-
-    One gather of the outcomes over the entries and one AND per non-empty
-    row find the PD rows, and one `_pd_masks` call packs their masks, each
-    entry ranked among its own design's positive tests (memory in proportion
-    to the masks, not to PD items x T).
-    """
+    """The PD answer of each design of a block (rows as in `_checked_block`;
+    `positive` holds the outcomes back to back, `tests` each entry's place in
+    it). One gather of the outcomes and one AND per non-empty row find the PD
+    rows, and one `_pd_masks` call packs their masks, each entry ranked among
+    its design's positive tests (memory in proportion to the masks)."""
     sizes = indptr[1:] - indptr[:-1]
     # An empty row is in no negative test, so it is PD. Without the empty
     # rows the starts rise strictly, and each reduceat segment is exactly one
-    # row (the last runs to the end). np.take reads the narrow indices of a
-    # design as they are (indexing casts them to intp first).
+    # row (the last runs to the end). np.take reads the narrow indices as
+    # they are (indexing casts them to intp first).
     filled = sizes.nonzero()[0]
     is_pd = np.ones(sizes.shape[0], dtype=bool)
     is_pd[filled] = np.logical_and.reduceat(np.take(positive, tests), indptr[filled])
     pd = is_pd.nonzero()[0]
-    # each test's rank among its design's positive tests (read at the
-    # positive ones); design j's PD rows are pd[ends[j]:ends[j + 1]]
+    # each positive test's rank in its design; design j's PD rows are pd[ends[j]:ends[j + 1]]
     rank = np.cumsum(positive) - 1
     items, n_pos, ends = pd, [int(rank[-1]) + 1], [0, pd.shape[0]]
     if len(n_items) > 1:  # designs after the first are offset in tests and items
@@ -1125,8 +1111,8 @@ def _pd_answers(n_items, n_tests, indptr, tests, positive) -> list[PossibleDefec
 
 def _pd_masks(bits: np.ndarray, sizes: np.ndarray, n_bits: int) -> tuple[int, ...]:
     """The mask of each row of `bits` (rows of `sizes` entries back to back,
-    each entry its bit, below `n_bits`). The bits are OR-ed into whole-byte
-    rows and read back by ``int.from_bytes``."""
+    each bit below `n_bits`), OR-ed into whole-byte rows and read back by
+    ``int.from_bytes``."""
     width = n_bits // 8 + 1  # bytes per mask; the spare byte keeps it positive
     byte_at = np.repeat(np.arange(0, sizes.shape[0] * width, width), sizes) + (bits >> 3)
     packed = np.zeros(sizes.shape[0] * width, dtype=np.uint8)

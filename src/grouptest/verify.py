@@ -7,10 +7,9 @@ CLI can run a faster pass.
 
 The fuzz corpus (:func:`fuzz_instance`) is drawn a block of instances at a
 time: one vectorised pass for the block's shapes, one design pass per kind
-(`model.generate_designs`, which checks its designs once as a block), one
-for the defective sets (`model.sample_defective_sets`), and one outcome and
-one PD pass over all the block's designs (`model.block_instances`), so each
-design carries its PD answer. Instance idx depends only on the seed, idx and
+(`model.generate_designs`), one for the defective sets
+(`model.sample_defective_sets`), and one for the outcomes and PD answers
+(`model.block_instances`). Instance idx depends only on the seed, idx and
 the sizes, never on the block.
 
 Empirical distributions are sampled with numpy's own generator, keeping the
@@ -76,8 +75,8 @@ def _fuzz_block(seed: int, lo: int, size: int, n_max: int, k_max: int, t_max: in
     """Instances lo, lo + 1, ... (at most `size`, all below 2**64) of a
     corpus: their shapes from one vectorised pass of each rule, the designs
     of each kind from one `model.generate_designs` call, the defective sets
-    from one `model.sample_defective_sets` call, and the outcomes and the
-    designs' PD answers from one `model.block_instances` call."""
+    from one `model.sample_defective_sets` call, and the outcomes and PD
+    answers from one `model.block_instances` call."""
     idx = np.uint64(lo) + np.arange(min(size, (1 << 64) - lo), dtype=np.uint64)
     h = rng.mix64_np(seed, idx)
     n = 2 + rng.bounded_np(h, 0, n_max - 1)
@@ -113,10 +112,10 @@ def fuzz_instance(
     Instance idx is drawn with its block, the B = ``max(1, _GEN_BLOCK //
     (n_max * t_max))`` instances from the multiple of B at or below idx,
     and the last block drawn is kept, so a pass over the corpus in order
-    draws each block once. Its design carries the PD answer for its outcome,
-    found with the block's. Each kept instance is handed out once; asked for
-    again, it is drawn again. ValueError on sizes, seed or idx out of their
-    ranges (`_check_corpus_args`).
+    draws each block once; its design carries its PD answer. Each kept
+    instance is handed out once; asked for again, it is drawn again.
+    ValueError on sizes, seed or idx out of their ranges
+    (`_check_corpus_args`).
     """
     global _kept
     _check_corpus_args(seed=seed, idx=idx, n_max=n_max, k_max=k_max, t_max=t_max)
