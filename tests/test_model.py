@@ -367,6 +367,10 @@ class TestBlockDraws:
             want = possible_defectives(copy, inst.outcome)
             answer = d.pd(inst.outcome)
             assert (answer, answer.solo, answer.explains) == (want, want.solo, want.explains)
+            # bit b of a mask is the b-th positive test of its own design
+            positive = [t for t, bit in enumerate(inst.outcome.bits) if bit]
+            rows = d.rows()
+            assert answer.masks == tuple(sum(1 << positive.index(t) for t in rows[i]) for i in answer.items)
         assert [d.pd(inst.outcome).items for d, inst in zip(designs[:5], got)] == [
             (0, 1, 2, 4), (0, 1, 2), (), (0, 1, 2), (0, 1),
         ]
