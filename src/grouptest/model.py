@@ -46,7 +46,7 @@ import json
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 
 import numpy as np
 
@@ -252,12 +252,14 @@ def _checked_block(n_items, n_tests, seeds, indptr, indices) -> tuple[np.ndarray
     if indptr[0] != 0 or indptr[-1] != nnz or (indptr[1:] < indptr[:-1]).any():
         raise ValueError("row pointers must rise from 0 to the number of indices")
     if nnz:
-        # each entry's design's last test, capped at the indices' largest value
+        # each design's largest entry against its last test (capped at the
+        # indices' largest value); designs without entries have no segment
         top = int(np.iinfo(indices.dtype).max)
         last = np.array([min(int(t) - 1, top) for t in n_tests], dtype=indices.dtype)
-        if len(n_tests) > 1:
-            last = np.repeat(last, np.diff(indptr[np.cumsum(n_items)], prepend=0))
-        if (indices.dtype.kind == "i" and indices.min() < 0) or (indices > last).any():
+        starts = indptr[[0, *accumulate(n_items)]]
+        filled = (starts[1:] > starts[:-1]).nonzero()[0]
+        largest = np.maximum.reduceat(indices, starts[filled])
+        if (indices.dtype.kind == "i" and indices.min() < 0) or (largest > last[filled]).any():
             raise ValueError("test index out of range")
     # strictly increasing rows: each entry is above the one before it
     # (compared, not subtracted, so unsigned types cannot wrap) or starts a row
@@ -1039,40 +1041,28 @@ def possible_defectives(design: TestDesign, outcome: OutcomeVector) -> PossibleD
 
 def block_instances(designs: Sequence[TestDesign], truths: Sequence[DefectiveSet]) -> list[Instance]:
     """``Instance(d, truth, run_tests(d, truth))`` for each pair, each design
-    carrying its PD answer: one outcome pass and one `_pd_answers` pass over
-    the designs' rows back to back. ValueError on a defective outside its
-    design or on lists of unequal lengths."""
+    carrying its PD answer from one `_pd_answers` pass over the designs' rows
+    back to back. ValueError on a defective outside its design or on lists
+    of unequal lengths."""
     if len(designs) != len(truths):
         raise ValueError("one defective set required per design")
     if not designs:
         return []
-    for d, truth in zip(designs, truths):
-        if truth.items and truth.items[-1] >= d.n_items:
-            raise ValueError(f"item {truth.items[-1]} out of range for {d.n_items} items")
+    outcomes = [run_tests(d, truth) for d, truth in zip(designs, truths)]
     n_items = [d.n_items for d in designs]
     n_tests = [d.n_tests for d in designs]
     n_entries = [d.indices.shape[0] for d in designs]
-    # design j's first item, test and entry in the block
-    item_at, test_at, entry_at = np.cumsum([[0, *n_items], [0, *n_tests], [0, *n_entries]], axis=1)
+    # design j's first test and entry in the block
+    test_at, entry_at = np.cumsum([[0, *n_tests], [0, *n_entries]], axis=1)
     indptr = np.concatenate([np.zeros(1, dtype=np.int64)] + [d.indptr[1:] for d in designs])
     indptr[1:] += np.repeat(entry_at[:-1], n_items)
     tests = np.concatenate([d.indices for d in designs]).astype(np.int64)
     tests += np.repeat(test_at[:-1], n_entries)
-    # test t of design j is positive iff one of j's defectives' rows holds it
-    defective = np.zeros(item_at[-1], dtype=bool)
-    items = np.fromiter(chain.from_iterable(t.items for t in truths), np.int64)
-    defective[items + np.repeat(item_at[:-1], [t.k for t in truths])] = True
-    positive = np.zeros(test_at[-1], dtype=bool)
-    positive[tests[np.repeat(defective, np.diff(indptr))]] = True
+    positive = np.fromiter(chain.from_iterable(y.bits for y in outcomes), bool, test_at[-1])
     answers = _pd_answers(n_items, n_tests, indptr, tests, positive)
-    bits = positive.tolist()
-    bounds = test_at.tolist()
-    out = []
-    for d, truth, answer, lo, hi in zip(designs, truths, answers, bounds, bounds[1:]):
-        outcome = OutcomeVector(tuple(bits[lo:hi]))
+    for d, outcome, answer in zip(designs, outcomes, answers):
         d._pd = (outcome.bits, answer)
-        out.append(Instance(d, truth, outcome))
-    return out
+    return list(map(Instance, designs, truths, outcomes))
 
 
 def _pd_answers(n_items, n_tests, indptr, tests, positive) -> list[PossibleDefectives]:
@@ -1090,22 +1080,19 @@ def _pd_answers(n_items, n_tests, indptr, tests, positive) -> list[PossibleDefec
     is_pd = np.ones(sizes.shape[0], dtype=bool)
     is_pd[filled] = np.logical_and.reduceat(np.take(positive, tests), indptr[filled])
     pd = is_pd.nonzero()[0]
-    # each positive test's rank in its design; design j's PD rows are pd[ends[j]:ends[j + 1]]
+    # each positive test's rank in its design; design j's PD rows are
+    # pd[ends[j]:ends[j + 1]] (per-design offsets as lists: blocks are short)
     rank = np.cumsum(positive) - 1
-    items, n_pos, ends = pd, [int(rank[-1]) + 1], [0, pd.shape[0]]
-    if len(n_items) > 1:  # designs after the first are offset in tests and items
-        test_at, item_at = np.cumsum([[0, *n_tests], [0, *n_items]], axis=1)
-        before = np.concatenate(([0], rank[test_at[1:] - 1] + 1))
-        rank -= np.repeat(before[:-1], n_tests)
-        n_pos = np.diff(before).tolist()
-        ends = np.searchsorted(pd, item_at)
-        items = pd - np.repeat(item_at[:-1], np.diff(ends))
-        ends = ends.tolist()
+    item_at = list(accumulate(n_items, initial=0))
+    before = [0, *(rank[[t - 1 for t in accumulate(n_tests)]] + 1).tolist()]
+    rank -= np.repeat(before[:-1], n_tests)
+    n_pos = [b - a for a, b in zip(before, before[1:])]
+    ends = np.searchsorted(pd, item_at).tolist()
     masks = _pd_masks(np.take(rank, tests[np.repeat(is_pd, sizes)]), sizes[pd], max(n_pos))
-    items = items.tolist()
+    pd = pd.tolist()
     return [
-        PossibleDefectives(tuple(items[a:b]), masks[a:b], (1 << count) - 1)
-        for a, b, count in zip(ends, ends[1:], n_pos)
+        PossibleDefectives(tuple(i - at for i in pd[a:b]), masks[a:b], (1 << count) - 1)
+        for a, b, at, count in zip(ends, ends[1:], item_at, n_pos)
     ]
 
 
