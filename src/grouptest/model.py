@@ -9,9 +9,11 @@ hand-written per-item lists, the JSON loader) ends in one vectorised
 validation. The arrays are the one representation of a design; the PD
 (possible defective) step reads them with an outcome and masks only the PD
 items, over the positive tests (:func:`possible_defectives`), and the design
-keeps that answer for its last outcome (:meth:`TestDesign.pd`). Validation
-and the PD step run on a block of designs at once, a single design being a
-block of one; :func:`block_instances` gives a block its outcomes and answers.
+keeps that answer for its last outcome (:meth:`TestDesign.pd`). Generation,
+validation and the PD step run on a block of designs at once, a single
+design being a block of one: :func:`generate_designs` draws designs of any
+kinds as one block, checked once, and :func:`block_instances` gives a block
+its outcomes and answers from the same arrays.
 ``rows()`` lists the arrays' rows. Design JSON text has one encoder,
 :func:`design_json_chunks`, which joins the rows from the arrays in bounded
 chunks, byte-identical to json's compact or indented text of
@@ -28,16 +30,15 @@ chunks, byte-identical to json's compact or indented text of
 All randomness is counter-based (see :mod:`grouptest.rng`): column i of a
 design depends only on (seed, kind, i), so columns can be generated in any
 order or concurrently with identical results. Each kind has one row rule,
-which the generators, :func:`generate_designs` (many designs of one kind
-in one pass) and the lab's trial blocks share; exact-constant's is a
-partial Fisher-Yates over a block of keys, which also draws many defective
-sets at once (:func:`sample_defective_sets`, the trial blocks).
-:func:`pd_blocks` draws a block of trials at once: the item keys, the
-defective sets, the defectives' rows, which fix the outcomes, only the cells
-that decide which nondefectives are PD items, and those items' rows. It
-reads each trial's COMP and DD success from these arrays (:class:`PdBlock`)
-and builds a trial's design over its PD items on request;
-:func:`pd_instance` is a block of one trial.
+which the design blocks (the generators are blocks of one) and the lab's
+trial blocks share; exact-constant's is a partial Fisher-Yates over a block
+of keys, which also draws many defective sets at once
+(:func:`sample_defective_sets`, the trial blocks). :func:`pd_blocks` draws a
+block of trials at once: the item keys, the defective sets, the defectives'
+rows, which fix the outcomes, only the cells that decide which nondefectives
+are PD items, and those items' rows. It reads each trial's COMP and DD
+success from these arrays (:class:`PdBlock`) and builds a trial's design
+over its PD items on request.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import json
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, groupby, repeat
 
 import numpy as np
 
@@ -140,10 +141,11 @@ class TestDesign:
     """A pooling design: per item, the strictly increasing tests containing it.
 
     ``TestDesign(kind, n_items, n_tests, params, seed, columns)`` takes one
-    sequence of test indices per item; the generators build the CSR arrays
-    directly through :meth:`from_csr`. Both go through the same validation,
-    the design rules of `_checked_params` included, so any design that can be
-    built can be saved and loaded again. The arrays are read-only, so the PD
+    sequence of test indices per item, and :meth:`from_csr` the CSR arrays;
+    the generators split designs from a block checked as one
+    (`_design_block`). All go through the same validation, the design rules
+    of `_checked_params` included, so any design that can be built can be
+    saved and loaded again. The arrays are read-only, so the PD
     answer the design keeps for its last outcome (:meth:`pd`) stays valid.
     """
 
@@ -184,7 +186,8 @@ class TestDesign:
 
     def _init(self, kind, n_items, n_tests, params, seed, indptr, indices) -> None:
         params = _checked_params(kind, n_items, n_tests, params, required=False)
-        indptr, indices = _checked_block([n_items], [n_tests], [seed], indptr, indices)
+        seed = _check_seed(seed)
+        indptr, indices = _checked_block([n_items], [n_tests], indptr, indices)
         self._keep(kind, n_items, n_tests, params, seed, indptr, indices)
 
     def _keep(self, kind, n_items, n_tests, params, seed, indptr, indices) -> None:
@@ -231,14 +234,12 @@ class TestDesign:
         return kept[1]
 
 
-def _checked_block(n_items, n_tests, seeds, indptr, indices) -> tuple[np.ndarray, np.ndarray]:
+def _checked_block(n_items, n_tests, indptr, indices) -> tuple[np.ndarray, np.ndarray]:
     """The arrays of a block of designs, checked: design j has the j-th of
-    each list and its rows follow design j - 1's. ValueError unless each seed
-    fits 64 bits and the arrays are flat integer arrays, one row per item,
-    the pointers rising from 0 to the entry count, each entry in [0, T) of
-    its own design and each row strictly increasing."""
-    for seed in seeds:
-        _check_seed(seed)
+    each list and its rows follow design j - 1's. ValueError unless the
+    arrays are flat integer arrays, one row per item, the pointers rising
+    from 0 to the entry count, each entry in [0, T) of its own design and
+    each row strictly increasing."""
     indptr = np.asarray(indptr)
     indices = np.asarray(indices)
     if indptr.ndim != 1 or indices.ndim != 1:
@@ -411,11 +412,6 @@ def _uniform_subset(key: int, n: int, k: int) -> list[int]:
     return sorted(chosen)
 
 
-def _item_keys(kind: str, seed: int, n_items: int) -> np.ndarray:
-    """The column stream of each item of a `kind` design of `seed`."""
-    return rng.mix64_np(seed, _STREAM_COLUMNS[kind], np.arange(n_items, dtype=np.uint64))
-
-
 def _bernoulli_cells(keys, tests, p) -> np.ndarray:
     """Whether the item of each key is in the test beside it (the two, and
     a p array, broadcast): the Bernoulli rule, decided by `rng.below_np` on
@@ -543,51 +539,67 @@ def _csr_rows(kind, keys, n_tests, param) -> tuple[np.ndarray, np.ndarray]:
     return indptr, np.concatenate(parts)
 
 
-def _generate(kind, n_items, n_tests, params, seed) -> TestDesign:
-    """The `kind` design of `seed`: every item's row by the kind's rule."""
-    seed = _check_seed(seed)
-    keys = _item_keys(kind, seed, n_items)
-    indptr, indices = _csr_rows(kind, keys, n_tests, _kind_param(kind, params))
-    return TestDesign.from_csr(kind, n_items, n_tests, params, seed, indptr, indices)
-
-
 def generate_designs(
-    kind: str,
-    n_items: np.ndarray,
-    n_tests: np.ndarray,
+    kinds: Sequence[str],
+    n_items: Sequence[int],
+    n_tests: Sequence[int],
     params: Sequence[DesignParams],
-    seeds: np.ndarray,
+    seeds: Sequence[int],
 ) -> list[TestDesign]:
-    """``generate_design(kind, n_items[j], n_tests[j], seeds[j], params[j])``
-    for each j, drawn together: one `_csr_rows` pass over all the designs'
-    item keys, with T and the parameter per key, checked once
-    (`_checked_block`) and split into designs. The sizes are integer arrays
-    and the seeds a uint64 array, all of the length of `params`; ValueError,
-    before any draw, on anything `generate_design` refuses
-    (`_checked_params`)."""
-    sizes, tests, seed_list = n_items.tolist(), n_tests.tolist(), seeds.tolist()
-    for n, t, prm in zip(sizes, tests, params):
-        _checked_params(kind, n, t, prm)
-    # design j's items are keys bounds[j] .. bounds[j + 1] - 1
-    bounds = np.zeros(len(sizes) + 1, dtype=np.int64)
-    np.cumsum(n_items, out=bounds[1:])
-    owner = np.repeat(np.arange(len(sizes)), n_items)
-    items = (np.arange(owner.shape[0]) - bounds[owner]).astype(np.uint64)
-    param = np.array([_kind_param(kind, prm) for prm in params])
-    keys = rng.mix64_np(seeds[owner], _STREAM_COLUMNS[kind], items)
-    rows = _csr_rows(kind, keys, n_tests[owner], param[owner])
-    indptr, indices = _checked_block(sizes, tests, seed_list, *rows)
+    """``generate_design(kinds[j], n_items[j], n_tests[j], seeds[j], params[j])``
+    for each j, drawn and checked as one block (`_design_block`). ValueError,
+    before any draw, on anything `generate_design` refuses or on sequences of
+    unequal lengths."""
+    return _design_block(kinds, n_items, n_tests, params, seeds)[0]
+
+
+def _design_block(kinds, n_items, n_tests, params, seeds) -> tuple[list[TestDesign], tuple]:
+    """The designs of `generate_designs`, in the order given, and the block
+    they were split from: ``(order, indptr, indices)``, whose b-th design is
+    design ``order[b]``, its rows after those of the one before.
+
+    Each design's parameters are checked once (`_checked_params`), before
+    any draw. The designs are sorted by kind, so each kind's rows come from
+    one `_csr_rows` call over its designs' item keys, with T and the
+    parameter one number when those designs share them and one per key
+    otherwise. The block is checked once (`_checked_block`) and split into
+    designs."""
+    if not len(kinds) == len(n_items) == len(n_tests) == len(params) == len(seeds):
+        raise ValueError("one kind, N, T, params record and seed required per design")
+    for kind, size, t, prm in zip(kinds, n_items, n_tests, params):
+        _checked_params(kind, size, t, prm)
+    seeds = [_check_seed(seed) for seed in seeds]
+    order = sorted(range(len(kinds)), key=kinds.__getitem__)
+    kinds, params, seeds = ([x[j] for j in order] for x in (kinds, params, seeds))
+    sizes, tests = [int(n_items[j]) for j in order], [int(n_tests[j]) for j in order]
+    # design b's items are keys bounds[b] .. bounds[b + 1] - 1; an item's key
+    # mix64(seed, stream, item) is word `item` of the stream mix64(seed, stream)
+    bounds = list(accumulate(sizes, initial=0))
+    streams = np.array([rng.mix64(seed, _STREAM_COLUMNS[kind]) for kind, seed in zip(kinds, seeds)], dtype=np.uint64)
+    items = np.arange(bounds[-1], dtype=np.uint64) - np.repeat(np.array(bounds[:-1], dtype=np.uint64), sizes)
+    keys = rng._words_np(np.repeat(streams, sizes), items)
+    ptrs, parts = [np.zeros(1, dtype=np.int64)], [np.empty(0, dtype=np.uint8)]
+    b = 0
+    for kind, run in groupby(kinds):
+        a, b = b, b + len(list(run))
+        param = [_kind_param(kind, prm) for prm in params[a:b]]
+        if len(set(tests[a:b])) == len(set(param)) == 1:
+            row_tests, param = tests[a], param[0]
+        else:
+            row_tests, param = np.repeat(tests[a:b], sizes[a:b]), np.repeat(param, sizes[a:b])
+        indptr, indices = _csr_rows(kind, keys[bounds[a] : bounds[b]], row_tests, param)
+        ptrs.append(indptr[1:] + ptrs[-1][-1])
+        parts.append(indices)
+    indptr, indices = _checked_block(sizes, tests, np.concatenate(ptrs), np.concatenate(parts))
     entries = indptr[bounds].tolist()
-    bounds = bounds.tolist()
-    designs = []
-    for j, seed in enumerate(seed_list):
-        design = TestDesign.__new__(TestDesign)
+    designs = [None] * len(order)
+    for b, j in enumerate(order):
+        designs[j] = design = TestDesign.__new__(TestDesign)
         design._keep(
-            kind, sizes[j], tests[j], params[j], seed,
-            indptr[bounds[j] : bounds[j + 1] + 1] - entries[j], indices[entries[j] : entries[j + 1]],
+            kinds[b], sizes[b], tests[b], params[b], seeds[b],
+            indptr[bounds[b] : bounds[b + 1] + 1] - entries[b], indices[entries[b] : entries[b + 1]],
         )
-        designs.append(design)
-    return designs
+    return designs, (order, indptr, indices)
 
 
 def _uniform_subsets(keys: np.ndarray, n, k) -> np.ndarray:
@@ -847,23 +859,12 @@ def pd_blocks(
     )
 
 
-def pd_instance(
-    kind: str, n_items: int, n_tests: int, params: DesignParams, seed: int, k: int
-) -> tuple[Instance, tuple[int, ...]]:
-    """The instance of ``generate_design(kind, n_items, n_tests, seed,
-    params)`` and ``sample_defective_set(n_items, k, seed)``, restricted to
-    its PD items, and those items: a block of one trial
-    (:meth:`PdBlock.instance`)."""
-    return next(pd_blocks(kind, n_items, k, [n_tests], [params], [seed])).instance(0)
-
-
 def gen_bernoulli(
     n_items: int, n_tests: int, p: float, seed: int, *, nu: float | None = None
 ) -> TestDesign:
     """Design with every cell included independently with probability p
     (`_bernoulli_cells`), drawn a block of at most ``_GEN_BLOCK`` cells at a time."""
-    params = _checked_params(KIND_BERNOULLI, n_items, n_tests, DesignParams(p=p, nu=nu))
-    return _generate(KIND_BERNOULLI, n_items, n_tests, params, seed)
+    return generate_design(KIND_BERNOULLI, n_items, n_tests, seed, DesignParams(p=p, nu=nu))
 
 
 def gen_near_constant(
@@ -876,8 +877,7 @@ def gen_near_constant(
     block of its own, drawn in column blocks merged into its distinct set,
     and stops early once it holds every test.
     """
-    params = _checked_params(KIND_NEAR_CONSTANT, n_items, n_tests, DesignParams(draws=draws, nu=nu))
-    return _generate(KIND_NEAR_CONSTANT, n_items, n_tests, params, seed)
+    return generate_design(KIND_NEAR_CONSTANT, n_items, n_tests, seed, DesignParams(draws=draws, nu=nu))
 
 
 def gen_exact_constant(
@@ -886,8 +886,7 @@ def gen_exact_constant(
     """Design with a uniform L-subset of tests per item (without replacement):
     the partial Fisher-Yates of `_uniform_subsets` over a block of items at
     a time, at most ``_GEN_BLOCK // 8`` draws."""
-    params = _checked_params(KIND_EXACT_CONSTANT, n_items, n_tests, DesignParams(draws=draws, nu=nu))
-    return _generate(KIND_EXACT_CONSTANT, n_items, n_tests, params, seed)
+    return generate_design(KIND_EXACT_CONSTANT, n_items, n_tests, seed, DesignParams(draws=draws, nu=nu))
 
 
 def _checked_params(
@@ -944,15 +943,11 @@ def _checked_params(
 def generate_design(
     kind: str, n_items: int, n_tests: int, seed: int, params: DesignParams
 ) -> TestDesign:
-    """Dispatch to the generator for `kind`, which takes p for Bernoulli and
-    draws (L) otherwise; ValueError unless `params` carries its kind's
-    parameter and not the other one, with values the kind allows, and the
-    design fits ``MAX_ENTRIES`` (`_checked_params`, as in each generator)."""
-    _checked_params(kind, n_items, n_tests, params)
-    if kind == KIND_BERNOULLI:
-        return gen_bernoulli(n_items, n_tests, params.p, seed, nu=params.nu)
-    gen = gen_near_constant if kind == KIND_NEAR_CONSTANT else gen_exact_constant
-    return gen(n_items, n_tests, params.draws, seed, nu=params.nu)
+    """The `kind` design of `seed`, which takes p for Bernoulli and draws (L)
+    otherwise: a block of one (`_design_block`). ValueError unless `params`
+    carries its kind's parameter and not the other one, with values the kind
+    allows, and the design fits ``MAX_ENTRIES`` (`_checked_params`)."""
+    return generate_designs([kind], [n_items], [n_tests], [params], [seed])[0]
 
 
 def regenerate_design(design: TestDesign) -> TestDesign:
@@ -1039,29 +1034,27 @@ def possible_defectives(design: TestDesign, outcome: OutcomeVector) -> PossibleD
     return _pd_answers([design.n_items], [design.n_tests], design.indptr, design.indices, positive)[0]
 
 
-def block_instances(designs: Sequence[TestDesign], truths: Sequence[DefectiveSet]) -> list[Instance]:
+def block_instances(designs: Sequence[TestDesign], truths: Sequence[DefectiveSet], block: tuple) -> list[Instance]:
     """``Instance(d, truth, run_tests(d, truth))`` for each pair, each design
-    carrying its PD answer from one `_pd_answers` pass over the designs' rows
-    back to back. ValueError on a defective outside its design or on lists
-    of unequal lengths."""
+    carrying its PD answer from one `_pd_answers` pass over `block`, the
+    checked arrays the designs were split from (``(order, indptr, indices)``,
+    as `_design_block` returns them). ValueError on a defective outside its
+    design or on lists of unequal lengths."""
     if len(designs) != len(truths):
         raise ValueError("one defective set required per design")
     if not designs:
         return []
+    order, indptr, indices = block
     outcomes = [run_tests(d, truth) for d, truth in zip(designs, truths)]
-    n_items = [d.n_items for d in designs]
-    n_tests = [d.n_tests for d in designs]
-    n_entries = [d.indices.shape[0] for d in designs]
-    # design j's first test and entry in the block
-    test_at, entry_at = np.cumsum([[0, *n_tests], [0, *n_entries]], axis=1)
-    indptr = np.concatenate([np.zeros(1, dtype=np.int64)] + [d.indptr[1:] for d in designs])
-    indptr[1:] += np.repeat(entry_at[:-1], n_items)
-    tests = np.concatenate([d.indices for d in designs]).astype(np.int64)
-    tests += np.repeat(test_at[:-1], n_entries)
-    positive = np.fromiter(chain.from_iterable(y.bits for y in outcomes), bool, test_at[-1])
-    answers = _pd_answers(n_items, n_tests, indptr, tests, positive)
-    for d, outcome, answer in zip(designs, outcomes, answers):
-        d._pd = (outcome.bits, answer)
+    placed = [designs[j] for j in order]
+    n_items, n_tests = [d.n_items for d in placed], [d.n_tests for d in placed]
+    # each entry's place in the block's outcomes: its design's first test plus its own
+    test_at, item_at = list(accumulate(n_tests, initial=0)), list(accumulate(n_items, initial=0))
+    tests = indices.astype(np.int64)
+    tests += np.repeat(test_at[:-1], np.diff(indptr[item_at]))
+    positive = np.fromiter(chain.from_iterable(outcomes[j].bits for j in order), bool, test_at[-1])
+    for j, answer in zip(order, _pd_answers(n_items, n_tests, indptr, tests, positive)):
+        designs[j]._pd = (outcomes[j].bits, answer)
     return list(map(Instance, designs, truths, outcomes))
 
 

@@ -14,7 +14,7 @@ exact iff no nondefective is a possible defective (G = 0), DD iff every
 defective holds a positive test that no other possible defective holds
 (min L_i > 0). SCOMP and SSS decode each trial's PD-item instance: the
 design of :func:`trial_instance` restricted to its possible defectives
-(:func:`pd_trial` is a block of one trial). Every decoder reads only the PD
+(`model.PdBlock.instance`). Every decoder reads only the PD
 items, so the estimates, node counts and counts are those of the full
 design; :func:`trial_instance` builds the full design for callers that need
 it, and the tests hold the two to each other.
@@ -248,15 +248,6 @@ def trial_instance(
     design = build_design(arm, n_items, k, n_tests, seed)
     truth = model.sample_defective_set(n_items, k, seed)
     return model.Instance(design, truth, model.run_tests(design, truth))
-
-
-def pd_trial(
-    arm: DesignArm, n_items: int, k: int, n_tests: int, seed: int
-) -> tuple[model.Instance, tuple[int, ...]]:
-    """The trial of :func:`trial_instance` restricted to its PD items, and
-    those items: a block of one trial (`model.pd_instance`), as the lab
-    draws it."""
-    return model.pd_instance(arm.kind, n_items, n_tests, arm.params(n_tests, k), seed, k)
 
 
 def decode_trial(

@@ -6,11 +6,12 @@ ones the acceptance test-suite runs, parameterized by instance counts so the
 CLI can run a faster pass.
 
 The fuzz corpus (:func:`fuzz_instance`) is drawn a block of instances at a
-time: one vectorised pass for the block's shapes, one design pass per kind
-(`model.generate_designs`), one for the defective sets
-(`model.sample_defective_sets`), and one for the outcomes and PD answers
-(`model.block_instances`). Instance idx depends only on the seed, idx and
-the sizes, never on the block.
+time: one vectorised pass for the block's shapes, one design block of all
+kinds, drawn and checked once (`model._design_block`), one pass for the
+defective sets (`model.sample_defective_sets`), and one for the outcomes
+and PD answers over the same block's arrays (`model.block_instances`).
+Instance idx depends only on the seed, idx and the sizes, never on the
+block.
 
 Empirical distributions are sampled with numpy's own generator, keeping the
 sampling path independent of the package's counter-based streams.
@@ -73,29 +74,26 @@ def _check_corpus_args(**values: int) -> None:
 
 def _fuzz_block(seed: int, lo: int, size: int, n_max: int, k_max: int, t_max: int) -> list[model.Instance]:
     """Instances lo, lo + 1, ... (at most `size`, all below 2**64) of a
-    corpus: their shapes from one vectorised pass of each rule, the designs
-    of each kind from one `model.generate_designs` call, the defective sets
-    from one `model.sample_defective_sets` call, and the outcomes and PD
-    answers from one `model.block_instances` call."""
+    corpus: their shapes from one vectorised pass of each rule, their designs
+    of every kind drawn and checked as one block (`model._design_block`),
+    the defective sets from one `model.sample_defective_sets` call, and the
+    outcomes and PD answers from one `model.block_instances` pass over the
+    same block."""
     idx = np.uint64(lo) + np.arange(min(size, (1 << 64) - lo), dtype=np.uint64)
     h = rng.mix64_np(seed, idx)
     n = 2 + rng.bounded_np(h, 0, n_max - 1)
     t = 1 + rng.bounded_np(h, 1, t_max)
     k = rng.bounded_np(h, 2, np.minimum(k_max, n) + 1)
-    kinds = rng.bounded_np(h, 3, 3)
-    p = 0.05 + 0.5 * rng.unit_np(h, 4)
-    draws = 1 + rng.bounded_np(h, 4, np.minimum(8, t))
+    kinds = [model.DESIGN_KINDS[code] for code in rng.bounded_np(h, 3, 3).tolist()]
+    p = (0.05 + 0.5 * rng.unit_np(h, 4)).tolist()
+    draws = (1 + rng.bounded_np(h, 4, np.minimum(8, t))).tolist()
+    params = [
+        model.DesignParams(p=x) if kind == model.KIND_BERNOULLI else model.DesignParams(draws=d)
+        for kind, x, d in zip(kinds, p, draws)
+    ]
     design_seeds, truth_seeds = rng._words_np(h, np.arange(5, 7, dtype=np.uint64)[:, None])
-    designs = [None] * idx.shape[0]
-    for code, kind in enumerate(model.DESIGN_KINDS):
-        at = np.flatnonzero(kinds == code)
-        if kind == model.KIND_BERNOULLI:
-            params = [model.DesignParams(p=x) for x in p[at].tolist()]
-        else:
-            params = [model.DesignParams(draws=x) for x in draws[at].tolist()]
-        for j, design in zip(at.tolist(), model.generate_designs(kind, n[at], t[at], params, design_seeds[at])):
-            designs[j] = design
-    return model.block_instances(designs, model.sample_defective_sets(n, k, truth_seeds))
+    designs, block = model._design_block(kinds, n.tolist(), t.tolist(), params, design_seeds.tolist())
+    return model.block_instances(designs, model.sample_defective_sets(n, k, truth_seeds), block)
 
 
 # the last block drawn, keyed by (seed, n_max, k_max, t_max, block), and its

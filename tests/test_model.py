@@ -269,29 +269,60 @@ class TestBlockDraws:
         assert got.shape == (20, k)
         assert got.tolist() == [model._uniform_subset(key, n, k) for key in keys.tolist()]
 
-    @pytest.mark.parametrize("kind", [KIND_BERNOULLI, KIND_NEAR_CONSTANT, KIND_EXACT_CONSTANT])
-    def test_generate_designs_are_generate_design_s(self, kind):
-        n_items = np.array([1, 7, 40, 3])
-        n_tests = np.array([1, 9, 300, 5])
-        seeds = np.array([0, 5, 2**64 - 1, 5], dtype=np.uint64)
-        if kind == KIND_BERNOULLI:
-            params = [DesignParams(p=p) for p in (0.5, 0.05, 0.3, 1 - 2**-40)]
-        else:
-            params = [DesignParams(draws=d) for d in (1, 9, 17, 2)]
-        got = model.generate_designs(kind, n_items, n_tests, params, seeds)
-        want = [
-            generate_design(kind, n, t, seed, prm)
-            for n, t, seed, prm in zip(n_items.tolist(), n_tests.tolist(), seeds.tolist(), params)
-        ]
+    # blocks of (kind, N, T, p or L, seed): one of each kind alone, and a
+    # mixed block, the kinds interleaved, with N = 1 and T = 1, index types
+    # from uint8 to uint32, and designs of one kind that share T and the
+    # parameter (the exact-constant ones) beside ones that do not
+    DESIGN_BLOCKS = {
+        KIND_BERNOULLI: [
+            (KIND_BERNOULLI, 1, 1, 0.5, 0), (KIND_BERNOULLI, 7, 9, 0.05, 5),
+            (KIND_BERNOULLI, 40, 300, 0.3, 2**64 - 1), (KIND_BERNOULLI, 3, 5, 1 - 2**-40, 5),
+        ],
+        KIND_NEAR_CONSTANT: [
+            (KIND_NEAR_CONSTANT, 1, 1, 1, 0), (KIND_NEAR_CONSTANT, 7, 9, 9, 5),
+            (KIND_NEAR_CONSTANT, 40, 300, 17, 2**64 - 1), (KIND_NEAR_CONSTANT, 3, 5, 2, 5),
+        ],
+        KIND_EXACT_CONSTANT: [
+            (KIND_EXACT_CONSTANT, 1, 1, 1, 0), (KIND_EXACT_CONSTANT, 7, 9, 9, 5),
+            (KIND_EXACT_CONSTANT, 40, 300, 17, 2**64 - 1), (KIND_EXACT_CONSTANT, 3, 5, 2, 5),
+        ],
+        "mixed": [
+            (KIND_NEAR_CONSTANT, 1, 1, 1, 0),
+            (KIND_EXACT_CONSTANT, 40, 300, 17, 2**64 - 1),
+            (KIND_BERNOULLI, 7, 9, 0.05, 5),
+            (KIND_NEAR_CONSTANT, 6, 20, 3, 5),
+            (KIND_EXACT_CONSTANT, 1, 300, 17, 3),
+            (KIND_BERNOULLI, 2, 70_000, 1e-4, 9),
+            (KIND_NEAR_CONSTANT, 4, 20, 9, 7),
+            (KIND_BERNOULLI, 1, 1, 1 - 2**-40, 0),
+            (KIND_EXACT_CONSTANT, 5, 300, 17, 3),
+            (KIND_BERNOULLI, 3, 9, 0.05, 6),
+        ],
+    }
+
+    @staticmethod
+    def _params(kind, param):
+        return DesignParams(p=param) if kind == KIND_BERNOULLI else DesignParams(draws=param)
+
+    @pytest.mark.parametrize("block", DESIGN_BLOCKS)
+    def test_generate_designs_are_generate_design_s(self, block):
+        kinds, n_items, n_tests, param, seeds = zip(*self.DESIGN_BLOCKS[block])
+        params = list(map(self._params, kinds, param))
+        got = model.generate_designs(kinds, n_items, n_tests, params, seeds)
+        want = list(map(generate_design, kinds, n_items, n_tests, seeds, params))
         assert got == want
         assert [d.indices.dtype for d in got] == [d.indices.dtype for d in want]
+        if block == "mixed":
+            assert {d.indices.dtype.type for d in got} == {np.uint8, np.uint16, np.uint32}
 
     def test_generate_designs_refuse_before_any_draw(self):
         with pytest.raises(ValueError, match="draws must not exceed"):
             model.generate_designs(
-                KIND_EXACT_CONSTANT, np.array([4, 4]), np.array([5, 3]),
-                [DesignParams(draws=3), DesignParams(draws=4)], np.array([1, 2], dtype=np.uint64),
+                [KIND_NEAR_CONSTANT, KIND_EXACT_CONSTANT], [4, 4], [5, 3],
+                [DesignParams(draws=3), DesignParams(draws=4)], [1, 2],
             )
+        with pytest.raises(ValueError, match="one kind, N, T"):
+            model.generate_designs([KIND_BERNOULLI], [4, 4], [5, 3], [DesignParams(p=0.5)] * 2, [1, 2])
 
     def test_sample_defective_sets_are_sample_defective_set_s(self):
         n_items = np.array([1, 1, 9, 50, 2**62])
@@ -318,32 +349,52 @@ class TestBlockDraws:
         monkeypatch.setattr(model, "_csr_rows", lambda *args: (indptr, indices))
         with pytest.raises(ValueError, match=message):
             model.generate_designs(
-                KIND_NEAR_CONSTANT, np.array([3, 3]), np.array([10, 5]),
-                [DesignParams(draws=2), DesignParams(draws=2)], np.array([1, 2], dtype=np.uint64),
+                [KIND_NEAR_CONSTANT] * 2, [3, 3], [10, 5], [DesignParams(draws=2), DesignParams(draws=2)], [1, 2]
             )
         with pytest.raises(ValueError, match=message):
             TestDesign.from_csr(KIND_NEAR_CONSTANT, 3, 5, DesignParams(draws=2), 2, indptr[3:] - 3, indices[3:])
 
     def test_generate_designs_check_params_once_per_design(self, monkeypatch):
+        """`generate_designs`, `generate_design` and each `gen_*` check a
+        design's parameters once."""
         calls = []
         checked_params = model._checked_params
 
         def counted(*args, **kwargs):
-            calls.append(args[1:3])
+            calls.append(args[:3])
             return checked_params(*args, **kwargs)
 
         monkeypatch.setattr(model, "_checked_params", counted)
         model.generate_designs(
-            KIND_BERNOULLI, np.array([4, 2, 9]), np.array([3, 8, 1]),
-            [DesignParams(p=0.5)] * 3, np.array([1, 2, 3], dtype=np.uint64),
+            [KIND_BERNOULLI, KIND_EXACT_CONSTANT, KIND_BERNOULLI], [4, 2, 9], [3, 8, 1],
+            [DesignParams(p=0.5), DesignParams(draws=2), DesignParams(p=0.5)], [1, 2, 3],
         )
-        assert calls == [(4, 3), (2, 8), (9, 1)]
+        assert calls == [(KIND_BERNOULLI, 4, 3), (KIND_EXACT_CONSTANT, 2, 8), (KIND_BERNOULLI, 9, 1)]
+        calls.clear()
+        generate_design(KIND_NEAR_CONSTANT, 5, 6, 1, DesignParams(draws=2))
+        gen_bernoulli(6, 7, 0.5, 1)
+        gen_near_constant(7, 8, 2, 1)
+        gen_exact_constant(8, 9, 2, 1)
+        assert calls == [
+            (KIND_NEAR_CONSTANT, 5, 6), (KIND_BERNOULLI, 6, 7),
+            (KIND_NEAR_CONSTANT, 7, 8), (KIND_EXACT_CONSTANT, 8, 9),
+        ]
+
+    @staticmethod
+    def _block_of(designs, order):
+        """The block arrays of `designs` placed in `order`, their rows back to
+        back, as `model._design_block` returns them."""
+        placed = [designs[j] for j in order]
+        entries = np.cumsum([0] + [d.indices.shape[0] for d in placed])
+        indptr = np.concatenate([[0]] + [d.indptr[1:] + e for d, e in zip(placed, entries)])
+        return order, indptr, np.concatenate([np.empty(0, dtype=np.uint8)] + [d.indices for d in placed])
 
     def test_block_instances_are_run_tests_and_possible_defectives(self):
         """Outcomes and PD answers of a block equal those of each design on
         its own: rows empty first, in the middle and last; a design with no
         entries; K = 0; every test positive; T = 1 and N = 2; and designs of
-        different T and index types, each ranked among its own tests."""
+        different T and index types, each ranked among its own tests, laid
+        in the block in an order other than the designs'."""
         block = [
             (TestDesign(KIND_BERNOULLI, 5, 3, DesignParams(p=0.5), 0, ([], [0, 2], [], [1], [])), (1,)),
             (TestDesign(KIND_BERNOULLI, 3, 4, DesignParams(), 1, ([], [], [])), (0, 2)),
@@ -355,7 +406,7 @@ class TestBlockDraws:
         ]
         designs = [d for d, _ in block]
         truths = [DefectiveSet(items) for _, items in block]
-        got = model.block_instances(designs, truths)
+        got = model.block_instances(designs, truths, self._block_of(designs, [5, 0, 3, 6, 1, 4, 2]))
         assert [(inst.design, inst.truth) for inst in got] == list(zip(designs, truths))
         assert all(inst.design is d for inst, d in zip(got, designs))
         outcomes = [inst.outcome.bits for inst in got]
@@ -374,11 +425,13 @@ class TestBlockDraws:
         assert [d.pd(inst.outcome).items for d, inst in zip(designs[:5], got)] == [
             (0, 1, 2, 4), (0, 1, 2), (), (0, 1, 2), (0, 1),
         ]
-        assert model.block_instances([], []) == []
+        assert model.block_instances([], [], self._block_of([], [])) == []
         with pytest.raises(ValueError, match="one defective set"):
-            model.block_instances(designs, truths[1:])
+            model.block_instances(designs, truths[1:], self._block_of(designs, list(range(7))))
         with pytest.raises(ValueError, match="out of range"):
-            model.block_instances(designs[:2], [DefectiveSet((1,)), DefectiveSet((3,))])
+            model.block_instances(
+                designs[:2], [DefectiveSet((1,)), DefectiveSet((3,))], self._block_of(designs[:2], [0, 1])
+            )
 
 
 # -- the CSR representation against per-item loops -----------------------------

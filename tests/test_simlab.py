@@ -26,7 +26,7 @@ from grouptest import (
 )
 from grouptest import model, rng
 from grouptest.decoders import ALGORITHMS, DEFAULT_NODE_BUDGET, UnresolvedSearchError, decode
-from grouptest.simlab import pd_trial, trial_instance, trial_seed
+from grouptest.simlab import trial_instance, trial_seed
 
 LN2 = math.log(2)
 
@@ -297,11 +297,18 @@ def _trial_view(inst, items, node_budget):
     }
 
 
+def pd_trial(kind, n_items, k, n_tests, params, seed):
+    """A lab trial restricted to its PD items, and those items: a block of
+    one trial."""
+    return next(model.pd_blocks(kind, n_items, k, [n_tests], [params], [seed])).instance(0)
+
+
 def assert_pd_trial_is_the_full_trial(arm, n_items, k, n_tests, seed, node_budget=DEFAULT_NODE_BUDGET):
     """The lab's PD-item trial reads exactly what the full trial reads, and
     its design's rows are the full design's rows of its items."""
     full = trial_instance(arm, n_items, k, n_tests, seed)
-    return full, assert_reduces(full, *pd_trial(arm, n_items, k, n_tests, seed), node_budget)
+    reduced = pd_trial(arm.kind, n_items, k, n_tests, arm.params(n_tests, k), seed)
+    return full, assert_reduces(full, *reduced, node_budget)
 
 
 def assert_reduces(full, reduced, items, node_budget=DEFAULT_NODE_BUDGET):
@@ -325,7 +332,7 @@ KINDS = ("ncc", "bernoulli", "ccw")
 
 
 class TestPdTrial:
-    """`simlab.pd_trial`, the instance the lab decodes, against `trial_instance`."""
+    """A block of one lab trial, the instance the lab decodes, against `trial_instance`."""
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("n_tests", [1, 8, 25, 60, 300])
@@ -389,7 +396,7 @@ class TestPdTrial:
         for seed in range(3):
             truth = model.sample_defective_set(4, 1, seed)
             full = model.generate_design("near_constant", 4, 3, seed, params)
-            reduced, items = model.pd_instance("near_constant", 4, 3, params, seed, truth.k)
+            reduced, items = pd_trial("near_constant", 4, truth.k, 3, params, seed)
             outcome = run_tests(full, truth)
             assert reduced.outcome == outcome
             assert items == full.pd(outcome).items

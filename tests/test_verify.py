@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from grouptest import analysis as an
-from grouptest import model
+from grouptest import model, verify
 from grouptest.verify import (
     CorpusReport,
     check_coupon_pmf,
@@ -115,3 +115,19 @@ def test_corpus_outcomes_and_pd_answers_are_one_instance_s(seed, n_max, k_max, t
         assert inst.outcome == model.run_tests(d, inst.truth)
         copy = model.TestDesign.from_csr(d.kind, d.n_items, d.n_tests, d.params, d.seed, d.indptr, d.indices)
         _same_answer(d.pd(inst.outcome), model.possible_defectives(copy, inst.outcome))
+
+
+def test_a_corpus_block_is_checked_once(monkeypatch):
+    """A corpus block draws the designs of every kind as one block, checked
+    by one `_checked_block` call, and reduces that block's arrays."""
+    calls = []
+    checked_block = model._checked_block
+
+    def counted(n_items, *args):
+        calls.append(len(n_items))
+        return checked_block(n_items, *args)
+
+    monkeypatch.setattr(model, "_checked_block", counted)
+    insts = verify._fuzz_block(2024, 0, 32, 50, 8, 40)
+    assert calls == [32]
+    assert {inst.design.kind for inst in insts} == set(model.DESIGN_KINDS)
