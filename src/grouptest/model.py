@@ -33,12 +33,12 @@ order or concurrently with identical results. Each kind has one row rule,
 which the design blocks (the generators are blocks of one) and the lab's
 trial blocks share; exact-constant's is a partial Fisher-Yates over a block
 of keys, which also draws many defective sets at once
-(:func:`sample_defective_sets`, the trial blocks). :func:`pd_blocks` draws a
-block of trials at once: the item keys, the defective sets, the defectives'
-rows, which fix the outcomes, only the cells that decide which nondefectives
-are PD items, and those items' rows. It reads each trial's COMP and DD
-success from these arrays (:class:`PdBlock`) and builds a trial's design
-over its PD items on request.
+(:func:`sample_defective_sets`, the trial blocks). A :class:`PdBlock` draws
+a block of the lab's trials at once, at most :func:`pd_block_trials` of
+them: the item keys, the defective sets, the defectives' rows, which fix
+the outcomes, only the cells that decide which nondefectives are PD items,
+and those items' rows. It reads each trial's COMP and DD success from these
+arrays and builds a trial's design over its PD items on request.
 """
 
 from __future__ import annotations
@@ -422,8 +422,10 @@ def _bernoulli_cells(keys, tests, p) -> np.ndarray:
 def _bernoulli_rows(keys: np.ndarray, n_tests, p):
     """A block's rows over tests 0..T-1. With one T for all, one
     ``np.flatnonzero`` reads them back (a cell's row and test are its flat
-    position divmod T); with one T per key, the keys' cells lie back to back,
-    and p is one number for all keys or one per key."""
+    position divmod T), and a row of more than ``_GEN_BLOCK`` cells is a
+    block of its own, drawn in column blocks of ``_GEN_BLOCK`` cells; with
+    one T per key, the keys' cells lie back to back, and p is one number for
+    all keys or one per key."""
     if isinstance(n_tests, np.ndarray):
         owner = np.repeat(np.arange(keys.shape[0]), n_tests)
         tests = np.arange(owner.shape[0]) - np.repeat(np.cumsum(n_tests) - n_tests, n_tests)
@@ -431,6 +433,10 @@ def _bernoulli_rows(keys: np.ndarray, n_tests, p):
             p = p[owner]
         hit = np.flatnonzero(_bernoulli_cells(keys[owner], tests, p))
         return np.bincount(owner[hit], minlength=keys.shape[0]), tests[hit]
+    if n_tests > _GEN_BLOCK:  # one item per block
+        blocks = (np.arange(lo, min(n_tests, lo + _GEN_BLOCK), dtype=np.uint64) for lo in range(0, n_tests, _GEN_BLOCK))
+        row = np.concatenate([tests[_bernoulli_cells(keys[0], tests, p)] for tests in blocks])
+        return row.shape[0], row
     cells = _bernoulli_cells(keys[:, None], np.arange(n_tests, dtype=np.uint64), p)
     rows, tests = np.divmod(np.flatnonzero(cells), n_tests)
     return np.bincount(rows, minlength=keys.shape[0]), tests
@@ -726,11 +732,13 @@ def _drop_negative(kind, keys, trial, n_tests, param, positive) -> np.ndarray:
 class PdBlock:
     """A block of trials of one design arm, reduced to their PD items.
 
-    Trial b has T = ``n_tests[b]``, parameters ``params[b]`` and seed
-    ``seeds[b]``; its design and defective set are those of
+    Trial b has T = ``n_tests[b]`` (an int64 array), parameters
+    ``params[b]`` (a list; Bernoulli trials share one p) and seed
+    ``seeds[b]`` (a uint64 array); its design and defective set are those of
     ``generate_design(kind, n_items, T, seed, params)`` and
-    ``sample_defective_set(n_items, k, seed)``. The block draws them for all
-    its trials at once (:func:`pd_blocks`): the item keys, the defective
+    ``sample_defective_set(n_items, k, seed)``. The inputs are not checked
+    again: the lab's `ExperimentConfig` has checked every value they come
+    from. The block draws its trials at once: the item keys, the defective
     sets (`_uniform_subsets`), the defectives' rows, which fix the outcomes,
     the elimination of every nondefective in a negative test of its trial
     (`_drop_negative`), and the survivors' rows. ``comp_exact[b]`` and
@@ -821,42 +829,11 @@ class PdBlock:
         return Instance(design, at, outcome), tuple(items.tolist())
 
 
-def pd_blocks(
-    kind: str,
-    n_items: int,
-    k: int,
-    n_tests: Sequence[int],
-    params: Sequence[DesignParams],
-    seeds: Sequence[int],
-) -> Iterator[PdBlock]:
-    """The trials of one `kind` arm, reduced to their PD items, in blocks.
-
-    Trial j has T = ``n_tests[j]``, parameters ``params[j]`` and seed
-    ``seeds[j]``, and K = `k` defectives; Bernoulli trials share one p. A
-    block holds at most ``_GEN_BLOCK // max(N, T)`` consecutive trials, so
-    its item keys and outcomes, like every hashed array of its draws, hold
-    at most ``_GEN_BLOCK`` words. ValueError, before any block is drawn, on
-    parameters no `kind` design of its T may take (`_checked_params`), on a
-    K outside [0, N], on a seed outside 64 bits, or on sequences of unequal
-    lengths.
-    """
-    if not (is_integer(n_items) and is_integer(k) and 0 <= k <= n_items):
-        raise ValueError(f"need integers 0 <= k <= n_items, got k={k!r}, n_items={n_items!r}")
-    n_items, k = int(n_items), int(k)
-    if not len(n_tests) == len(params) == len(seeds):
-        raise ValueError("one T, one params record and one seed required per trial")
-    for t, prm in dict.fromkeys(zip(n_tests, params)):
-        _checked_params(kind, n_items, t, prm)
-    if kind == KIND_BERNOULLI and len({prm.p for prm in params}) > 1:
-        raise ValueError("the trials of a Bernoulli block share one p")
-    n_tests = np.asarray(n_tests, dtype=np.int64)
-    if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64):
-        seeds = np.array([_check_seed(seed) for seed in seeds], dtype=np.uint64)
-    size = max(1, _GEN_BLOCK // max(n_items, int(n_tests.max(initial=1))))
-    return (
-        PdBlock(kind, n_items, k, n_tests[lo : lo + size], params[lo : lo + size], seeds[lo : lo + size])
-        for lo in range(0, seeds.shape[0], size)
-    )
+def pd_block_trials(n_items: int, t_max: int) -> int:
+    """Trials per `PdBlock` of N items and T at most `t_max`: at most
+    ``_GEN_BLOCK // max(N, T)``, so a block's item keys and outcomes, like
+    every hashed array of its draws, hold at most ``_GEN_BLOCK`` words."""
+    return max(1, _GEN_BLOCK // max(n_items, t_max))
 
 
 def gen_bernoulli(

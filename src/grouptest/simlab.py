@@ -6,18 +6,20 @@ and every decoder in the experiment decodes the *same* instance of that
 trial. Results are therefore bitwise reproducible across machines, execution
 orders, and thread counts; the implementation here is sequential.
 
-The lab runs each design arm's trials in blocks of consecutive trials in
-(T, r) order, across grid points (`model.pd_blocks`): the Figure-2 sweep runs
-one trial per (arm, T) cell, so a block within one grid point would hold one
-trial. COMP and DD successes are read from each block's arrays: COMP is
-exact iff no nondefective is a possible defective (G = 0), DD iff every
-defective holds a positive test that no other possible defective holds
-(min L_i > 0). SCOMP and SSS decode each trial's PD-item instance: the
-design of :func:`trial_instance` restricted to its possible defectives
-(`model.PdBlock.instance`). Every decoder reads only the PD
-items, so the estimates, node counts and counts are those of the full
+The lab walks each design arm's trials in flat (T, r) order, one block of
+consecutive trials at a time (`model.PdBlock`), across grid points: the
+Figure-2 sweep runs one trial per (arm, T) cell, so a block within one grid
+point would hold one trial. A block's grid points, trials, seeds and
+parameters come from its range of flat indices, so memory stays that of one
+block however many trials a point runs. COMP and DD successes are read from
+each block's arrays: COMP is exact iff no nondefective is a possible
+defective (G = 0), DD iff every defective holds a positive test that no
+other possible defective holds (min L_i > 0). SCOMP and SSS decode each
+trial's PD-item instance: the design of :func:`trial_instance` restricted to
+its possible defectives (`model.PdBlock.instance`). Every decoder reads only
+the PD items, so the estimates, node counts and counts are those of the full
 design; :func:`trial_instance` builds the full design for callers that need
-it, and the tests hold the two to each other.
+it, and `verify.check_pd_trials` holds the two to each other.
 """
 
 from __future__ import annotations
@@ -132,6 +134,9 @@ class ExperimentConfig:
         self.decoders = tuple(self.decoders)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        # the lab numbers an arm's trials in int64
+        if self.trials * len(self.t_grid) >= 1 << 63:
+            raise ValueError(f"trials times the grid points must be below 2**63, got trials={self.trials}")
         if not self.t_grid or any(
             a >= b for a, b in zip(self.t_grid, self.t_grid[1:])
         ):
@@ -156,6 +161,9 @@ class ExperimentConfig:
         t_max = self.t_grid[-1]
         for arm in self.designs:
             model._checked_params(arm.kind, self.n_items, t_max, arm.params(t_max, self.k))
+        # a trial's outcome is T entries, held whole in its block
+        if t_max > model.MAX_ENTRIES:
+            raise ValueError(f"t_grid entries must be at most 2**31, got {t_max}")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
@@ -264,62 +272,46 @@ def decode_trial(
     return results
 
 
-def run_success_curve(
-    config: ExperimentConfig, *, check_invariants: bool = False
-) -> SuccessCurve:
+def run_success_curve(config: ExperimentConfig) -> SuccessCurve:
     """Empirical exact-recovery probability per (design, decoder, T).
 
-    Each arm's trials run in blocks of consecutive trials in (T, r) order,
-    across grid points (`model.pd_blocks`). COMP and DD successes are read
-    from each block's counts (`comp_exact`, `dd_exact`); SCOMP and SSS
-    decode each trial's PD-item instance. SSS trials that exhaust the node
-    budget are counted as failures in the estimate and reported in the
-    ``unresolved`` column. With ``check_invariants`` (test mode) every
-    decoder decodes every trial's instance, and a trial whose COMP or DD
-    success differs from the block's, or whose estimates break any identity
-    of :func:`decoders.invariant_violations`, raises AssertionError.
+    Each arm's trials run in blocks of consecutive trials in flat (T, r)
+    order, across grid points, ``model.pd_block_trials`` trials at a time:
+    a block's grid points, trials, T, seeds and parameters are built from
+    its range of flat indices alone, so no array spans a whole arm. COMP and
+    DD successes are read from each block's counts (`comp_exact`,
+    `dd_exact`); SCOMP and SSS decode each trial's PD-item instance. SSS
+    trials that exhaust the node budget are counted as failures in the
+    estimate and reported in the ``unresolved`` column.
     """
-    grid = config.t_grid
-    n_tests = np.repeat(grid, config.trials)
-    trial = np.tile(np.arange(config.trials), len(grid))
-    point = np.repeat(np.arange(len(grid)), config.trials)
+    grid = np.array(config.t_grid)
     counted = [alg for alg in ("comp", "dd") if alg in config.decoders]
-    decoded = tuple(alg for alg in config.decoders if check_invariants or alg not in counted)
+    decoded = tuple(alg for alg in config.decoders if alg not in counted)
     # (arm, decoder) -> successes and unresolved searches per grid point
     tally = {
         (arm_id, alg): np.zeros((2, len(grid)), dtype=np.int64)
         for arm_id in range(len(config.designs))
         for alg in config.decoders
     }
+    total = len(grid) * config.trials
+    size = model.pd_block_trials(config.n_items, config.t_grid[-1])
     for arm_id, arm in enumerate(config.designs):
-        params = [arm.params(t, config.k) for t in grid]
-        seeds = mix64_np(config.master_seed, arm_id, n_tests, trial)
-        start = 0
-        for block in model.pd_blocks(
-            arm.kind, config.n_items, config.k, n_tests, [params[j] for j in point], seeds
-        ):
-            at = point[start : start + len(block)]
-            start += len(block)
+        params = [arm.params(t, config.k) for t in config.t_grid]
+        for lo in range(0, total, size):
+            at, trial = np.divmod(np.arange(lo, min(total, lo + size)), config.trials)
+            n_tests = grid[at]
+            seeds = mix64_np(config.master_seed, arm_id, n_tests, trial)
+            block = model.PdBlock(arm.kind, config.n_items, config.k, n_tests, [params[j] for j in at], seeds)
             exact = {"comp": block.comp_exact, "dd": block.dd_exact}
             for alg in counted:
                 tally[(arm_id, alg)][0] += np.bincount(at[exact[alg]], minlength=len(grid))
             for b in range(len(block)) if decoded else ():
                 inst = block.instance(b)[0]
-                results = decode_trial(inst, decoded, config.sss_node_budget)
-                for alg, res in results.items():
+                for alg, res in decode_trial(inst, decoded, config.sss_node_budget).items():
                     if res is None:
                         tally[(arm_id, alg)][1, at[b]] += 1
-                    elif alg not in counted and dec.evaluate(res, inst.truth).exact:
+                    elif dec.evaluate(res, inst.truth).exact:
                         tally[(arm_id, alg)][0, at[b]] += 1
-                if check_invariants:
-                    seed = int(block.seeds[b])
-                    for alg in counted:
-                        if dec.evaluate(results[alg], inst.truth).exact != exact[alg][b]:
-                            raise AssertionError(f"trial seed {seed}: {alg} success differs from the block's")
-                    estimates = {alg: res.estimate for alg, res in results.items() if res is not None}
-                    broken = dec.invariant_violations(inst, estimates)
-                    if broken:
-                        raise AssertionError(f"trial seed {seed} breaks {broken}")
     points = []
     for (arm_id, alg), cells in tally.items():
         arm = config.designs[arm_id]

@@ -518,7 +518,9 @@ def counting_bound_excess(curve: simlab.SuccessCurve) -> tuple[int, list[str]]:
 def check_pd_trials(trials: int = 30) -> CheckResult:
     """The lab's PD-item trials count what full designs count: its successes
     and unresolved searches, cell by cell, against each trial's full
-    instance (`simlab.trial_instance`) decoded by the same decoders."""
+    instance (`simlab.trial_instance`) decoded by the same decoders; and
+    each full trial's estimates break no identity of
+    `decoders.invariant_violations`."""
     cfg = simlab.ExperimentConfig(
         n_items=40,
         k=3,
@@ -537,11 +539,16 @@ def check_pd_trials(trials: int = 30) -> CheckResult:
             for trial in range(cfg.trials):
                 seed = simlab.trial_seed(cfg.master_seed, arm_id, n_tests, trial)
                 inst = simlab.trial_instance(arm, cfg.n_items, cfg.k, n_tests, seed)
-                for alg, res in simlab.decode_trial(inst, cfg.decoders, cfg.sss_node_budget).items():
+                results = simlab.decode_trial(inst, cfg.decoders, cfg.sss_node_budget)
+                for alg, res in results.items():
                     if res is None:
                         counts[alg][1] += 1
                     elif dec.evaluate(res, inst.truth).exact:
                         counts[alg][0] += 1
+                estimates = {alg: res.estimate for alg, res in results.items() if res is not None}
+                broken = dec.invariant_violations(inst, estimates)
+                if broken:
+                    mismatches.append(f"{arm.kind}/T={n_tests}/r={trial} breaks {broken}")
             for alg, full in counts.items():
                 pt = curve.point(arm.kind, alg, n_tests)
                 if [pt.successes, pt.unresolved] != full:
@@ -550,7 +557,8 @@ def check_pd_trials(trials: int = 30) -> CheckResult:
     return CheckResult(
         "pd_trials_match_full_designs",
         not mismatches,
-        "; ".join(mismatches) or f"{cells} cells of {trials} trials, successes and unresolved equal",
+        "; ".join(mismatches)
+        or f"{cells} cells of {trials} trials, successes and unresolved equal, no identity broken",
     )
 
 

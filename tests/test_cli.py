@@ -489,6 +489,17 @@ class TestSimulateCommand:
         cfg = self._config(tmp_path)
         _one_error_line(capsys, ["simulate", "--config", str(cfg), "--set", override])
 
+    def test_trials_beyond_int64(self, tmp_path, capsys):
+        cfg = self._config(tmp_path)
+        err = _one_error_line(capsys, ["simulate", "--config", str(cfg), "--set", f"trials={10**21}"])
+        assert "trials" in err
+
+    def test_t_beyond_the_entry_cap(self, tmp_path, capsys):
+        # L = 1 keeps the design within the cap; its outcome of T entries is not
+        cfg = self._config(tmp_path, t_grid=[2**63], designs=[{"kind": "ncc", "nu": 1e-30}])
+        err = _one_error_line(capsys, ["simulate", "--config", str(cfg)])
+        assert f"t_grid entries must be at most 2**31, got {2**63}" in err
+
     def test_t_beyond_the_bounded_draws(self, tmp_path, capsys):
         cfg = self._config(tmp_path, t_grid=[2**64])
         err = _one_error_line(capsys, ["simulate", "--config", str(cfg)])

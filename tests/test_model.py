@@ -123,6 +123,22 @@ class TestGenBernoulli:
         monkeypatch.setattr(model, "_GEN_BLOCK", block)
         assert gen_bernoulli(37, 29, 0.3, seed=6) == whole
 
+    def test_long_rows_are_drawn_in_column_blocks(self, monkeypatch):
+        """Rows of 300 cells, with blocks of 64 cells: no draw holds more
+        than 64 cells, and the rows do not change."""
+        whole = gen_bernoulli(5, 300, 0.1, seed=4)
+        monkeypatch.setattr(model, "_GEN_BLOCK", 64)
+        sizes = []
+        real = model._bernoulli_cells
+
+        def counted(keys, tests, p):
+            sizes.append(np.broadcast(keys, tests, p).size)
+            return real(keys, tests, p)
+
+        monkeypatch.setattr(model, "_bernoulli_cells", counted)
+        assert gen_bernoulli(5, 300, 0.1, seed=4).rows() == whole.rows()
+        assert sizes and max(sizes) <= 64
+
 
 class TestGenNearConstant:
     def test_single_test_collapses(self):

@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -89,6 +90,7 @@ class TestExperimentConfig:
             {"decoders": ()},
             {"designs": ()},
             {"sss_node_budget": 0},
+            {"trials": 2**62},  # 2**63 trials over the two grid points
         ],
     )
     def test_validation(self, bad):
@@ -128,7 +130,7 @@ def small_curve():
         trials=80,
         master_seed=7,
     )
-    return cfg, run_success_curve(cfg, check_invariants=True)
+    return cfg, run_success_curve(cfg)
 
 
 class TestRunSuccessCurve:
@@ -300,7 +302,8 @@ def _trial_view(inst, items, node_budget):
 def pd_trial(kind, n_items, k, n_tests, params, seed):
     """A lab trial restricted to its PD items, and those items: a block of
     one trial."""
-    return next(model.pd_blocks(kind, n_items, k, [n_tests], [params], [seed])).instance(0)
+    block = model.PdBlock(kind, n_items, k, np.array([n_tests]), [params], np.array([seed], dtype=np.uint64))
+    return block.instance(0)
 
 
 def assert_pd_trial_is_the_full_trial(arm, n_items, k, n_tests, seed, node_budget=DEFAULT_NODE_BUDGET):
@@ -450,11 +453,11 @@ class TestPdTrial:
             n_items=40, k=3, t_grid=(6, 12), designs=tuple((kind, LN2) for kind in KINDS),
             decoders=ALGORITHMS, trials=5, master_seed=1,
         )
-        run_success_curve(cfg, check_invariants=True)
+        run_success_curve(cfg)
 
 
 class TestTrialBlocks:
-    """Blocks of lab trials (`model.pd_blocks`) and the COMP and DD counts
+    """Blocks of lab trials (`model.PdBlock`) and the COMP and DD counts
     the lab reads from them."""
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -466,7 +469,8 @@ class TestTrialBlocks:
         cells = [(t, r) for t in (1, 5, 9, 17, 33) for r in range(4)]
         n_tests = [t for t, _ in cells]
         seeds = [trial_seed(8, 0, t, r) for t, r in cells]
-        (block,) = model.pd_blocks(arm.kind, 50, 3, n_tests, [arm.params(t, 3) for t in n_tests], seeds)
+        params = [arm.params(t, 3) for t in n_tests]
+        block = model.PdBlock(arm.kind, 50, 3, np.array(n_tests), params, np.array(seeds, dtype=np.uint64))
         assert len(block) == len(cells)
         for b, (t, seed) in enumerate(zip(n_tests, seeds)):
             full = trial_instance(arm, 50, 3, t, seed)
@@ -475,20 +479,10 @@ class TestTrialBlocks:
             assert block.comp_exact[b] == (stats.masked_nondefectives == 0)
             assert block.dd_exact[b] == all(stats.solo_pd_tests)
 
-    def test_reference_csv_from_the_counts(self):
-        """The determinism reference config without ``check_invariants``:
-        COMP and DD read from the blocks' counts give its CSV to the byte."""
-        from test_determinism import REFERENCE_CSV, _reference_config
-
-        buf = io.StringIO()
-        run_success_curve(_reference_config()).write_csv(buf)
-        assert buf.getvalue().replace("\r\n", "\n") == REFERENCE_CSV
-
     @pytest.mark.parametrize("trials", [1, 7])
     def test_blocks_across_grid_points(self, trials, monkeypatch):
         """Blocks of 4 trials (``_GEN_BLOCK`` = 256, N = 60), across grid
-        points: the counts are those of whole-arm blocks and of every trial
-        decoded by the registry (``check_invariants``), and no hashed array
+        points: the counts are those of whole-arm blocks, and no hashed array
         holds more than 256 words."""
         cfg = ExperimentConfig(
             n_items=60, k=4, t_grid=(3, 6, 10, 14, 18, 24, 30, 40),
@@ -498,49 +492,40 @@ class TestTrialBlocks:
         whole = run_success_curve(cfg)
         monkeypatch.setattr(model, "_GEN_BLOCK", 256)
         points = []
-        real_blocks = model.pd_blocks
 
-        def recorded(*args):
-            for block in real_blocks(*args):
-                points.append(len(set(block.n_tests.tolist())))
-                yield block
+        class Recorded(model.PdBlock):
+            def __init__(self, *args):
+                super().__init__(*args)
+                points.append(len(set(self.n_tests.tolist())))
 
-        monkeypatch.setattr(model, "pd_blocks", recorded)
+        monkeypatch.setattr(model, "PdBlock", Recorded)
         sizes = []
         real_finalize = rng._finalize_np
         monkeypatch.setattr(rng, "_finalize_np", lambda z: sizes.append(z.size) or real_finalize(z))
         assert run_success_curve(cfg).points == whole.points
         assert max(sizes) <= 256
-        assert run_success_curve(cfg, check_invariants=True).points == whole.points
         assert max(points) > 1
 
-    def test_check_invariants_catches_a_count_that_disagrees(self, monkeypatch):
-        """A block whose DD successes differ from the registry's decodes
-        fails ``check_invariants``."""
-        real = model.PdBlock.__init__
+    def test_an_arm_is_walked_one_block_at_a_time(self, monkeypatch):
+        """With 10^14 trials per point the lab reaches its first block
+        having allocated about one block's arrays, none for the whole arm."""
 
-        def flipped(self, *args):
-            real(self, *args)
-            self.dd_exact = ~self.dd_exact
+        class FirstBlock(Exception):
+            pass
 
-        monkeypatch.setattr(model.PdBlock, "__init__", flipped)
+        def stop(*args):
+            raise FirstBlock
+
+        monkeypatch.setattr(model, "PdBlock", stop)
         cfg = ExperimentConfig(
-            n_items=30, k=2, t_grid=(8,), designs=(("ncc", LN2),), decoders=("dd",), trials=3, master_seed=1
+            n_items=20, k=2, t_grid=(4, 8), designs=(("ncc", LN2),), decoders=("comp", "dd"),
+            trials=10**14, master_seed=1,
         )
-        with pytest.raises(AssertionError, match="dd success differs"):
-            run_success_curve(cfg, check_invariants=True)
-
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ("bernoulli", 10, 2, [5, 5], [model.DesignParams(p=0.1), model.DesignParams(p=0.2)], [1, 2]),
-            ("near_constant", 10, 2, [5], [model.DesignParams(draws=2)], [1, 2]),
-            ("near_constant", 10, 11, [5], [model.DesignParams(draws=2)], [1]),
-            ("near_constant", 10, 2, [5], [model.DesignParams(draws=2)], [-1]),
-            ("near_constant", 10, 2, [5], [model.DesignParams(p=0.2)], [1]),
-        ],
-        ids=["two_p", "lengths", "k_above_n", "seed", "params"],
-    )
-    def test_pd_blocks_refuses_bad_input(self, args):
-        with pytest.raises(ValueError):
-            model.pd_blocks(*args)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FirstBlock):
+                run_success_curve(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

@@ -1,10 +1,13 @@
 """Planted faults fail the checks that should catch them, and the corpus
 refuses arguments out of range."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from grouptest import analysis as an
+from grouptest import decoders as dec
 from grouptest import model, verify
 from grouptest.verify import (
     CorpusReport,
@@ -76,6 +79,39 @@ def test_pd_trial_check_catches_a_trial_that_drops_a_pd_item(monkeypatch):
     res = check_pd_trials(10)
     assert not res.ok
     assert "/comp/T=" in res.detail
+
+
+def test_pd_trial_check_catches_a_dd_count_that_disagrees(monkeypatch):
+    """A block whose DD successes are flipped fails the check, which names
+    a DD cell."""
+    real = model.PdBlock.__init__
+
+    def flipped(self, *args):
+        real(self, *args)
+        self.dd_exact = ~self.dd_exact
+
+    monkeypatch.setattr(model.PdBlock, "__init__", flipped)
+    res = check_pd_trials(10)
+    assert not res.ok
+    assert "/dd/T=" in res.detail
+
+
+def test_pd_trial_check_names_a_broken_identity(monkeypatch):
+    """An SSS estimate one item larger than K, on the lab's trials and the
+    full ones alike, breaks ``sss_size``, and the check names it."""
+    real = dec.sss
+
+    def oversized(design, outcome, node_budget):
+        res = real(design, outcome, node_budget)
+        extra = min(set(range(design.n_items)) - set(res.estimate), default=None)
+        if extra is None:
+            return res
+        return replace(res, estimate=tuple(sorted(res.estimate + (extra,))))
+
+    monkeypatch.setattr(dec, "sss", oversized)
+    res = check_pd_trials(10)
+    assert not res.ok
+    assert "sss_size" in res.detail
 
 
 @pytest.mark.parametrize(
