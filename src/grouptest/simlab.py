@@ -156,8 +156,10 @@ class ExperimentConfig:
             raise ValueError("sss_node_budget must be >= 1")
         if not 0 <= self.master_seed < 1 << 64:
             raise ValueError("master_seed must be a 64-bit unsigned integer")
-        # N*T and N*min(L, T), with L = nu*T/K, grow with T: each arm's largest
-        # design is at the last grid point, so it is refused before any trial
+        # p does not depend on T, and L = nu*T/K (floored at 1, capped at T on
+        # ccw), N*T and N*min(L, T) never fall as T grows: each arm's largest
+        # design is at the last grid point, so a design the lab would refuse
+        # is refused here, before any trial, and the lab refuses none
         t_max = self.t_grid[-1]
         for arm in self.designs:
             model._checked_params(arm.kind, self.n_items, t_max, arm.params(t_max, self.k))

@@ -5,13 +5,14 @@ the registry and exits nonzero if anything fails. The checks are the same
 ones the acceptance test-suite runs, parameterized by instance counts so the
 CLI can run a faster pass.
 
-The fuzz corpus (:func:`fuzz_instance`) is drawn a block of instances at a
-time: one vectorised pass for the block's shapes, one design block of all
-kinds, drawn and checked once (`model._design_block`), one pass for the
-defective sets (`model.sample_defective_sets`), and one for the outcomes
-and PD answers over the same block's arrays (`model.block_instances`).
-Instance idx depends only on the seed, idx and the sizes, never on the
-block.
+The fuzz corpus (:func:`fuzz_instance`) is drawn a block of up to 256
+instances at a time: one vectorised pass for the block's shapes, one design
+block of all kinds, drawn and checked once (`model._design_block`), one
+pass for the defective sets (`model.sample_defective_sets`), and one for
+the outcomes and PD answers over the same block's arrays
+(`model.block_instances`). A corpus pass (:func:`run_decoder_corpus`) ends
+its last block where the pass ends. Instance idx depends only on the seed,
+idx and the sizes, never on the block.
 
 Empirical distributions are sampled with numpy's own generator, keeping the
 sampling path independent of the package's counter-based streams.
@@ -72,14 +73,22 @@ def _check_corpus_args(**values: int) -> None:
             raise ValueError(f"{name} must be an integer {where}, got {value!r}")
 
 
-def _fuzz_block(seed: int, lo: int, size: int, n_max: int, k_max: int, t_max: int) -> list[model.Instance]:
-    """Instances lo, lo + 1, ... (at most `size`, all below 2**64) of a
-    corpus: their shapes from one vectorised pass of each rule, their designs
-    of every kind drawn and checked as one block (`model._design_block`),
-    the defective sets from one `model.sample_defective_sets` call, and the
+# A block holds at most _BLOCK_INSTANCES instances, and at most _BLOCK_CELLS
+# // (n_max * t_max), which bounds the block's own CSR arrays (`model._csr_rows`
+# draws its rows a bounded number of words per numpy pass, whatever B). Each
+# block pays a fixed cost of numpy calls, so the fewer blocks the better.
+_BLOCK_INSTANCES = 256
+_BLOCK_CELLS = 1 << 19
+
+
+def _fuzz_block(seed: int, lo: int, hi: int, n_max: int, k_max: int, t_max: int) -> list[model.Instance]:
+    """Instances lo, lo + 1, ..., hi - 1 (all below 2**64) of a corpus:
+    their shapes from one vectorised pass of each rule, their designs of
+    every kind drawn and checked as one block (`model._design_block`), the
+    defective sets from one `model.sample_defective_sets` call, and the
     outcomes and PD answers from one `model.block_instances` pass over the
     same block."""
-    idx = np.uint64(lo) + np.arange(min(size, (1 << 64) - lo), dtype=np.uint64)
+    idx = np.uint64(lo) + np.arange(hi - lo, dtype=np.uint64)
     h = rng.mix64_np(seed, idx)
     n = 2 + rng.bounded_np(h, 0, n_max - 1)
     t = 1 + rng.bounded_np(h, 1, t_max)
@@ -96,33 +105,41 @@ def _fuzz_block(seed: int, lo: int, size: int, n_max: int, k_max: int, t_max: in
     return model.block_instances(designs, model.sample_defective_sets(n, k, truth_seeds), block)
 
 
-# the last block drawn, keyed by (seed, n_max, k_max, t_max, block), and its
-# instances, each None once handed out; it saves work, and no instance
-# depends on it
-_kept: tuple[tuple, list] = ((), [])
+# the last block drawn: its corpus (seed, n_max, k_max, t_max), its first
+# index and its instances, each None once handed out; it saves work, and no
+# instance depends on it
+_kept: tuple[tuple, int, list] = ((), 0, [])
 
 
 def fuzz_instance(
-    seed: int, idx: int, *, n_max: int, k_max: int, t_max: int
+    seed: int, idx: int, *, n_max: int, k_max: int, t_max: int, stop: int | None = None
 ) -> model.Instance:
     """Deterministic random instance: any design kind, truth, and outcome.
 
-    Instance idx is drawn with its block, the B = ``max(1, _GEN_BLOCK //
-    (n_max * t_max))`` instances from the multiple of B at or below idx,
-    and the last block drawn is kept, so a pass over the corpus in order
-    draws each block once; its design carries its PD answer. Each kept
-    instance is handed out once; asked for again, it is drawn again.
-    ValueError on sizes, seed or idx out of their ranges
-    (`_check_corpus_args`).
+    Instance idx is drawn with its block, the B = ``max(1, min(256, 2**19
+    // (n_max * t_max)))`` instances from the multiple of B at or below idx
+    (256 at the default sizes), ended early at `stop` when given: a caller
+    that reads no index at or past `stop` passes it, so its last block
+    draws nothing it will not read. The last block drawn is kept, so a pass
+    over the corpus in order draws each block once; its design carries its
+    PD answer. Each kept instance is handed out once; asked for again, it is
+    drawn again. ValueError on sizes, seed or idx out of their ranges
+    (`_check_corpus_args`), or on a `stop` that is not an integer above idx.
     """
     global _kept
     _check_corpus_args(seed=seed, idx=idx, n_max=n_max, k_max=k_max, t_max=t_max)
-    size = max(1, model._GEN_BLOCK // (n_max * t_max))
-    block, at = divmod(int(idx), size)
-    key = (int(seed), int(n_max), int(k_max), int(t_max), block)
-    if _kept[0] != key or _kept[1][at] is None:
-        _kept = (key, _fuzz_block(key[0], block * size, size, *key[1:4]))
-    inst, _kept[1][at] = _kept[1][at], None
+    if stop is not None and not (model.is_integer(stop) and idx < stop):
+        raise ValueError(f"stop must be an integer above idx ({idx}), got {stop!r}")
+    idx = int(idx)
+    corpus, lo, insts = _kept
+    key = (int(seed), int(n_max), int(k_max), int(t_max))
+    if corpus != key or not lo <= idx < lo + len(insts) or insts[idx - lo] is None:
+        size = max(1, min(_BLOCK_INSTANCES, _BLOCK_CELLS // (n_max * t_max)))
+        lo = idx - idx % size
+        hi = min(lo + size, 1 << 64, math.inf if stop is None else stop)
+        insts = _fuzz_block(key[0], lo, hi, *key[1:])
+        _kept = (key, lo, insts)
+    inst, insts[idx - lo] = insts[idx - lo], None
     return inst
 
 
@@ -156,12 +173,14 @@ def run_decoder_corpus(
     t_max: int = 40,
 ) -> CorpusReport:
     """Fuzz all four decoders plus the per-item counts, tallying violations.
+    Instances 0 .. instances - 1 are fetched one `fuzz_instance` call each,
+    with ``stop=instances``, so the last block ends where the pass does.
     ValueError on a negative count, or on a seed or sizes `fuzz_instance`
     refuses."""
     _check_corpus_args(instances=instances, seed=seed, n_max=n_max, k_max=k_max, t_max=t_max)
     report = CorpusReport(instances=instances)
     for idx in range(instances):
-        inst = fuzz_instance(seed, idx, n_max=n_max, k_max=k_max, t_max=t_max)
+        inst = fuzz_instance(seed, idx, n_max=n_max, k_max=k_max, t_max=t_max, stop=instances)
         estimates = {
             alg: dec.decode(alg, inst.design, inst.outcome).estimate
             for alg in dec.ALGORITHMS

@@ -257,3 +257,34 @@ def test_corpus_instances_in_any_order():
         _assert_same_instance(
             verify.fuzz_instance(seed, idx, **sizes), _scalar_fuzz_instance(seed, idx, **sizes)
         )
+
+
+def _instance_record(inst):
+    """Everything a corpus instance holds: the design's kind, sizes, params,
+    seed and CSR arrays, the truth, the outcome, and the PD answer the
+    design carries."""
+    d = inst.design
+    bits, pd = d._pd
+    return (
+        d.kind, d.n_items, d.n_tests, vars(d.params), d.seed, d.indptr.tolist(),
+        d.indices.dtype, d.indices.tolist(), inst.truth.items, inst.outcome.bits,
+        bits, pd.items, pd.masks, pd.all_positive, pd.solo, pd.explains,
+    )
+
+
+@pytest.mark.parametrize("seed,n_max,k_max,t_max", [(2024, 50, 8, 40), (606, 10, 3, 8)])
+def test_corpus_instances_whatever_the_block_size(monkeypatch, seed, n_max, k_max, t_max):
+    """Instances 0-599 are the same with blocks of at most 1, 7, 32 or 256
+    instances, read with a stop at 200 (as a 200-instance pass reads them)
+    or without one."""
+    sizes = dict(n_max=n_max, k_max=k_max, t_max=t_max)
+    runs = []
+    for cap in (1, 7, 32, 256):
+        monkeypatch.setattr(verify, "_BLOCK_INSTANCES", cap)
+        for stop in (None, 200):
+            monkeypatch.setattr(verify, "_kept", ((), 0, []))
+            runs.append([
+                _instance_record(verify.fuzz_instance(seed, idx, **sizes, stop=stop if idx < 200 else None))
+                for idx in range(600)
+            ])
+    assert all(run == runs[0] for run in runs[1:])

@@ -97,6 +97,25 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(**self._base(**bad))
 
+    @given(
+        st.sampled_from(["bernoulli", "ncc", "ccw"]),
+        st.floats(1e-30, 1e30),
+        st.integers(2, 2**40),
+        st.lists(st.integers(1, 2**64), min_size=1, max_size=4, unique=True),
+    )
+    def test_an_accepted_config_accepts_every_grid_point(self, kind, nu, n_items, t_grid):
+        """The checks at the last grid point hold at every smaller T, so the
+        lab draws every design of a config that `ExperimentConfig` accepts."""
+        try:
+            cfg = ExperimentConfig(
+                **self._base(n_items=n_items, k=1, t_grid=sorted(t_grid), designs=((kind, nu),))
+            )
+        except ValueError:
+            return
+        arm = cfg.designs[0]
+        for t in cfg.t_grid:
+            model._checked_params(arm.kind, cfg.n_items, t, arm.params(t, cfg.k))
+
     def test_dict_round_trip(self):
         cfg = ExperimentConfig(**self._base())
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg

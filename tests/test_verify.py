@@ -126,6 +126,8 @@ def test_pd_trial_check_names_a_broken_identity(monkeypatch):
         ("idx", lambda: fuzz_instance(1, 2**64, n_max=5, k_max=2, t_max=4)),
         ("seed", lambda: fuzz_instance(-1, 0, n_max=5, k_max=2, t_max=4)),
         ("seed", lambda: fuzz_instance(2**64, 0, n_max=5, k_max=2, t_max=4)),
+        ("stop", lambda: fuzz_instance(1, 5, n_max=5, k_max=2, t_max=4, stop=5)),
+        ("stop", lambda: fuzz_instance(1, 5, n_max=5, k_max=2, t_max=4, stop=6.0)),
         ("instances", lambda: run_decoder_corpus(-3)),
         ("n_max", lambda: run_decoder_corpus(0, n_max=1)),
     ],
@@ -167,3 +169,37 @@ def test_a_corpus_block_is_checked_once(monkeypatch):
     insts = verify._fuzz_block(2024, 0, 32, 50, 8, 40)
     assert calls == [32]
     assert {inst.design.kind for inst in insts} == set(model.DESIGN_KINDS)
+
+
+def test_a_pass_draws_only_the_instances_it_reads(monkeypatch):
+    """A pass fetches each index by one `fuzz_instance` call and its last
+    block ends where the pass does, so 200 instances draw 200; a read past
+    a short pass's end, and a full pass after it, give each index the
+    instance it has when drawn on its own."""
+    real_fetch, real_block = verify.fuzz_instance, verify._fuzz_block
+    fetched, drawn = [], []
+
+    def fetch(seed, idx, **sizes):
+        fetched.append((idx, real_fetch(seed, idx, **sizes)))
+        return fetched[-1][1]
+
+    def block(seed, lo, hi, *sizes):
+        drawn.append(hi - lo)
+        return real_block(seed, lo, hi, *sizes)
+
+    monkeypatch.setattr(verify, "fuzz_instance", fetch)
+    monkeypatch.setattr(verify, "_fuzz_block", block)
+    monkeypatch.setattr(verify, "_kept", ((), 0, []))
+    run_decoder_corpus(200)
+    assert [idx for idx, _ in fetched] == list(range(200))
+    assert sum(drawn) == 200
+
+    fetched.clear()
+    run_decoder_corpus(20)
+    fetched.append((25, real_fetch(2024, 25, n_max=50, k_max=8, t_max=40)))
+    run_decoder_corpus(200)
+    assert [idx for idx, _ in fetched] == [*range(20), 25, *range(200)]
+    for idx, inst in fetched:
+        (alone,) = real_block(2024, idx, idx + 1, 50, 8, 40)
+        assert (inst.design, inst.truth, inst.outcome) == (alone.design, alone.truth, alone.outcome)
+        _same_answer(inst.design.pd(inst.outcome), alone.design.pd(alone.outcome))
