@@ -31,8 +31,10 @@ All randomness is counter-based (see :mod:`grouptest.rng`): column i of a
 design depends only on (seed, kind, i), so columns can be generated in any
 order or concurrently with identical results. Each kind has one row rule,
 which the design blocks (the generators are blocks of one) and the lab's
-trial blocks share; exact-constant's is a partial Fisher-Yates over a block
-of keys, which also draws many defective sets at once
+trial blocks share, with one call shape: T and L per key, p one number or
+one per key. Rows are drawn a bounded pass at a time, whatever N, T and L
+(:func:`_csr_rows`). Exact-constant's rule is a partial Fisher-Yates over a
+block of keys, which also draws many defective sets at once
 (:func:`sample_defective_sets`, the trial blocks). A :class:`PdBlock` draws
 a block of the lab's trials at once, at most :func:`pd_block_trials` of
 them: the item keys, the defective sets, the defectives' rows, which fix
@@ -419,26 +421,23 @@ def _bernoulli_cells(keys, tests, p) -> np.ndarray:
     return rng.below_np(keys, tests, p)
 
 
-def _bernoulli_rows(keys: np.ndarray, n_tests, p):
-    """A block's rows over tests 0..T-1. With one T for all, one
-    ``np.flatnonzero`` reads them back (a cell's row and test are its flat
-    position divmod T), and a row of more than ``_GEN_BLOCK`` cells is a
-    block of its own, drawn in column blocks of ``_GEN_BLOCK`` cells; with
-    one T per key, the keys' cells lie back to back, and p is one number for
-    all keys or one per key."""
-    if isinstance(n_tests, np.ndarray):
-        owner = np.repeat(np.arange(keys.shape[0]), n_tests)
-        tests = np.arange(owner.shape[0]) - np.repeat(np.cumsum(n_tests) - n_tests, n_tests)
-        if isinstance(p, np.ndarray):
-            p = p[owner]
-        hit = np.flatnonzero(_bernoulli_cells(keys[owner], tests, p))
-        return np.bincount(owner[hit], minlength=keys.shape[0]), tests[hit]
-    if n_tests > _GEN_BLOCK:  # one item per block
-        blocks = (np.arange(lo, min(n_tests, lo + _GEN_BLOCK), dtype=np.uint64) for lo in range(0, n_tests, _GEN_BLOCK))
-        row = np.concatenate([tests[_bernoulli_cells(keys[0], tests, p)] for tests in blocks])
+def _bernoulli_rows(keys: np.ndarray, n_tests: np.ndarray, p):
+    """A block's rows over each key's tests 0..T-1: a (keys, T_max) grid of
+    cells, each key's cells past its own T dropped, read back with one
+    ``np.flatnonzero`` (a cell's row and test are its flat position divmod
+    T_max). p is one number for all keys or one per key. A row of more than
+    ``_GEN_BLOCK`` cells is a block of its own, drawn in column blocks of
+    ``_GEN_BLOCK`` cells."""
+    if isinstance(p, np.ndarray):
+        p = p[:, None]
+    width = int(n_tests.max())
+    if width > _GEN_BLOCK:  # one item per block
+        blocks = (np.arange(lo, min(width, lo + _GEN_BLOCK), dtype=np.uint64) for lo in range(0, width, _GEN_BLOCK))
+        row = np.concatenate([tests[_bernoulli_cells(keys[:, None], tests, p).ravel()] for tests in blocks])
         return row.shape[0], row
-    cells = _bernoulli_cells(keys[:, None], np.arange(n_tests, dtype=np.uint64), p)
-    rows, tests = np.divmod(np.flatnonzero(cells), n_tests)
+    cells = _bernoulli_cells(keys[:, None], np.arange(width, dtype=np.uint64), p)
+    cells &= np.arange(width) < n_tests[:, None]
+    rows, tests = np.divmod(np.flatnonzero(cells), width)
     return np.bincount(rows, minlength=keys.shape[0]), tests
 
 
@@ -448,27 +447,20 @@ def _near_constant_draws(keys, counters, n_tests) -> np.ndarray:
     return rng.bounded_np(keys, counters, n_tests)
 
 
-def _near_constant_rows(keys: np.ndarray, n_tests, draws):
-    """A block's rows, each sorted with its repeats dropped; T and L are one
-    number for all keys or one per key. A row of more than ``_GEN_BLOCK``
-    draws is a block of its own (`_distinct_draws`)."""
-    per_key = isinstance(draws, np.ndarray)
-    width = int(draws.max()) if per_key else draws
+def _near_constant_rows(keys: np.ndarray, n_tests: np.ndarray, draws: np.ndarray):
+    """A block's rows, each sorted with its repeats dropped: a (keys, L_max)
+    grid of draws, each key's draws past its own L dropped. A row of more
+    than ``_GEN_BLOCK`` draws is a block of its own (`_distinct_draws`)."""
+    width = int(draws.max())
     if width > _GEN_BLOCK:  # one item per block
-        row = _distinct_draws(keys[:1], width, int(n_tests[0]) if per_key else n_tests)
+        row = _distinct_draws(keys, width, int(n_tests[0]))
         return row.shape[0], row
-    counters = np.arange(width, dtype=np.uint64)
-    if per_key:
-        picks = _near_constant_draws(keys[:, None], counters, n_tests[:, None])
-        picks[np.arange(width) >= draws[:, None]] = -1  # past a key's L; sorts first
-    else:
-        picks = _near_constant_draws(keys[:, None], counters, n_tests)
+    picks = _near_constant_draws(keys[:, None], np.arange(width, dtype=np.uint64), n_tests[:, None])
+    picks[np.arange(width) >= draws[:, None]] = -1  # past a key's L; sorts first
     picks.sort(axis=1)
     # a sorted draw is kept unless it repeats the one before it in its row
-    keep = np.ones(picks.shape, dtype=bool)
-    np.not_equal(picks[:, 1:], picks[:, :-1], out=keep[:, 1:])
-    if per_key:
-        keep &= picks >= 0
+    keep = picks >= 0
+    np.logical_and(keep[:, 1:], picks[:, 1:] != picks[:, :-1], out=keep[:, 1:])
     return np.count_nonzero(keep, axis=1), picks[keep]
 
 
@@ -485,60 +477,45 @@ def _distinct_draws(key: np.ndarray, draws: int, n_tests: int) -> np.ndarray:
     return row
 
 
-def _exact_constant_rows(keys: np.ndarray, n_tests, draws):
-    """A block's rows by `_uniform_subsets`; T and L are one number for all
-    keys or one per key."""
-    return draws, _uniform_subsets(keys, n_tests, draws).ravel()
+def _exact_constant_rows(keys: np.ndarray, n_tests: np.ndarray, draws: np.ndarray):
+    """A block's rows by `_uniform_subsets`."""
+    return draws, _uniform_subsets(keys, n_tests, draws)
 
 
 def _trial_pass() -> int:
-    """Cells per numpy pass over a block of trials (`_drop_negative`, and
-    rows of one T per key) and draws per block of exact-constant rows: an
-    eighth of ``_GEN_BLOCK``, since such a pass holds index, counter and key
-    arrays of its size beside the words (a Fisher-Yates block, about ten
-    arrays of its draws). In passes of a whole
+    """Cells or draws per numpy pass over a block of rows (`_csr_rows`) or of
+    trials (`_drop_negative`): an eighth of ``_GEN_BLOCK``, since such a pass
+    holds index, counter and key arrays of its size beside the words (a
+    Fisher-Yates block, about ten arrays of its draws). In passes of a whole
     ``_GEN_BLOCK`` the fig2 benchmark's peak memory was about 1.2 MB (3.7%)
     above the lab's of one trial at a time; in these it is about 0.2 MB
     above."""
     return _GEN_BLOCK >> 3
 
 
-def _kind_param(kind: str, params: DesignParams):
-    """The parameter a `kind` row rule takes: p, or L."""
-    return params.p if kind == KIND_BERNOULLI else params.draws
-
-
 def _csr_rows(kind, keys, n_tests, param) -> tuple[np.ndarray, np.ndarray]:
-    """The CSR arrays of the `kind` rows of `keys`, drawn ``max(1,
-    _GEN_BLOCK // width)`` items at a time (width: the most cells or draws
-    of a row) by the kind's row rule, which returns a block's lengths (an
-    array, or one number for all) and entries. `param` is p or L; T, and L,
-    are one number for all keys or one per key (arrays beside `keys`), and
-    so is p when T is. Rows of one T per key and exact-constant rows are
-    drawn ``_trial_pass()`` cells or draws at a time. A row depends only on
-    its key, T and parameter, so the blocks never change the rows."""
+    """The CSR arrays of the `kind` rows of `keys`. T (`n_tests`) and L are
+    arrays beside `keys`; p is one number for all keys or one per key. The
+    kind's row rule, which returns a block's lengths and entries, draws them
+    ``max(1, _trial_pass() // width)`` items at a time (width: the most
+    cells or draws of a row). A Bernoulli or near-constant row of more than
+    ``_GEN_BLOCK`` cells or draws is drawn that many at a time; an
+    exact-constant row is drawn whole, in memory in proportion to its L. A
+    row depends only on its key, T and parameter, so the blocks never change
+    the rows."""
     if kind == KIND_BERNOULLI:
-        block_rows = _bernoulli_rows
+        block_rows, width = _bernoulli_rows, n_tests
     else:
         block_rows = _near_constant_rows if kind == KIND_NEAR_CONSTANT else _exact_constant_rows
-    per_key = isinstance(n_tests, np.ndarray)
-    t_max = int(n_tests.max(initial=1)) if per_key else n_tests
-    if kind == KIND_BERNOULLI:
-        width = t_max
-    else:
-        width = int(param.max(initial=1)) if per_key else param
-    dtype = _index_dtype(t_max)
+        width = param
+    dtype = _index_dtype(int(n_tests.max(initial=1)))
     lengths = np.empty(keys.shape[0], dtype=np.int64)
     parts = [np.empty(0, dtype=dtype)]
-    narrow = per_key or kind == KIND_EXACT_CONSTANT
-    chunk = max(1, (_trial_pass() if narrow else _GEN_BLOCK) // width)
+    chunk = max(1, _trial_pass() // int(width.max(initial=1)))
     for lo in range(0, keys.shape[0], chunk):
         hi = lo + chunk
-        if per_key:
-            rule_param = param[lo:hi] if isinstance(param, np.ndarray) else param
-            lengths[lo:hi], entries = block_rows(keys[lo:hi], n_tests[lo:hi], rule_param)
-        else:
-            lengths[lo:hi], entries = block_rows(keys[lo:hi], n_tests, param)
+        rule_param = param[lo:hi] if isinstance(param, np.ndarray) else param
+        lengths[lo:hi], entries = block_rows(keys[lo:hi], n_tests[lo:hi], rule_param)
         parts.append(entries.astype(dtype))
     indptr = np.zeros(keys.shape[0] + 1, dtype=np.int64)
     np.cumsum(lengths, out=indptr[1:])
@@ -566,10 +543,10 @@ def _design_block(kinds, n_items, n_tests, params, seeds) -> tuple[list[TestDesi
 
     Each design's parameters are checked once (`_checked_params`), before
     any draw. The designs are sorted by kind, so each kind's rows come from
-    one `_csr_rows` call over its designs' item keys, with T and the
-    parameter one number when those designs share them and one per key
-    otherwise. The block is checked once (`_checked_block`) and split into
-    designs."""
+    one `_csr_rows` call over its designs' item keys, each design's T and L
+    repeated over its items, and p one number when those designs share it
+    and one per key otherwise. The block is checked once (`_checked_block`)
+    and split into designs."""
     if not len(kinds) == len(n_items) == len(n_tests) == len(params) == len(seeds):
         raise ValueError("one kind, N, T, params record and seed required per design")
     for kind, size, t, prm in zip(kinds, n_items, n_tests, params):
@@ -588,11 +565,11 @@ def _design_block(kinds, n_items, n_tests, params, seeds) -> tuple[list[TestDesi
     b = 0
     for kind, run in groupby(kinds):
         a, b = b, b + len(list(run))
-        param = [_kind_param(kind, prm) for prm in params[a:b]]
-        if len(set(tests[a:b])) == len(set(param)) == 1:
-            row_tests, param = tests[a], param[0]
-        else:
-            row_tests, param = np.repeat(tests[a:b], sizes[a:b]), np.repeat(param, sizes[a:b])
+        bernoulli = kind == KIND_BERNOULLI
+        param = [prm.p if bernoulli else prm.draws for prm in params[a:b]]
+        # p stays one number when the designs share it; T and L are per key
+        param = param[0] if bernoulli and len(set(param)) == 1 else np.repeat(param, sizes[a:b])
+        row_tests = np.repeat(np.array(tests[a:b], dtype=np.uint64), sizes[a:b])  # holds T = 2**63
         indptr, indices = _csr_rows(kind, keys[bounds[a] : bounds[b]], row_tests, param)
         ptrs.append(indptr[1:] + ptrs[-1][-1])
         parts.append(indices)
@@ -608,10 +585,9 @@ def _design_block(kinds, n_items, n_tests, params, seeds) -> tuple[list[TestDesi
     return designs, (order, indptr, indices)
 
 
-def _uniform_subsets(keys: np.ndarray, n, k) -> np.ndarray:
-    """`_uniform_subset` on each of `keys`, n and k one number for all keys
-    or one per key: the sorted rows of a (keys, k) array, or with k per key,
-    those rows back to back.
+def _uniform_subsets(keys: np.ndarray, n: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """`_uniform_subset` on each of `keys`, with n and k per key: the sorted
+    rows back to back.
 
     One `rng.bounded_np` call draws every key's places j_r, r < k (past a
     key's own k, with bound 1: j_r = r, a swap of a place with itself,
@@ -621,15 +597,12 @@ def _uniform_subsets(keys: np.ndarray, n, k) -> np.ndarray:
     r, and a drawn place j >= k is slot k plus the rank of j among the key's
     distinct draws. The memory is in proportion to the draws, whatever n.
     """
-    per_key = isinstance(k, np.ndarray)
-    width = int(k.max(initial=0)) if per_key else k
+    width = int(k.max(initial=0))
     r = np.arange(width)
     counters = r.astype(np.uint64)
+    live = r < k[:, None]
     # in uint64, which holds an n of 2**63
-    bound = (n.astype(np.uint64)[:, None] if isinstance(n, np.ndarray) else np.uint64(n)) - counters
-    if per_key:
-        live = r < k[:, None]
-        bound = np.where(live, bound, np.uint64(1))
+    bound = np.where(live, n.astype(np.uint64)[:, None] - counters, np.uint64(1))
     j = rng.bounded_np(keys[:, None], counters, bound)
     j += r
     # key i's draw r is at i * k + r of j's flat array, and its slot s at
@@ -654,10 +627,9 @@ def _uniform_subsets(keys: np.ndarray, n, k) -> np.ndarray:
         places.take(slot[step], out=chosen[step])
         places[slot[step]] = places[lead[step]]
     chosen = chosen.T
-    if per_key:
-        chosen[~live] = np.iinfo(np.int64).max  # sorts last
+    chosen[~live] = np.iinfo(np.int64).max  # sorts last
     chosen.sort(axis=1)
-    return chosen[live] if per_key else chosen
+    return chosen[live]
 
 
 def _drop_negative(kind, keys, trial, n_tests, param, positive) -> np.ndarray:
@@ -759,7 +731,9 @@ class PdBlock:
             self._param = np.fromiter((prm.draws for prm in params), np.int64, size)
         t_max = int(n_tests.max())
         self._keys = rng.mix64_np(seeds[:, None], _STREAM_COLUMNS[kind], np.arange(n_items, dtype=np.uint64))
-        self._defective = _uniform_subsets(rng.mix64_np(seeds, _STREAM_DEFECTIVE), n_items, k)
+        self._defective = _uniform_subsets(
+            rng.mix64_np(seeds, _STREAM_DEFECTIVE), np.full(size, n_items), np.full(size, k)
+        ).reshape(size, k)
         # the defectives' rows, in (trial, defective) order, fix the outcomes
         def_trial = np.repeat(np.arange(size), k)
         def_rows = self._rows(self._keys[def_trial, self._defective.ravel()], def_trial)
@@ -815,13 +789,15 @@ class PdBlock:
         item, so with no PD item (K = 0 and no empty row) it holds item 0, in
         full, which the PD step drops.
         """
-        n_tests, params, kind = int(self.n_tests[b]), self.params[b], self.kind
+        n_tests = int(self.n_tests[b])
         lo, hi = np.searchsorted(self._surv_trial, (b, b + 1))
         items = np.sort(np.concatenate((self._defective[b], self._surv_items[lo:hi])))
         if not items.shape[0]:
             items = np.zeros(1, dtype=np.int64)
-        indptr, indices = _csr_rows(kind, self._keys[b, items], n_tests, _kind_param(kind, params))
-        design = TestDesign.from_csr(kind, items.shape[0], n_tests, params, int(self.seeds[b]), indptr, indices)
+        indptr, indices = self._rows(self._keys[b, items], np.full(items.shape[0], b))
+        design = TestDesign.from_csr(
+            self.kind, items.shape[0], n_tests, self.params[b], int(self.seeds[b]), indptr, indices
+        )
         positive = self._positive[b, :n_tests]
         outcome = OutcomeVector(tuple(positive.tolist()))
         design._pd = (outcome.bits, _pd_answers([items.shape[0]], [n_tests], indptr, indices, positive)[0])
@@ -840,7 +816,9 @@ def gen_bernoulli(
     n_items: int, n_tests: int, p: float, seed: int, *, nu: float | None = None
 ) -> TestDesign:
     """Design with every cell included independently with probability p
-    (`_bernoulli_cells`), drawn a block of at most ``_GEN_BLOCK`` cells at a time."""
+    (`_bernoulli_cells`), drawn a pass of at most ``_GEN_BLOCK // 8`` cells
+    at a time; a row of more than ``_GEN_BLOCK`` cells is drawn that many at
+    a time."""
     return generate_design(KIND_BERNOULLI, n_items, n_tests, seed, DesignParams(p=p, nu=nu))
 
 
@@ -849,10 +827,11 @@ def gen_near_constant(
 ) -> TestDesign:
     """Design with L uniform draws per item, with replacement (duplicates collapse).
 
-    Rows are drawn a block of at most ``_GEN_BLOCK`` draws at a time, each
-    sorted with its duplicates dropped. A row of more draws than that is a
-    block of its own, drawn in column blocks merged into its distinct set,
-    and stops early once it holds every test.
+    Rows are drawn a pass of at most ``_GEN_BLOCK // 8`` draws at a time,
+    each sorted with its duplicates dropped. A row of more than
+    ``_GEN_BLOCK`` draws is a block of its own, drawn in column blocks of
+    that many merged into its distinct set, and stops early once it holds
+    every test.
     """
     return generate_design(KIND_NEAR_CONSTANT, n_items, n_tests, seed, DesignParams(draws=draws, nu=nu))
 
@@ -862,7 +841,7 @@ def gen_exact_constant(
 ) -> TestDesign:
     """Design with a uniform L-subset of tests per item (without replacement):
     the partial Fisher-Yates of `_uniform_subsets` over a block of items at
-    a time, at most ``_GEN_BLOCK // 8`` draws."""
+    a time, at most ``_GEN_BLOCK // 8`` draws, or one item when L is more."""
     return generate_design(KIND_EXACT_CONSTANT, n_items, n_tests, seed, DesignParams(draws=draws, nu=nu))
 
 

@@ -80,7 +80,8 @@ def test_criterion_2_sss_oracle_equivalence():
 
 
 def test_criterion_3_structural_invariants(structural_corpus):
-    """DD within truth within COMP; |SSS| <= K; SCOMP/SSS satisfying; 0 violations."""
+    """DD within truth within COMP; |SSS| <= K; SCOMP/SSS satisfying; DD
+    exact implies SCOMP exact; the per-item count identity; 0 violations."""
     res = check_structural_invariants(structural_corpus)
     _report(3, res.ok, res.detail)
 

@@ -280,10 +280,11 @@ class TestBlockDraws:
 
     @pytest.mark.parametrize("n,k", [(1, 0), (1, 1), (6, 6), (500, 10), (2**63, 3)])
     def test_uniform_subsets_with_one_n_and_k(self, n, k):
+        """Every key shares n and k, given per key (n = 2**63 as uint64)."""
         keys = rng.mix64_np(4, np.arange(20, dtype=np.uint64))
-        got = model._uniform_subsets(keys, n, k)
-        assert got.shape == (20, k)
-        assert got.tolist() == [model._uniform_subset(key, n, k) for key in keys.tolist()]
+        got = model._uniform_subsets(keys, np.full(20, n, dtype=np.uint64), np.full(20, k))
+        assert got.shape == (20 * k,)
+        assert got.tolist() == [v for key in keys.tolist() for v in model._uniform_subset(key, n, k)]
 
     # blocks of (kind, N, T, p or L, seed): one of each kind alone, and a
     # mixed block, the kinds interleaved, with N = 1 and T = 1, index types
@@ -313,6 +314,11 @@ class TestBlockDraws:
             (KIND_BERNOULLI, 1, 1, 1 - 2**-40, 0),
             (KIND_EXACT_CONSTANT, 5, 300, 17, 3),
             (KIND_BERNOULLI, 3, 9, 0.05, 6),
+        ],
+        # weight designs of one kind, one of T = 2**63 beside a small T
+        "largest T": [
+            (KIND_NEAR_CONSTANT, 3, 5, 3, 1), (KIND_NEAR_CONSTANT, 2, 2**63, 3, 2),
+            (KIND_EXACT_CONSTANT, 3, 7, 3, 3), (KIND_EXACT_CONSTANT, 2, 2**63, 3, 4),
         ],
     }
 

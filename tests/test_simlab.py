@@ -424,11 +424,18 @@ class TestPdTrial:
             assert items == full.pd(outcome).items
             assert reduced.design.rows() == [full.rows()[i] for i in items]
 
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_blocks_stay_within_the_generation_block(self, kind, monkeypatch):
+    @pytest.mark.parametrize(
+        "kind,n_tests",
+        [pytest.param(kind, 40, id=kind) for kind in KINDS]
+        + [pytest.param(kind, 300, id=f"{kind}-300") for kind in ("bernoulli", "ncc")],
+    )
+    def test_blocks_stay_within_the_generation_block(self, kind, n_tests, monkeypatch):
         """With blocks of 64 cells, every draw of the PD trial (rows and
         elimination alike) holds at most 64 cells, and the trial still
-        matches the full one, drawn in the same blocks."""
+        matches the full one, drawn in the same blocks. At T = 300 a
+        Bernoulli row holds 300 cells and a near-constant one 69 draws, each
+        drawn in column blocks. (An exact-constant row of 69 draws cannot
+        be drawn in 64.)"""
         monkeypatch.setattr(model, "_GEN_BLOCK", 64)
         sizes = []
         for name in ("_bernoulli_cells", "_near_constant_draws"):
@@ -447,7 +454,7 @@ class TestPdTrial:
 
         monkeypatch.setattr(model, "_exact_constant_rows", counted_rows)
         for r in range(6):
-            assert_pd_trial_is_the_full_trial(DesignArm(kind, LN2), 90, 3, 40, trial_seed(6, 0, 40, r))
+            assert_pd_trial_is_the_full_trial(DesignArm(kind, LN2), 90, 3, n_tests, trial_seed(6, 0, n_tests, r))
         assert sizes and max(sizes) <= 64
 
     @given(

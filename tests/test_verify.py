@@ -21,21 +21,36 @@ from grouptest.verify import (
 )
 
 
-@pytest.mark.parametrize(
-    "key,check",
-    [
-        ("sss_size", check_structural_invariants),
-        ("stats_identity", check_structural_invariants),
-        ("comp_iff_g_zero", check_success_conditions),
-    ],
-)
-def test_one_planted_violation_fails_its_check(key, check):
+@pytest.mark.parametrize("key", dec.INVARIANTS)
+def test_one_planted_violation_fails_its_check(key):
+    """Every identity the corpus tallies fails exactly one check: the two
+    success conditions criterion 4's, every other criterion 3's."""
+    checks = (check_structural_invariants, check_success_conditions)
     report = CorpusReport(instances=10)
-    assert check(report).ok
+    assert all(check(report).ok for check in checks)
     report.violations[key] = 1
-    res = check(report)
-    assert not res.ok
-    assert res.detail == "10 instances, 1 violations"
+    failed = [res for res in (check(report) for check in checks) if not res.ok]
+    assert [res.name for res in failed] == [
+        "success_condition_equivalences"
+        if key in ("comp_iff_g_zero", "dd_iff_li_positive")
+        else "decoder_structural_invariants"
+    ]
+    assert failed[0].detail == "10 instances, 1 violations"
+
+
+def test_the_sss_check_draws_only_its_instances(monkeypatch):
+    """200 instances at blocks of 256 draw 200, not the whole block."""
+    drawn = []
+    real = verify._fuzz_block
+
+    def counted(seed, lo, hi, *sizes):
+        drawn.append(hi - lo)
+        return real(seed, lo, hi, *sizes)
+
+    monkeypatch.setattr(verify, "_fuzz_block", counted)
+    monkeypatch.setattr(verify, "_kept", ((), 0, []))
+    assert verify.check_sss_enumeration(200).ok
+    assert sum(drawn) == 200
 
 
 @pytest.mark.parametrize("name", ["comp_success_exact", "comp_masked_mean"])
