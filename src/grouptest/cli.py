@@ -128,6 +128,8 @@ def _cmd_design(args: argparse.Namespace) -> int:
     given = [name for name, val in (("--nu", args.nu), ("--p", args.p), ("--L", args.draws)) if val is not None]
     if len(given) != 1:
         raise CliError("exactly one of --nu, --p, --L is required")
+    if args.k is not None and args.nu is None:
+        raise CliError("--K is read only with --nu")
     kind = simlab.DESIGN_ALIASES[args.kind]
     # DesignArm.params floors K at 1 for the lab's K = 0 configs; here K must be given
     if args.nu is not None and (args.k is None or args.k < 1):

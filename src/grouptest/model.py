@@ -12,8 +12,8 @@ items, over the positive tests (:func:`possible_defectives`), and the design
 keeps that answer for its last outcome (:meth:`TestDesign.pd`). Generation,
 validation and the PD step run on a block of designs at once, a single
 design being a block of one: :func:`generate_designs` draws designs of any
-kinds as one block, checked once, and :func:`block_instances` gives a block
-its outcomes and answers from the same arrays.
+kinds as one block, checked once, and :func:`block_instances` gives any
+designs their outcomes and PD answers in one pass.
 ``rows()`` lists the arrays' rows. Design JSON text has one encoder,
 :func:`design_json_chunks`, which joins the rows from the arrays in bounded
 chunks, byte-identical to json's compact or indented text of
@@ -40,7 +40,7 @@ a block of the lab's trials at once, at most :func:`pd_block_trials` of
 them: the item keys, the defective sets, the defectives' rows, which fix
 the outcomes, only the cells that decide which nondefectives are PD items,
 and those items' rows. It reads each trial's COMP and DD success from these
-arrays and builds a trial's design over its PD items on request.
+arrays and, on request, all its trials' designs over their PD items.
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ class TestDesign:
     ``TestDesign(kind, n_items, n_tests, params, seed, columns)`` takes one
     sequence of test indices per item, and :meth:`from_csr` the CSR arrays;
     the generators split designs from a block checked as one
-    (`_design_block`). All go through the same validation, the design rules
+    (`generate_designs`). All go through the same validation, the design rules
     of `_checked_params` included, so any design that can be built can be
     saved and loaded again. The arrays are read-only, so the PD
     answer the design keeps for its last outcome (:meth:`pd`) stays valid.
@@ -530,23 +530,15 @@ def generate_designs(
     seeds: Sequence[int],
 ) -> list[TestDesign]:
     """``generate_design(kinds[j], n_items[j], n_tests[j], seeds[j], params[j])``
-    for each j, drawn and checked as one block (`_design_block`). ValueError,
-    before any draw, on anything `generate_design` refuses or on sequences of
-    unequal lengths."""
-    return _design_block(kinds, n_items, n_tests, params, seeds)[0]
-
-
-def _design_block(kinds, n_items, n_tests, params, seeds) -> tuple[list[TestDesign], tuple]:
-    """The designs of `generate_designs`, in the order given, and the block
-    they were split from: ``(order, indptr, indices)``, whose b-th design is
-    design ``order[b]``, its rows after those of the one before.
+    for each j, in the order given, drawn and checked as one block.
 
     Each design's parameters are checked once (`_checked_params`), before
-    any draw. The designs are sorted by kind, so each kind's rows come from
-    one `_csr_rows` call over its designs' item keys, each design's T and L
-    repeated over its items, and p one number when those designs share it
-    and one per key otherwise. The block is checked once (`_checked_block`)
-    and split into designs."""
+    any draw; ValueError on anything `generate_design` refuses or on
+    sequences of unequal lengths. The designs are sorted by kind, so each
+    kind's rows come from one `_csr_rows` call over its designs' item keys,
+    each design's T and L repeated over its items, and p one number when
+    those designs share it and one per key otherwise. The rows are checked
+    once and split into designs (`_split_block`)."""
     if not len(kinds) == len(n_items) == len(n_tests) == len(params) == len(seeds):
         raise ValueError("one kind, N, T, params record and seed required per design")
     for kind, size, t, prm in zip(kinds, n_items, n_tests, params):
@@ -573,16 +565,21 @@ def _design_block(kinds, n_items, n_tests, params, seeds) -> tuple[list[TestDesi
         indptr, indices = _csr_rows(kind, keys[bounds[a] : bounds[b]], row_tests, param)
         ptrs.append(indptr[1:] + ptrs[-1][-1])
         parts.append(indices)
-    indptr, indices = _checked_block(sizes, tests, np.concatenate(ptrs), np.concatenate(parts))
+    designs = _split_block(kinds, sizes, tests, params, seeds, np.concatenate(ptrs), np.concatenate(parts))
+    return [designs[b] for b in sorted(range(len(order)), key=order.__getitem__)]
+
+
+def _split_block(kinds, n_items, n_tests, params, seeds, indptr, indices) -> list[TestDesign]:
+    """The designs of a block's arrays, checked once (`_checked_block`):
+    design j has the j-th of each list and its rows follow design j - 1's."""
+    indptr, indices = _checked_block(n_items, n_tests, indptr, indices)
+    bounds = list(accumulate(n_items, initial=0))
     entries = indptr[bounds].tolist()
-    designs = [None] * len(order)
-    for b, j in enumerate(order):
-        designs[j] = design = TestDesign.__new__(TestDesign)
-        design._keep(
-            kinds[b], sizes[b], tests[b], params[b], seeds[b],
-            indptr[bounds[b] : bounds[b + 1] + 1] - entries[b], indices[entries[b] : entries[b + 1]],
-        )
-    return designs, (order, indptr, indices)
+    designs = [TestDesign.__new__(TestDesign) for _ in n_items]
+    rows = zip(bounds, bounds[1:], entries, entries[1:])
+    for design, kind, n, t, prm, seed, (a, b, lo, hi) in zip(designs, kinds, n_items, n_tests, params, seeds, rows):
+        design._keep(kind, n, t, prm, seed, indptr[a : b + 1] - lo, indices[lo:hi])
+    return designs
 
 
 def _uniform_subsets(keys: np.ndarray, n: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -718,8 +715,8 @@ class PdBlock:
     arrays: COMP is exact iff no nondefective survives (G = 0), and DD iff
     every defective holds a positive test that no other PD item holds
     (min L_i > 0), the :class:`ItemStats` quantities ``masked_nondefectives``
-    and ``solo_pd_tests``. :meth:`instance` builds a trial's PD-item
-    instance from the block's keys, outcomes and PD items.
+    and ``solo_pd_tests``. :meth:`instances` builds every trial's PD-item
+    instance at once; the block keeps no outcome.
     """
 
     def __init__(self, kind, n_items, k, n_tests, params, seeds) -> None:
@@ -738,23 +735,19 @@ class PdBlock:
         def_trial = np.repeat(np.arange(size), k)
         def_rows = self._rows(self._keys[def_trial, self._defective.ravel()], def_trial)
         def_cells = self._cells(def_rows, def_trial, t_max)
-        positive = np.zeros(size * t_max, dtype=bool)
-        positive[def_cells] = True
-        self._positive = positive.reshape(size, t_max)
+        positive = np.zeros((size, t_max), dtype=bool)
+        positive.flat[def_cells] = True
         # every other item of each trial, as its flat position trial * N + item
         others = np.ones((size, n_items), dtype=bool)
         others[def_trial, self._defective.ravel()] = False
         others = others.ravel().nonzero()[0]
-        kept = others[
-            _drop_negative(
-                kind, self._keys.ravel()[others], others // n_items, n_tests, self._param, self._positive
-            )
-        ]
-        self._surv_trial, self._surv_items = np.divmod(kept, n_items)
-        surv_cells = self._cells(self._rows(self._keys.ravel()[kept], self._surv_trial), self._surv_trial, t_max)
+        kept = _drop_negative(kind, self._keys.ravel()[others], others // n_items, n_tests, self._param, positive)
+        self._survivors = others[kept]
+        surv_trial = self._survivors // n_items
+        surv_cells = self._cells(self._rows(self._keys.ravel()[self._survivors], surv_trial), surv_trial, t_max)
         # G: the survivors per trial; L_i: the positive tests of defective i
         # that no other PD item holds (each row's tests are distinct)
-        self.comp_exact = np.bincount(self._surv_trial, minlength=size) == 0
+        self.comp_exact = np.bincount(surv_trial, minlength=size) == 0
         holders = np.bincount(np.concatenate((def_cells, surv_cells)), minlength=size * t_max)
         solo = np.bincount(
             np.repeat(np.arange(size * k), np.diff(def_rows[0])),
@@ -777,32 +770,33 @@ class PdBlock:
         indptr, indices = rows
         return np.repeat(trial, np.diff(indptr)) * t_max + indices
 
-    def instance(self, b: int) -> tuple[Instance, tuple[int, ...]]:
-        """Trial b restricted to its PD items, and those items.
+    def instances(self) -> list[tuple[Instance, tuple[int, ...]]]:
+        """Each trial restricted to its PD items, and those items.
 
-        Every cell is the full design's, so the PD items' rows, the outcome
-        and each decoder's estimate mapped back by the item tuple are the
-        full design's. The items are in increasing order, so position
-        tie-breaks see the same masks. The design is over positions (item j
-        is the returned item tuple's j-th), and so is the returned truth. It
-        carries its PD answer, from the PD step on its rows. A design has an
-        item, so with no PD item (K = 0 and no empty row) it holds item 0, in
-        full, which the PD step drops.
+        A trial's PD items are its defectives and survivors, increasing, or
+        item 0 (held in full, so the PD step drops it) for a trial with none.
+        Their rows, drawn in one `_rows` pass and checked once
+        (`_split_block`), are the full design's, so one `block_instances`
+        call gives each trial the full design's outcome, PD answer and
+        decoder estimates, over positions: item j is the j-th of the
+        trial's item tuple, and so is its truth.
         """
-        n_tests = int(self.n_tests[b])
-        lo, hi = np.searchsorted(self._surv_trial, (b, b + 1))
-        items = np.sort(np.concatenate((self._defective[b], self._surv_items[lo:hi])))
-        if not items.shape[0]:
-            items = np.zeros(1, dtype=np.int64)
-        indptr, indices = self._rows(self._keys[b, items], np.full(items.shape[0], b))
-        design = TestDesign.from_csr(
-            self.kind, items.shape[0], n_tests, self.params[b], int(self.seeds[b]), indptr, indices
-        )
-        positive = self._positive[b, :n_tests]
-        outcome = OutcomeVector(tuple(positive.tolist()))
-        design._pd = (outcome.bits, _pd_answers([items.shape[0]], [n_tests], indptr, indices, positive)[0])
-        at = DefectiveSet(tuple(np.searchsorted(items, self._defective[b]).tolist()))
-        return Instance(design, at, outcome), tuple(items.tolist())
+        size, k = self._defective.shape
+        n_items = self._keys.shape[1]
+        # each trial's PD items as flat positions trial * N + item, sorted
+        defective = (np.arange(size)[:, None] * n_items + self._defective).ravel()
+        counts = np.bincount(self._survivors // n_items, minlength=size) + k
+        bare = (counts == 0).nonzero()[0]
+        counts[bare] = 1
+        flat = np.sort(np.concatenate((defective, self._survivors, bare * n_items)))
+        trial, items = np.divmod(flat, n_items)
+        bounds = np.concatenate(([0], np.cumsum(counts)))
+        at = np.searchsorted(flat, defective).reshape(size, k) - bounds[:-1, None]
+        meta = repeat(self.kind), counts.tolist(), self.n_tests.tolist(), self.params, self.seeds.tolist()
+        designs = _split_block(*meta, *self._rows(self._keys.ravel()[flat], trial))
+        insts = block_instances(designs, [DefectiveSet(tuple(row)) for row in at.tolist()])
+        items, bounds = items.tolist(), bounds.tolist()
+        return [(inst, tuple(items[a:b])) for inst, a, b in zip(insts, bounds, bounds[1:])]
 
 
 def pd_block_trials(n_items: int, t_max: int) -> int:
@@ -900,7 +894,7 @@ def generate_design(
     kind: str, n_items: int, n_tests: int, seed: int, params: DesignParams
 ) -> TestDesign:
     """The `kind` design of `seed`, which takes p for Bernoulli and draws (L)
-    otherwise: a block of one (`_design_block`). ValueError unless `params`
+    otherwise: a block of one (`generate_designs`). ValueError unless `params`
     carries its kind's parameter and not the other one, with values the kind
     allows, and the design fits ``MAX_ENTRIES`` (`_checked_params`)."""
     return generate_designs([kind], [n_items], [n_tests], [params], [seed])[0]
@@ -990,27 +984,29 @@ def possible_defectives(design: TestDesign, outcome: OutcomeVector) -> PossibleD
     return _pd_answers([design.n_items], [design.n_tests], design.indptr, design.indices, positive)[0]
 
 
-def block_instances(designs: Sequence[TestDesign], truths: Sequence[DefectiveSet], block: tuple) -> list[Instance]:
+def block_instances(designs: Sequence[TestDesign], truths: Sequence[DefectiveSet]) -> list[Instance]:
     """``Instance(d, truth, run_tests(d, truth))`` for each pair, each design
-    carrying its PD answer from one `_pd_answers` pass over `block`, the
-    checked arrays the designs were split from (``(order, indptr, indices)``,
-    as `_design_block` returns them). ValueError on a defective outside its
-    design or on lists of unequal lengths."""
+    carrying its PD answer from one `_pd_answers` pass. The designs' rows
+    are laid back to back in the order given, one slice per design and a
+    fixed number of numpy calls, and so are their outcomes. ValueError on a
+    defective outside its design or on lists of unequal lengths."""
     if len(designs) != len(truths):
         raise ValueError("one defective set required per design")
     if not designs:
         return []
-    order, indptr, indices = block
     outcomes = [run_tests(d, truth) for d, truth in zip(designs, truths)]
-    placed = [designs[j] for j in order]
-    n_items, n_tests = [d.n_items for d in placed], [d.n_tests for d in placed]
-    # each entry's place in the block's outcomes: its design's first test plus its own
-    test_at, item_at = list(accumulate(n_tests, initial=0)), list(accumulate(n_items, initial=0))
-    tests = indices.astype(np.int64)
-    tests += np.repeat(test_at[:-1], np.diff(indptr[item_at]))
-    positive = np.fromiter(chain.from_iterable(outcomes[j].bits for j in order), bool, test_at[-1])
-    for j, answer in zip(order, _pd_answers(n_items, n_tests, indptr, tests, positive)):
-        designs[j]._pd = (outcomes[j].bits, answer)
+    n_items, n_tests = [d.n_items for d in designs], [d.n_tests for d in designs]
+    test_at = list(accumulate(n_tests, initial=0))
+    entry_at = list(accumulate((d.indices.shape[0] for d in designs), initial=0))
+    # design j's rows from its first entry on, and each entry's place in the
+    # block's outcomes: its design's first test plus its own
+    indptr = np.concatenate([d.indptr[:-1] for d in designs] + [np.zeros(1, dtype=np.int64)])
+    indptr += np.repeat(entry_at, [*n_items, 1])
+    tests = np.concatenate([d.indices for d in designs], dtype=np.int64)
+    tests += np.repeat(test_at[:-1], np.diff(entry_at))
+    positive = np.fromiter(chain.from_iterable(o.bits for o in outcomes), bool, test_at[-1])
+    for design, outcome, answer in zip(designs, outcomes, _pd_answers(n_items, n_tests, indptr, tests, positive)):
+        design._pd = (outcome.bits, answer)
     return list(map(Instance, designs, truths, outcomes))
 
 

@@ -16,10 +16,10 @@ each block's arrays: COMP is exact iff no nondefective is a possible
 defective (G = 0), DD iff every defective holds a positive test that no
 other possible defective holds (min L_i > 0). SCOMP and SSS decode each
 trial's PD-item instance: the design of :func:`trial_instance` restricted to
-its possible defectives (`model.PdBlock.instance`). Every decoder reads only
-the PD items, so the estimates, node counts and counts are those of the full
-design; :func:`trial_instance` builds the full design for callers that need
-it, and `verify.check_pd_trials` holds the two to each other.
+its possible defectives, a block's at once (`model.PdBlock.instances`). Every
+decoder reads only the PD items, so the estimates, node counts and counts
+are those of the full design, which :func:`trial_instance` builds for
+callers that need it; `verify.check_pd_trials` holds the two together.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ class DesignArm:
     nu: float
 
     def __post_init__(self) -> None:
-        kind = DESIGN_ALIASES.get(self.kind)
+        kind = DESIGN_ALIASES.get(self.kind) if isinstance(self.kind, str) else None
         if kind is None:
             raise ValueError(f"unknown design kind {self.kind!r}")
         object.__setattr__(self, "kind", kind)
@@ -97,13 +97,14 @@ class DesignArm:
 
     @classmethod
     def of(cls, entry: DesignArm | dict | tuple | list) -> DesignArm:
-        """An arm from itself, a ``{"kind", "nu"}`` object or a ``[kind, nu]`` pair."""
+        """An arm from itself, an object of exactly ``kind`` and ``nu``, or a ``[kind, nu]`` pair."""
         if isinstance(entry, cls):
             return entry
-        if isinstance(entry, dict):
+        if isinstance(entry, dict) and entry.keys() == {"kind", "nu"}:
             return cls(entry["kind"], entry["nu"])
-        kind, nu = entry
-        return cls(kind, nu)
+        if isinstance(entry, (list, tuple)) and len(entry) == 2:
+            return cls(*entry)
+        raise ValueError(f'a design arm is a {{"kind", "nu"}} object or a [kind, nu] pair, got {entry!r}')
 
     def params(self, n_tests: int, k: int) -> model.DesignParams:
         """The design's p or L at a grid point; K is floored at 1 so K = 0
@@ -123,10 +124,14 @@ class ExperimentConfig:
     sss_node_budget: int = dec.DEFAULT_NODE_BUDGET
 
     def __post_init__(self) -> None:
-        # type-checked, never coerced: int() would run n_items=30.7 as 30
+        # type-checked, never coerced: int() would run n_items=30.7 as 30,
+        # and a string of decoders would be read one character at a time
         for name in ("n_items", "k", "trials", "master_seed", "sss_node_budget"):
             if not model.is_integer(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("t_grid", "designs", "decoders"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {getattr(self, name)!r}")
         if not all(map(model.is_integer, self.t_grid)):
             raise ValueError(f"t_grid entries must be integers, got {self.t_grid!r}")
         self.t_grid = tuple(int(t) for t in self.t_grid)
@@ -282,7 +287,7 @@ def run_success_curve(config: ExperimentConfig) -> SuccessCurve:
     a block's grid points, trials, T, seeds and parameters are built from
     its range of flat indices alone, so no array spans a whole arm. COMP and
     DD successes are read from each block's counts (`comp_exact`,
-    `dd_exact`); SCOMP and SSS decode each trial's PD-item instance. SSS
+    `dd_exact`); SCOMP and SSS decode each block's PD-item instances. SSS
     trials that exhaust the node budget are counted as failures in the
     estimate and reported in the ``unresolved`` column.
     """
@@ -307,8 +312,7 @@ def run_success_curve(config: ExperimentConfig) -> SuccessCurve:
             exact = {"comp": block.comp_exact, "dd": block.dd_exact}
             for alg in counted:
                 tally[(arm_id, alg)][0] += np.bincount(at[exact[alg]], minlength=len(grid))
-            for b in range(len(block)) if decoded else ():
-                inst = block.instance(b)[0]
+            for b, (inst, _) in enumerate(block.instances() if decoded else ()):
                 for alg, res in decode_trial(inst, decoded, config.sss_node_budget).items():
                     if res is None:
                         tally[(arm_id, alg)][1, at[b]] += 1

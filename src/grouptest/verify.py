@@ -7,12 +7,12 @@ CLI can run a faster pass.
 
 The fuzz corpus (:func:`fuzz_instance`) is drawn a block of up to 256
 instances at a time: one vectorised pass for the block's shapes, one design
-block of all kinds, drawn and checked once (`model._design_block`), one
+block of all kinds, drawn and checked once (`model.generate_designs`), one
 pass for the defective sets (`model.sample_defective_sets`), and one for
-the outcomes and PD answers over the same block's arrays
-(`model.block_instances`). A corpus pass (:func:`run_decoder_corpus`) ends
-its last block where the pass ends. Instance idx depends only on the seed,
-idx and the sizes, never on the block.
+the outcomes and PD answers of those designs (`model.block_instances`). A
+corpus pass (:func:`run_decoder_corpus`) ends its last block where the
+pass ends. Instance idx depends only on the seed, idx and the sizes, never
+on the block.
 
 Empirical distributions are sampled with numpy's own generator, keeping the
 sampling path independent of the package's counter-based streams.
@@ -85,10 +85,10 @@ _BLOCK_CELLS = 1 << 19
 def _fuzz_block(seed: int, lo: int, hi: int, n_max: int, k_max: int, t_max: int) -> list[model.Instance]:
     """Instances lo, lo + 1, ..., hi - 1 (all below 2**64) of a corpus:
     their shapes from one vectorised pass of each rule, their designs of
-    every kind drawn and checked as one block (`model._design_block`), the
-    defective sets from one `model.sample_defective_sets` call, and the
-    outcomes and PD answers from one `model.block_instances` pass over the
-    same block."""
+    every kind drawn and checked as one block (`model.generate_designs`),
+    the defective sets from one `model.sample_defective_sets` call, and the
+    outcomes and PD answers from one `model.block_instances` call on the
+    designs."""
     idx = np.uint64(lo) + np.arange(hi - lo, dtype=np.uint64)
     h = rng.mix64_np(seed, idx)
     n = 2 + rng.bounded_np(h, 0, n_max - 1)
@@ -102,8 +102,8 @@ def _fuzz_block(seed: int, lo: int, hi: int, n_max: int, k_max: int, t_max: int)
         for kind, x, d in zip(kinds, p, draws)
     ]
     design_seeds, truth_seeds = rng._words_np(h, np.arange(5, 7, dtype=np.uint64)[:, None])
-    designs, block = model._design_block(kinds, n.tolist(), t.tolist(), params, design_seeds.tolist())
-    return model.block_instances(designs, model.sample_defective_sets(n, k, truth_seeds), block)
+    designs = model.generate_designs(kinds, n.tolist(), t.tolist(), params, design_seeds.tolist())
+    return model.block_instances(designs, model.sample_defective_sets(n, k, truth_seeds))
 
 
 # the last block drawn: its corpus (seed, n_max, k_max, t_max), its first

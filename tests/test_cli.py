@@ -67,6 +67,12 @@ class TestDesignCommand:
         assert main(["design", "--kind", "ncc", "--N", "5", "--T", "7", "--nu", "0.7"]) == 1
         assert main(["design", "--kind", "ncc", "--N", "5", "--T", "7", "--nu", "0.7", "--K", "0"]) == 1
 
+    @pytest.mark.parametrize("param", [["--L", "2"], ["--p", "0.5"]])
+    def test_k_requires_nu(self, capsys, param):
+        # K derives p or L from nu and is read nowhere else
+        err = _one_error_line(capsys, ["design", "--kind", "ncc", "--N", "5", "--T", "6", *param, "--K", "3"])
+        assert "--K" in err
+
     @pytest.mark.parametrize("kind", ["bernoulli", "ncc", "ccw"])
     def test_nu_path_is_the_lab_design(self, tmp_path, kind):
         # --nu must realize exactly the design the Monte Carlo lab runs
@@ -488,6 +494,33 @@ class TestSimulateCommand:
     def test_field_types_are_checked(self, tmp_path, capsys, override):
         cfg = self._config(tmp_path)
         _one_error_line(capsys, ["simulate", "--config", str(cfg), "--set", override])
+
+    @pytest.mark.parametrize(
+        "override,named",
+        [
+            # an arm object holds exactly kind and nu, and a pair two entries
+            ('designs=[{"kind": "bernoulli", "nu": 0.69, "p": 0.05}]', "design arm"),
+            ('designs=[{"kind": "ncc"}]', "design arm"),
+            ('designs=[["ncc"]]', "design arm"),
+            ('designs=[{"kind": ["ncc"], "nu": 0.69}]', "design kind"),
+            # a list field given as a string, a number or an object
+            ('decoders="comp"', "decoders must be a list"),
+            ('decoders={"comp": 1}', "decoders must be a list"),
+            ("designs=5", "designs must be a list"),
+            ('designs={"kind": "ncc", "nu": 0.69}', "designs must be a list"),
+            ("t_grid=5", "t_grid must be a list"),
+            ('t_grid="5"', "t_grid must be a list"),
+        ],
+    )
+    def test_field_shapes_are_checked(self, tmp_path, capsys, override, named):
+        cfg = self._config(tmp_path)
+        err = _one_error_line(capsys, ["simulate", "--config", str(cfg), "--set", override])
+        assert named in err
+
+    def test_arm_pairs_and_objects_both_run(self, tmp_path):
+        cfg = self._config(tmp_path)
+        arms = 'designs=[["ncc", 0.69], {"nu": 0.69, "kind": "ccw"}]'
+        assert main(["simulate", "--config", str(cfg), "--set", arms, "--out", str(tmp_path / "o.csv")]) == 0
 
     def test_trials_beyond_int64(self, tmp_path, capsys):
         cfg = self._config(tmp_path)

@@ -403,20 +403,27 @@ class TestBlockDraws:
         ]
 
     @staticmethod
-    def _block_of(designs, order):
-        """The block arrays of `designs` placed in `order`, their rows back to
-        back, as `model._design_block` returns them."""
-        placed = [designs[j] for j in order]
-        entries = np.cumsum([0] + [d.indices.shape[0] for d in placed])
-        indptr = np.concatenate([[0]] + [d.indptr[1:] + e for d, e in zip(placed, entries)])
-        return order, indptr, np.concatenate([np.empty(0, dtype=np.uint8)] + [d.indices for d in placed])
+    def _assert_answers_are_their_own(insts):
+        """Each instance's outcome and kept PD answer are those of a fresh
+        `from_csr` copy of its design, every mask ranked among the design's
+        own positive tests."""
+        for inst in insts:
+            d = inst.design
+            copy = TestDesign.from_csr(d.kind, d.n_items, d.n_tests, d.params, d.seed, d.indptr, d.indices)
+            assert inst.outcome == run_tests(copy, inst.truth)
+            want = possible_defectives(copy, inst.outcome)
+            answer = d.pd(inst.outcome)
+            assert (answer, answer.solo, answer.explains) == (want, want.solo, want.explains)
+            # bit b of a mask is the b-th positive test of its own design
+            positive = [t for t, bit in enumerate(inst.outcome.bits) if bit]
+            rows = d.rows()
+            assert answer.masks == tuple(sum(1 << positive.index(t) for t in rows[i]) for i in answer.items)
 
     def test_block_instances_are_run_tests_and_possible_defectives(self):
         """Outcomes and PD answers of a block equal those of each design on
         its own: rows empty first, in the middle and last; a design with no
         entries; K = 0; every test positive; T = 1 and N = 2; and designs of
-        different T and index types, each ranked among its own tests, laid
-        in the block in an order other than the designs'."""
+        different T and index types, each ranked among its own tests."""
         block = [
             (TestDesign(KIND_BERNOULLI, 5, 3, DesignParams(p=0.5), 0, ([], [0, 2], [], [1], [])), (1,)),
             (TestDesign(KIND_BERNOULLI, 3, 4, DesignParams(), 1, ([], [], [])), (0, 2)),
@@ -428,32 +435,35 @@ class TestBlockDraws:
         ]
         designs = [d for d, _ in block]
         truths = [DefectiveSet(items) for _, items in block]
-        got = model.block_instances(designs, truths, self._block_of(designs, [5, 0, 3, 6, 1, 4, 2]))
+        got = model.block_instances(designs, truths)
         assert [(inst.design, inst.truth) for inst in got] == list(zip(designs, truths))
         assert all(inst.design is d for inst, d in zip(got, designs))
         outcomes = [inst.outcome.bits for inst in got]
         assert not any(outcomes[2]) and all(outcomes[3]) and outcomes[4] == (True,)
-        for inst in got:
-            d = inst.design
-            copy = TestDesign.from_csr(d.kind, d.n_items, d.n_tests, d.params, d.seed, d.indptr, d.indices)
-            assert inst.outcome == run_tests(copy, inst.truth)
-            want = possible_defectives(copy, inst.outcome)
-            answer = d.pd(inst.outcome)
-            assert (answer, answer.solo, answer.explains) == (want, want.solo, want.explains)
-            # bit b of a mask is the b-th positive test of its own design
-            positive = [t for t, bit in enumerate(inst.outcome.bits) if bit]
-            rows = d.rows()
-            assert answer.masks == tuple(sum(1 << positive.index(t) for t in rows[i]) for i in answer.items)
+        self._assert_answers_are_their_own(got)
         assert [d.pd(inst.outcome).items for d, inst in zip(designs[:5], got)] == [
             (0, 1, 2, 4), (0, 1, 2), (), (0, 1, 2), (0, 1),
         ]
-        assert model.block_instances([], [], self._block_of([], [])) == []
+        assert model.block_instances([], []) == []
         with pytest.raises(ValueError, match="one defective set"):
-            model.block_instances(designs, truths[1:], self._block_of(designs, list(range(7))))
+            model.block_instances(designs, truths[1:])
         with pytest.raises(ValueError, match="out of range"):
-            model.block_instances(
-                designs[:2], [DefectiveSet((1,)), DefectiveSet((3,))], self._block_of(designs[:2], [0, 1])
-            )
+            model.block_instances(designs[:2], [DefectiveSet((1,)), DefectiveSet((3,))])
+
+    def test_block_instances_take_designs_of_any_origin(self):
+        """Designs of two `generate_designs` calls of the same shapes
+        (near-constant, N = 6, T = 8, L = 3), interleaved with hand-built and
+        generated designs of other kinds, answered in one call: each answer
+        is that of its own design."""
+        shapes = ([KIND_NEAR_CONSTANT] * 2, [6, 6], [8, 8], [DesignParams(draws=3)] * 2)
+        a = model.generate_designs(*shapes, [1, 2])
+        b = model.generate_designs(*shapes, [3, 4])
+        hand = TestDesign(KIND_EXACT_CONSTANT, 3, 4, DesignParams(draws=2), 3, ([0, 1], [2, 3], [1, 2]))
+        designs = [b[1], hand, a[0], gen_bernoulli(9, 300, 0.02, seed=5), a[1], b[0]]
+        truths = [DefectiveSet(items) for items in [(0, 4), (2,), (1, 5), (3, 8), (), (0, 1, 2)]]
+        got = model.block_instances(designs, truths)
+        assert [(inst.design, inst.truth) for inst in got] == list(zip(designs, truths))
+        self._assert_answers_are_their_own(got)
 
 
 # -- the CSR representation against per-item loops -----------------------------

@@ -116,6 +116,33 @@ class TestExperimentConfig:
         for t in cfg.t_grid:
             model._checked_params(arm.kind, cfg.n_items, t, arm.params(t, cfg.k))
 
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ({"designs": ({"kind": "bernoulli", "nu": 0.69, "p": 0.05},)}, "design arm"),
+            ({"designs": ({"kind": "ncc"},)}, "design arm"),
+            ({"designs": (("ncc",),)}, "design arm"),
+            ({"designs": (("ncc", LN2, 1),)}, "design arm"),
+            ({"designs": ({"kind": ["ncc"], "nu": LN2},)}, "design kind"),
+            ({"designs": 5}, "designs must be a list"),
+            ({"designs": DesignArm("ncc", LN2)}, "designs must be a list"),
+            ({"decoders": "comp"}, "decoders must be a list"),
+            ({"t_grid": 5}, "t_grid must be a list"),
+            ({"t_grid": {5: 1}}, "t_grid must be a list"),
+        ],
+    )
+    def test_field_shapes(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**self._base(**bad))
+
+    def test_arms_of_every_accepted_shape(self):
+        arms = [DesignArm("ncc", LN2), ("ccw", 1.0), ["bernoulli", 0.5], {"nu": 0.5, "kind": "ncc"}]
+        cfg = ExperimentConfig(**self._base(designs=arms, t_grid=[5, 10], decoders=["comp", "dd"]))
+        assert cfg.designs == (
+            DesignArm("ncc", LN2), DesignArm("ccw", 1.0), DesignArm("bernoulli", 0.5), DesignArm("ncc", 0.5)
+        )
+        assert (cfg.t_grid, cfg.decoders) == ((5, 10), ("comp", "dd"))
+
     def test_dict_round_trip(self):
         cfg = ExperimentConfig(**self._base())
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
@@ -322,7 +349,8 @@ def pd_trial(kind, n_items, k, n_tests, params, seed):
     """A lab trial restricted to its PD items, and those items: a block of
     one trial."""
     block = model.PdBlock(kind, n_items, k, np.array([n_tests]), [params], np.array([seed], dtype=np.uint64))
-    return block.instance(0)
+    [trial] = block.instances()
+    return trial
 
 
 def assert_pd_trial_is_the_full_trial(arm, n_items, k, n_tests, seed, node_budget=DEFAULT_NODE_BUDGET):
@@ -486,24 +514,62 @@ class TestTrialBlocks:
     """Blocks of lab trials (`model.PdBlock`) and the COMP and DD counts
     the lab reads from them."""
 
+    @staticmethod
+    def _block(arm, k=3):
+        """A block of `arm`'s trials across five grid points, T = 1
+        included, N = 50: the block and each trial's T and seed."""
+        cells = [(t, r) for t in (1, 5, 9, 17, 33) for r in range(4)]
+        n_tests = [t for t, _ in cells]
+        seeds = [trial_seed(8, 0, t, r) for t, r in cells]
+        params = [arm.params(t, k) for t in n_tests]
+        block = model.PdBlock(arm.kind, 50, k, np.array(n_tests), params, np.array(seeds, dtype=np.uint64))
+        return block, n_tests, seeds
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_each_trial_of_a_block_is_its_full_trial(self, kind):
         """One block across five grid points, T = 1 included: each trial's
         instance reduces its full trial, and its COMP and DD successes are
         G = 0 and min L_i > 0 of the full trial's counts."""
         arm = DesignArm(kind, LN2)
-        cells = [(t, r) for t in (1, 5, 9, 17, 33) for r in range(4)]
-        n_tests = [t for t, _ in cells]
-        seeds = [trial_seed(8, 0, t, r) for t, r in cells]
-        params = [arm.params(t, 3) for t in n_tests]
-        block = model.PdBlock(arm.kind, 50, 3, np.array(n_tests), params, np.array(seeds, dtype=np.uint64))
-        assert len(block) == len(cells)
+        block, n_tests, seeds = self._block(arm)
+        assert len(block) == len(n_tests)
+        trials = block.instances()
+        assert len(trials) == len(block)
         for b, (t, seed) in enumerate(zip(n_tests, seeds)):
             full = trial_instance(arm, 50, 3, t, seed)
-            assert_reduces(full, *block.instance(b))
+            assert_reduces(full, *trials[b])
             stats = compute_item_stats(full.design, full.truth, full.outcome)
             assert block.comp_exact[b] == (stats.masked_nondefectives == 0)
             assert block.dd_exact[b] == all(stats.solo_pd_tests)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_a_block_draws_its_pd_rows_in_one_pass(self, kind, k, monkeypatch):
+        """`instances` draws the PD rows of every trial, across grid points,
+        with one `_csr_rows` call."""
+        block = self._block(DesignArm(kind, LN2), k)[0]
+        calls = []
+        real = model._csr_rows
+        monkeypatch.setattr(model, "_csr_rows", lambda *args: calls.append(args[1].shape[0]) or real(*args))
+        trials = block.instances()
+        assert calls == [sum(len(items) for _, items in trials)]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_the_instances_carry_their_pd_answers(self, kind, monkeypatch):
+        """Every decoder runs on a block's instances with no PD pass of its
+        own: each design carries the answer `block_instances` gave it."""
+
+        def refuse(*args):
+            raise AssertionError("a decoder ran its own PD pass")
+
+        block = self._block(DesignArm(kind, LN2))[0]
+        monkeypatch.setattr(model, "possible_defectives", refuse)
+        for inst, _ in block.instances():
+            for alg in ALGORITHMS:
+                try:
+                    decode(alg, inst.design, inst.outcome, DEFAULT_NODE_BUDGET)
+                except UnresolvedSearchError:
+                    pass
 
     @pytest.mark.parametrize("trials", [1, 7])
     def test_blocks_across_grid_points(self, trials, monkeypatch):
