@@ -163,6 +163,53 @@ def test_reference_success_curve_csv():
     assert buf.getvalue().replace("\r\n", "\n") == REFERENCE_CSV
 
 
+# The exact-constant arms at the reference sizes, at the COMP-optimal nu and
+# at a denser one, through all four decoders: the elimination reads these
+# rows in passes of their own (`model._drop_negative`).
+EXACT_CONSTANT_CSV = """\
+design,decoder,nu,N,K,T,trials,successes,unresolved,p_hat,ci_lo,ci_hi
+exact_constant,comp,0.693147,60,4,8,30,0,0,0.000000,0.000000,0.113513
+exact_constant,comp,0.693147,60,4,16,30,0,0,0.000000,0.000000,0.113513
+exact_constant,comp,0.693147,60,4,24,30,0,0,0.000000,0.000000,0.113513
+exact_constant,comp,0.693147,60,4,32,30,8,0,0.266667,0.141827,0.444480
+exact_constant,dd,0.693147,60,4,8,30,0,0,0.000000,0.000000,0.113513
+exact_constant,dd,0.693147,60,4,16,30,0,0,0.000000,0.000000,0.113513
+exact_constant,dd,0.693147,60,4,24,30,1,0,0.033333,0.005909,0.166704
+exact_constant,dd,0.693147,60,4,32,30,18,0,0.600000,0.423204,0.754094
+exact_constant,scomp,0.693147,60,4,8,30,0,0,0.000000,0.000000,0.113513
+exact_constant,scomp,0.693147,60,4,16,30,1,0,0.033333,0.005909,0.166704
+exact_constant,scomp,0.693147,60,4,24,30,17,0,0.566667,0.391973,0.726225
+exact_constant,scomp,0.693147,60,4,32,30,22,0,0.733333,0.555520,0.858173
+exact_constant,sss,0.693147,60,4,8,30,0,29,0.000000,0.000000,0.113513
+exact_constant,sss,0.693147,60,4,16,30,0,10,0.000000,0.000000,0.113513
+exact_constant,sss,0.693147,60,4,24,30,22,1,0.733333,0.555520,0.858173
+exact_constant,sss,0.693147,60,4,32,30,23,0,0.766667,0.590717,0.882076
+exact_constant,comp,1.500000,60,4,8,30,0,0,0.000000,0.000000,0.113513
+exact_constant,comp,1.500000,60,4,16,30,0,0,0.000000,0.000000,0.113513
+exact_constant,comp,1.500000,60,4,24,30,2,0,0.066667,0.018477,0.213235
+exact_constant,comp,1.500000,60,4,32,30,2,0,0.066667,0.018477,0.213235
+exact_constant,dd,1.500000,60,4,8,30,0,0,0.000000,0.000000,0.113513
+exact_constant,dd,1.500000,60,4,16,30,0,0,0.000000,0.000000,0.113513
+exact_constant,dd,1.500000,60,4,24,30,2,0,0.066667,0.018477,0.213235
+exact_constant,dd,1.500000,60,4,32,30,1,0,0.033333,0.005909,0.166704
+exact_constant,scomp,1.500000,60,4,8,30,0,0,0.000000,0.000000,0.113513
+exact_constant,scomp,1.500000,60,4,16,30,0,0,0.000000,0.000000,0.113513
+exact_constant,scomp,1.500000,60,4,24,30,3,0,0.100000,0.034600,0.256211
+exact_constant,scomp,1.500000,60,4,32,30,6,0,0.200000,0.095051,0.373057
+exact_constant,sss,1.500000,60,4,8,30,0,19,0.000000,0.000000,0.113513
+exact_constant,sss,1.500000,60,4,16,30,0,20,0.000000,0.000000,0.113513
+exact_constant,sss,1.500000,60,4,24,30,3,12,0.100000,0.034600,0.256211
+exact_constant,sss,1.500000,60,4,32,30,5,7,0.166667,0.073365,0.335644
+"""
+
+
+def test_exact_constant_success_curve_csv():
+    config = _reference_config(designs=(DesignArm("ccw", LN2), DesignArm("ccw", 1.5)))
+    buf = io.StringIO()
+    run_success_curve(config).write_csv(buf)
+    assert buf.getvalue().replace("\r\n", "\n") == EXACT_CONSTANT_CSV
+
+
 def test_reference_sss_searches():
     """Estimate and node count of every full-budget SSS search in the
     reference config, as one digest (5818 nodes in all, 512 at most)."""
