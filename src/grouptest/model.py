@@ -486,10 +486,11 @@ def _trial_pass() -> int:
     """Cells or draws per numpy pass over a block of rows (`_csr_rows`) or of
     trials (`_drop_negative`): an eighth of ``_GEN_BLOCK``, since such a pass
     holds index, counter and key arrays of its size beside the words (a
-    Fisher-Yates block, about ten arrays of its draws). In passes of a whole
-    ``_GEN_BLOCK`` the fig2 benchmark's peak memory was about 1.2 MB (3.7%)
-    above the lab's of one trial at a time; in these it is about 0.2 MB
-    above."""
+    Fisher-Yates block, about ten arrays of its draws). An exact-constant
+    elimination pass up to place hi counts hi draws per entry, the whole
+    prefix it redraws, not its step. In passes of a whole ``_GEN_BLOCK``
+    the fig2 benchmark's peak memory was about 1.2 MB (3.7%) above the
+    lab's of one trial at a time; in these it is about 0.2 MB above."""
     return _GEN_BLOCK >> 3
 
 
@@ -636,62 +637,80 @@ def _drop_negative(kind, keys, trial, n_tests, param, positive) -> np.ndarray:
 
     `positive` holds each trial's outcome in a row, False past its T;
     `n_tests` and `param` (p, or L) are per trial. The cells are read in
-    passes of at most ``_trial_pass()`` cells: each entry still in reads its
-    next `step` cells (Bernoulli: its cells on its trial's negative tests;
-    near-constant: its draws), and an entry with one in a negative test is
-    out. The step starts at ``_DROP_STEP`` and doubles. A pass reads as many
-    cells per entry as its widest entry, and each entry's cells past its own
-    width are masked out. Exact-constant reads whole rows by its row rule.
+    passes: each entry still in reads its next `step` cells (Bernoulli: its
+    cells on its trial's negative tests; near-constant: its draws), and an
+    entry with one in a negative test is out. The step starts at
+    ``_DROP_STEP`` and doubles. A pass reads as many cells per entry as its
+    widest entry, and each entry's cells past its own width are masked out.
+
+    A pass lays its cells out counter-major, as a C-contiguous (step,
+    entries) array, and reduces it over axis 0. The step is only 4 to 32
+    wide, and numpy's ``any`` over so narrow a last axis is slow: a (2048,
+    4) bool pass took 38 us, the same cells as (4, 2048) 1.4 us (numpy 2.4,
+    2 shared vCPUs). So Bernoulli keeps its trials' negative tests
+    transposed, as (T, trials), and gathers an entry's as a column with
+    ``np.take``, which returns a C-ordered array: plain fancy indexing
+    returns an F-ordered one, and a step-4 pass of 2048 entries took 92 us
+    with it against 39 us.
+
+    Exact-constant reads Fisher-Yates prefixes: the first s places of a
+    `_uniform_subsets` row depend only on its first s steps, so a pass up to
+    place `hi` draws the sorted prefix of ``min(L, hi)`` places and checks it
+    whole. Its places before the pass's own are already known to miss every
+    negative test, so the prefix is in exactly when places lo..hi are. Such
+    a pass reads up to `hi` places per entry, so it holds at most
+    ``_trial_pass()`` of them unless one entry's prefix is larger.
     """
     t_max = positive.shape[1]
     negative = ~positive
     negative[np.arange(t_max) >= n_tests[:, None]] = False
-    step = _DROP_STEP
+    prefixes = kind == KIND_EXACT_CONSTANT
     if kind == KIND_BERNOULLI:
-        # each trial's negative tests, in increasing order, ahead of the rest
-        tests = np.argsort(~negative, axis=1, kind="stable").astype(np.uint64)
+        # each trial's negative tests, in increasing order, ahead of the rest,
+        # as a column of a (T, trials) array
+        tests = np.argsort(~negative, axis=1, kind="stable").T.astype(np.uint64, order="C")
         width = np.count_nonzero(negative, axis=1)[trial]
 
         def lands(entries, lo, hi):
-            return _bernoulli_cells(keys[entries, None], tests[trial[entries], lo:hi], param)
+            return _bernoulli_cells(keys[entries], np.take(tests[lo:hi], trial[entries], axis=1), param)
 
     elif kind == KIND_NEAR_CONSTANT:
         width = param[trial]
         negative = negative.ravel()
 
         def lands(entries, lo, hi):
-            at = trial[entries, None]
-            counters = np.arange(lo, hi, dtype=np.uint64)
-            return negative[at * t_max + _near_constant_draws(keys[entries, None], counters, n_tests[at])]
+            at = trial[entries]
+            counters = np.arange(lo, hi, dtype=np.uint64)[:, None]
+            return negative[at * t_max + _near_constant_draws(keys[entries], counters, n_tests[at])]
 
     else:
         width = param[trial]
-        step = int(width.max(initial=1))
         negative = negative.ravel()
 
         def lands(entries, lo, hi):
             at = trial[entries]
-            indptr, rows = _csr_rows(kind, keys[entries], n_tests[at], param[at])
-            cells = negative[np.repeat(at * t_max, width[entries]) + rows]
-            # every row is whole and nonempty: one reduceat segment per entry
-            return np.logical_or.reduceat(cells, indptr[:-1])[:, None]
+            draws = np.minimum(width[entries], hi)
+            cells = negative[np.repeat(at * t_max, draws) + _uniform_subsets(keys[entries], n_tests[at], draws)]
+            # one row: every prefix is nonempty and ends at the entry's own
+            # width, so it is one reduceat segment and needs no mask
+            return np.logical_or.reduceat(cells, np.cumsum(draws) - draws)[None]
 
     alive = np.arange(keys.shape[0])
     survivors = []
-    lo = 0
+    lo, step = 0, _DROP_STEP
     while alive.size:
         done = width[alive] <= lo
         survivors.append(alive[done])
         alive = alive[~done]
-        chunk = max(1, _trial_pass() // step)
+        chunk = max(1, _trial_pass() // (lo + step if prefixes else step))
         hit = []
         for a in range(0, alive.shape[0], chunk):
             entries = alive[a : a + chunk]
             own = width[entries]
             cells = lands(entries, lo, min(lo + step, int(own.max())))
-            if own.min() < lo + cells.shape[1]:
-                cells &= np.arange(lo, lo + cells.shape[1]) < own[:, None]
-            hit.append(cells.any(axis=1))
+            if own.min() < lo + cells.shape[0]:
+                cells &= np.arange(lo, lo + cells.shape[0])[:, None] < own
+            hit.append(cells.any(axis=0))
         if hit:
             alive = alive[~np.concatenate(hit)]
         lo, step = lo + step, min(2 * step, _trial_pass())

@@ -25,6 +25,7 @@ callers that need it; `verify.check_pd_trials` holds the two together.
 from __future__ import annotations
 
 import csv
+import functools
 import statistics
 from dataclasses import dataclass, fields
 from typing import IO
@@ -59,6 +60,12 @@ CSV_COLUMNS = (
 )
 
 
+@functools.lru_cache(maxsize=16)
+def _normal_quantile(confidence: float) -> float:
+    """The two-sided standard normal quantile of `confidence`."""
+    return statistics.NormalDist().inv_cdf((1.0 + confidence) / 2.0)
+
+
 def wilson_interval(
     successes: int, trials: int, confidence: float = 0.95
 ) -> tuple[float, float]:
@@ -69,7 +76,7 @@ def wilson_interval(
         raise ValueError(f"need 0 <= successes <= trials, got {successes}/{trials}")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
-    z = statistics.NormalDist().inv_cdf((1.0 + confidence) / 2.0)
+    z = _normal_quantile(confidence)
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2.0 * trials)) / denom

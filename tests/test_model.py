@@ -466,6 +466,56 @@ class TestBlockDraws:
         self._assert_answers_are_their_own(got)
 
 
+class TestDropNegative:
+    """`model._drop_negative` against a brute-force oracle: an entry
+    survives iff its whole `_csr_rows` row holds no negative test of its
+    trial."""
+
+    # per trial: T, L (weight kinds) and the share of positive tests. The
+    # first two trials are all positive, so their Bernoulli widths are 0;
+    # L = 9 ends mid-pass (steps 4, 8); L = 40 and 90 run past the cap of
+    # ``_trial_pass()`` = 8 at ``_GEN_BLOCK`` = 64, where the passes also
+    # hold one entry each, and exceed every early exact-constant `hi`
+    TRIALS = ((1, 1, 1.0), (7, 3, 1.0), (30, 9, 0.85), (60, 40, 0.97), (90, 90, 0.995), (45, 12, 0.6))
+
+    @classmethod
+    def _block(cls, kind, seed):
+        """Every item of N = 80 in each trial, the entries shuffled: the
+        keys, trials, T, parameter and outcomes `_drop_negative` takes."""
+        gen = np.random.default_rng(seed)
+        n_items, size = 80, len(cls.TRIALS)
+        n_tests = np.array([t for t, _, _ in cls.TRIALS])
+        param = 0.05 if kind == KIND_BERNOULLI else np.array([draws for _, draws, _ in cls.TRIALS])
+        positive = np.zeros((size, int(n_tests.max())), dtype=bool)
+        for b, (t, _, share) in enumerate(cls.TRIALS):
+            positive[b, :t] = gen.random(t) < share
+        trial = gen.permutation(np.repeat(np.arange(size), n_items))
+        keys = rng.mix64_np(seed, trial.astype(np.uint64), gen.integers(0, 2**63, trial.shape[0], dtype=np.uint64))
+        return keys, trial, n_tests, param, positive
+
+    @pytest.mark.parametrize("kind", model.DESIGN_KINDS)
+    @pytest.mark.parametrize("block", [64, None])
+    def test_survivors_are_the_rows_with_no_negative_test(self, kind, block, monkeypatch):
+        if block:
+            monkeypatch.setattr(model, "_GEN_BLOCK", block)
+        counts = [0, 0]
+        for seed in range(4):
+            keys, trial, n_tests, param, positive = self._block(kind, seed)
+            want = []
+            for e, b in enumerate(trial.tolist()):
+                rule_param = param if kind == KIND_BERNOULLI else param[[b]]
+                _, row = model._csr_rows(kind, keys[[e]], n_tests[[b]], rule_param)
+                if positive[b, row.astype(np.int64)].all():
+                    want.append(e)
+            got = model._drop_negative(kind, keys, trial, n_tests, param, positive.copy())
+            assert got.tolist() == want
+            counts[0] += len(want)
+            counts[1] += trial.shape[0] - len(want)
+        # some entries survive and some are out, in trials past the first two
+        assert all(counts)
+        assert counts[0] > 4 * 2 * 80
+
+
 # -- the CSR representation against per-item loops -----------------------------
 # Stream tags 1, 2 and 3 key the Bernoulli, near-constant and exact-constant
 # columns of a seed.

@@ -453,18 +453,26 @@ class TestPdTrial:
             assert reduced.design.rows() == [full.rows()[i] for i in items]
 
     @pytest.mark.parametrize(
-        "kind,n_tests",
-        [pytest.param(kind, 40, id=kind) for kind in KINDS]
-        + [pytest.param(kind, 300, id=f"{kind}-300") for kind in ("bernoulli", "ncc")],
+        "kind,n_tests,block",
+        [pytest.param(kind, 40, 64, id=kind) for kind in KINDS]
+        + [pytest.param(kind, 300, 64, id=f"{kind}-300") for kind in ("bernoulli", "ncc")]
+        + [pytest.param("ccw", 40, 128, id="ccw-128")],
     )
-    def test_blocks_stay_within_the_generation_block(self, kind, n_tests, monkeypatch):
+    def test_blocks_stay_within_the_generation_block(self, kind, n_tests, block, monkeypatch):
         """With blocks of 64 cells, every draw of the PD trial (rows and
         elimination alike) holds at most 64 cells, and the trial still
         matches the full one, drawn in the same blocks. At T = 300 a
         Bernoulli row holds 300 cells and a near-constant one 69 draws, each
         drawn in column blocks. (An exact-constant row of 69 draws cannot
-        be drawn in 64.)"""
-        monkeypatch.setattr(model, "_GEN_BLOCK", 64)
+        be drawn in 64.)
+
+        Every Fisher-Yates draw (rows, elimination prefixes and defective
+        sets) holds at most ``_trial_pass()`` places, 8 or 16 here, unless
+        it is one key's. At T = 40 an exact-constant row has 9 places, and
+        an elimination pass up to place hi draws hi of them per entry: the
+        second pass, up to 9, holds one entry in blocks of 128, not the two
+        its step of 8 would fit."""
+        monkeypatch.setattr(model, "_GEN_BLOCK", block)
         sizes = []
         for name in ("_bernoulli_cells", "_near_constant_draws"):
             real = getattr(model, name)
@@ -474,16 +482,24 @@ class TestPdTrial:
                 return real(keys, counters, param)
 
             monkeypatch.setattr(model, name, counted)
-        real_rows = model._exact_constant_rows
+        real_subsets = model._uniform_subsets
+        subsets = []
 
-        def counted_rows(keys, n_tests, draws):
-            sizes.append(np.broadcast_to(draws, keys.shape).sum())
-            return real_rows(keys, n_tests, draws)
+        def counted_subsets(keys, n, k):
+            subsets.append((keys.shape[0], int(k.sum())))
+            return real_subsets(keys, n, k)
 
-        monkeypatch.setattr(model, "_exact_constant_rows", counted_rows)
+        monkeypatch.setattr(model, "_uniform_subsets", counted_subsets)
         for r in range(6):
             assert_pd_trial_is_the_full_trial(DesignArm(kind, LN2), 90, 3, n_tests, trial_seed(6, 0, n_tests, r))
-        assert sizes and max(sizes) <= 64
+        sizes += [draws for _, draws in subsets]
+        assert sizes and max(sizes) <= block
+        trial_pass = model._trial_pass()
+        assert all(draws <= trial_pass or keys == 1 for keys, draws in subsets)
+        if kind == "ccw":
+            # passes of several entries, and of one past a pass's places
+            assert any(keys > 1 and draws > 4 for keys, draws in subsets)
+            assert any(keys == 1 and draws > 8 for keys, draws in subsets)
 
     @given(
         kind=st.sampled_from(KINDS),
