@@ -507,7 +507,7 @@ class TestDropNegative:
                 _, row = model._csr_rows(kind, keys[[e]], n_tests[[b]], rule_param)
                 if positive[b, row.astype(np.int64)].all():
                     want.append(e)
-            got = model._drop_negative(kind, keys, trial, n_tests, param, positive.copy())
+            got = model._drop_negative(kind, keys, trial, n_tests, param, positive)
             assert got.tolist() == want
             counts[0] += len(want)
             counts[1] += trial.shape[0] - len(want)
