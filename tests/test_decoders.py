@@ -159,7 +159,15 @@ class TestSss:
 
     def test_all_negative_returns_empty(self):
         d = design_of(2, [[0], [1]])
-        assert sss(d, OutcomeVector((False, False))).estimate == ()
+        res = sss(d, OutcomeVector((False, False)))
+        assert (res.estimate, res.search_nodes) == ((), 0)
+
+    def test_single_mask_incumbent_is_the_root(self):
+        # items 0 and 1 each hold both tests: SCOMP's single mask is the
+        # answer, and the search counts the root alone
+        d = design_of(2, [[0, 1], [0, 1], [0]])
+        res = sss(d, OutcomeVector((True, True)))
+        assert (res.estimate, res.search_nodes) == ((0,), 1)
 
     def test_needs_both_items(self):
         # t0={0}, t1={1}, t2={0,1}: no singleton covers t0 and t1

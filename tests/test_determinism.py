@@ -250,6 +250,20 @@ def test_sss_deep_pool_search(r, nodes, estimate):
     assert (res.search_nodes, res.estimate) == (nodes, estimate)
 
 
+@pytest.mark.parametrize("r,nodes,estimate", SSS_DEEP_PINS)
+def test_sss_deep_pool_budget_edge(r, nodes, estimate):
+    """One node short of its budget the search stops at its last node, which
+    it counts; the incumbent there is already the estimate. Given exactly its
+    node count, it resolves."""
+    seed = trial_seed(0, 0, 50, r)
+    design = build_design(DesignArm("ncc", LN2), 500, 10, 50, seed)
+    outcome = run_tests(design, sample_defective_set(500, 10, seed))
+    with pytest.raises(decoders.UnresolvedSearchError) as err:
+        decoders.sss(design, outcome, nodes - 1)
+    assert (err.value.nodes, err.value.best) == (nodes, estimate)
+    assert decoders.sss(design, outcome, nodes).estimate == estimate
+
+
 def _scalar_fuzz_instance(seed, idx, *, n_max, k_max, t_max):
     """The corpus's instance rule drawn one instance at a time, through the
     public generators: instance idx of a corpus depends only on (seed, idx,
