@@ -155,13 +155,23 @@ def sss(
     output deterministic. The search is restricted to PD items (no other item
     can belong to a satisfying set) and starts from the SCOMP estimate as
     incumbent. Expanding more than `node_budget` nodes raises
-    :class:`UnresolvedSearchError` carrying the best incumbent.
+    :class:`UnresolvedSearchError` carrying the best incumbent; ValueError
+    unless `node_budget` is an integer (not a bool) of at least 1.
     """
-    if node_budget < 1:
-        raise ValueError(f"node_budget must be >= 1, got {node_budget}")
+    if not model.is_integer(node_budget) or node_budget < 1:
+        raise ValueError(f"node_budget must be an integer >= 1, got {node_budget!r}")
     answer = _explained_pd(design, outcome)
     pd, cover = answer.items, answer.masks
     target = answer.all_positive
+    best = tuple(_scomp_estimate(cover, target, _definite_defectives(answer.solo)))
+    best_size = len(best)
+    if best_size < 2:
+        # no positive test, so no node; or the root alone, whose completion
+        # is SCOMP's single mask: a DD item's solo test is in no other mask,
+        # and the greedy pick is the lowest position among the masks holding
+        # every test, so no single mask beats it in the tie-break
+        return DecodeResult("sss", tuple(pd[j] for j in best), tuple(pd), search_nodes=best_size)
+
     # the candidates of each positive test, as positions in the PD list and
     # as a set of them (bit j for position j)
     items_of_bit: list[list[int]] = [[] for _ in range(target.bit_length())]
@@ -173,88 +183,60 @@ def sss(
             items_of_bit[b].append(j)
             holders[b] |= 1 << j
             m ^= low
+    complement = [~m for m in cover]
+    # a child's sort key packs its negated gain above its position, so
+    # that integer order is larger gain first, ties by position
+    shift = len(cover).bit_length()
+    position = (1 << shift) - 1
 
-    best = tuple(_scomp_estimate(cover, target, _definite_defectives(answer.solo)))
-    best_size = len(best)
-
-    # each node branches on the first uncovered test in this order: fewest
-    # candidates first, ties by test
-    branch_order = [
-        (1 << b, items_of_bit[b])
-        for b in sorted(range(len(items_of_bit)), key=lambda b: (len(items_of_bit[b]), b))
-    ]
+    # each node branches on its uncovered test with the fewest candidates,
+    # ties by test: the lowest uncovered test of the first of these groups of
+    # tests, one per candidate count in increasing count, that holds one
+    by_count: dict[int, int] = {}
+    for b, items in enumerate(items_of_bit):
+        by_count[len(items)] = by_count.get(len(items), 0) | 1 << b
+    groups = [by_count[c] for c in sorted(by_count)]
 
     # the masks with their own test counts, largest first, and at_least[s],
     # the set of positions whose masks hold at least s tests
     sizes = [m.bit_count() for m in cover]
     by_size = sorted(zip(sizes, cover), reverse=True)
-    top = by_size[0][0] if by_size else 0
+    top = by_size[0][0]
     at_least = [0] * (top + 1)
     for j, size in enumerate(sizes):
         at_least[size] |= 1 << j
     for size in range(top - 1, -1, -1):
         at_least[size] |= at_least[size + 1]
+    # a last entry of size 0 ends every scan of by_size below, since need > 1
+    by_size.append((0, 0))
     # touch[j]: the set of positions whose masks share a test with mask j,
     # built on first use (0 until then; a nonempty mask touches itself)
     touch = [0] * len(cover)
 
-    nodes = 0
+    # the root: the incumbent covers target with best_size masks, so some
+    # mask gains ceil(count / best_size) tests there and it is kept
+    nodes = 1
 
     def search(uncovered: int, count: int, chosen: list[int], hit: int) -> None:
-        # `count` tests are uncovered; `hit` is the set of positions whose
-        # masks meet a chosen one, so the masks outside it gain their full
-        # size. The caller has checked that len(chosen) + ceil(count / slack)
-        # stays within best_size, with slack >= 1.
+        # a kept node, already counted, whose slack best_size - len(chosen)
+        # is at least 2: `count` tests are uncovered, and `hit` is the set of
+        # positions whose masks meet a chosen one, so the masks outside it
+        # gain their full size. Each child is decided here, before the call:
+        # only kept children of slack >= 2 are searched.
         nonlocal nodes, best, best_size
-        slack = best_size - len(chosen)
-        if slack == 1:
-            # only a mask holding every uncovered test completes a cover; it
-            # holds the lowest one, whose candidates are listed by position,
-            # so the first such candidate gives the smallest sorted tuple
-            for j in items_of_bit[(uncovered & -uncovered).bit_length() - 1]:
-                if not uncovered & ~cover[j]:
-                    break
-            else:
-                return
-        else:
-            # lower bound: uncovered tests / best single-item gain among ALL
-            # masks (not just those covering the branch test), else the bound
-            # overshoots and prunes optimal subtrees. The node is kept iff
-            # some mask gains `need` = ceil(count / slack) tests; every
-            # uncovered test has a candidate, so a mask gains 1. A mask
-            # outside `hit` of size >= need is a witness; else the touched
-            # masks gain less than their size, so only those larger than
-            # `need` can be one
-            need = -(-count // slack)
-            if need > 1 and not at_least[need] & ~hit:
-                for size, m in by_size:
-                    if size <= need:
-                        return
-                    if (m & uncovered).bit_count() >= need:
-                        break
-                else:
-                    return
-        nodes += 1
-        if nodes > node_budget:
-            raise UnresolvedSearchError(
-                f"node budget {node_budget} exceeded", tuple(pd[j] for j in best), nodes
-            )
-        if slack == 1:
-            # the cover has best_size items, so it can only win the tie-break
-            cand = tuple(sorted([*chosen, j]))
-            if cand < best:
-                best = cand
-            return
+        for group in groups:
+            group &= uncovered
+            if group:
+                break
         # a chosen item covers no uncovered test, so the candidates of an
         # uncovered test are all unchosen, and there is at least one: the PD
-        # set explains every positive test
-        for bit, branch_items in branch_order:
-            if uncovered & bit:
-                break
-        # branch over the items covering the most-constrained uncovered test,
-        # trying larger coverage first (ties by item index)
-        for neg_gain, j in sorted([(-(cover[j] & uncovered).bit_count(), j) for j in branch_items]):
-            left = count + neg_gain
+        # set explains every positive test. Branch over the items covering
+        # the branch test, trying larger coverage first (ties by position)
+        branch = items_of_bit[(group & -group).bit_length() - 1]
+        depth = len(chosen) + 1
+        for key in sorted([-(cover[j] & uncovered).bit_count() << shift | j for j in branch]):
+            left = count + (key >> shift)
+            j = key & position
             if not left:
                 # the first completion has fewer items than the incumbent;
                 # the later ones are lexicographically larger, and the other
@@ -262,28 +244,66 @@ def sss(
                 best = tuple(sorted([*chosen, j]))
                 best_size = len(best)
                 return
-            # the child would prune if no mask gains ceil(left / its slack);
-            # none gains more than `top`, and the later siblings gain no more
-            # and have no more slack, so they would prune too
-            if left > top * (best_size - len(chosen) - 1):
+            # the child prunes if no mask gains ceil(left / slack); none
+            # gains more than `top`, and the later siblings gain no more and
+            # have no more slack, so they would prune too
+            slack = best_size - depth
+            if left > top * slack:
                 return
-            if not touch[j]:
-                t = 0
-                m = cover[j]
-                while m:
-                    low = m & -m
-                    t |= holders[low.bit_length() - 1]
-                    m ^= low
-                touch[j] = t
-            chosen.append(j)
-            search(uncovered & ~cover[j], left, chosen, hit | touch[j])
-            chosen.pop()
+            rest = uncovered & complement[j]
+            if slack == 1:
+                # only a mask holding every test of `rest` completes a cover;
+                # it holds the lowest one, whose candidates are listed by
+                # position, so the first such candidate gives the smallest
+                # sorted tuple
+                for last in items_of_bit[(rest & -rest).bit_length() - 1]:
+                    if not rest & complement[last]:
+                        break
+                else:
+                    continue
+            else:
+                if not touch[j]:
+                    t = 0
+                    m = cover[j]
+                    while m:
+                        low = m & -m
+                        t |= holders[low.bit_length() - 1]
+                        m ^= low
+                    touch[j] = t
+                child_hit = hit | touch[j]
+                # lower bound: uncovered tests / best single-item gain among
+                # ALL masks (not just those covering the branch test), else
+                # the bound overshoots and prunes optimal subtrees. The child
+                # is kept iff some mask gains `need`; every test of `rest`
+                # has a candidate, so a mask gains 1. A mask outside
+                # child_hit of size >= need is a witness; else the touched
+                # masks gain less than their size, so only those larger than
+                # `need` can be one
+                need = -(-left // slack)
+                if need > 1 and not at_least[need] & ~child_hit:
+                    for size, m in by_size:
+                        if size <= need or (m & rest).bit_count() >= need:
+                            break
+                    if size <= need:
+                        continue
+            nodes += 1
+            if nodes > node_budget:
+                raise UnresolvedSearchError(
+                    f"node budget {node_budget} exceeded", tuple(pd[j] for j in best), nodes
+                )
+            if slack == 1:
+                # the cover has best_size items, so it can only win the
+                # tie-break
+                cand = tuple(sorted([*chosen, j, last]))
+                if cand < best:
+                    best = cand
+            else:
+                chosen.append(j)
+                search(rest, left, chosen, child_hit)
+                chosen.pop()
 
     try:
-        # the incumbent covers target with best_size masks, so some mask
-        # gains ceil(count / best_size) tests at the root
-        if target:
-            search(target, target.bit_count(), [], 0)
+        search(target, target.bit_count(), [], 0)
     finally:
         # search refers to itself through its closure; emptying that cell
         # frees the decode's lists on return instead of at the next cyclic

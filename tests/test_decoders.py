@@ -217,10 +217,13 @@ class TestSss:
         finally:
             gc.enable()
 
-    def test_rejects_bad_budget(self):
+    # nan used to run unbounded (nodes > nan is never true), True as a
+    # budget of 1, and "5" died in a TypeError
+    @pytest.mark.parametrize("budget", [0, float("nan"), True, "5", 2.0])
+    def test_rejects_bad_budget(self, budget):
         d = design_of(1, [[0]])
-        with pytest.raises(ValueError):
-            sss(d, OutcomeVector((True,)), node_budget=0)
+        with pytest.raises(ValueError, match="node_budget"):
+            sss(d, OutcomeVector((True,)), node_budget=budget)
 
     @pytest.mark.parametrize(
         "seed,sizes",
