@@ -12,9 +12,11 @@ test; survivors are the Possible Defectives, PD):
                contains a declared item.
 * ``sss``   -- exact smallest satisfying set, by branch and bound.
 
-Every decoder reads the PD masks the design keeps (``TestDesign.pd``). A
-candidate set is *satisfying* when it touches no negative test and hits every
-positive one. All decoders are pure functions of (design, outcome), and all
+Every decoder reads the PD masks the design keeps (``TestDesign.pd``), and
+the positions that answer finds at most once: DD's (``definite``) and
+SCOMP's greedy cover, which SSS takes as its incumbent. Estimates are built
+from lists, for the reason `model` gives. A candidate set is *satisfying*
+when it touches no negative test and hits every positive one. All decoders are pure functions of (design, outcome), and all
 four raise :class:`MalformedOutcomeError` when a positive test contains no
 PD item. :func:`decode` runs one of them by name, and
 :func:`invariant_violations` lists the identities their estimates break.
@@ -23,7 +25,6 @@ PD item. :func:`decode` runs one of them by name, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from . import model
 from .model import DefectiveSet, Instance, OutcomeVector, TestDesign, is_satisfying
@@ -86,61 +87,31 @@ def comp(design: TestDesign, outcome: OutcomeVector) -> DecodeResult:
     return DecodeResult("comp", pd, pd)
 
 
-def _definite_defectives(solo: Sequence[int]) -> list[int]:
-    """Positions of the PD masks holding a test no other PD mask holds.
-
-    `solo` holds each mask's tests that no other mask holds (a PD answer's
-    :attr:`~model.PossibleDefectives.solo`). Every test containing a PD item
-    is positive, so no positivity check is needed.
-    """
-    return [j for j, s in enumerate(solo) if s]
-
-
 def dd(design: TestDesign, outcome: OutcomeVector) -> DecodeResult:
     """Declare PD items that are the sole PD member of some positive test."""
     answer = _explained_pd(design, outcome)
     pd = answer.items
-    definite = tuple(pd[j] for j in _definite_defectives(answer.solo))
+    definite = tuple([pd[j] for j in answer.definite])
     return DecodeResult("dd", definite, pd, definite)
 
 
-def _scomp_estimate(masks: Sequence[int], target: int, definite: list[int]) -> list[int]:
-    """Positions of DD's set plus greedy picks covering `target`, sorted.
-
-    While some test of `target` is uncovered, add the PD mask covering the
-    most uncovered tests (ties broken by lowest position); one exists as long
-    as the masks explain every test of `target`. A picked mask covers no
-    uncovered test, so it is never picked again.
-    """
-    estimate = list(definite)
-    uncovered = target
-    for j in estimate:
-        uncovered &= ~masks[j]
-    while uncovered:
-        best_pos = -1
-        best_gain = 0
-        for j, m in enumerate(masks):
-            gain = (m & uncovered).bit_count()
-            if gain > best_gain:
-                best_gain = gain
-                best_pos = j
-        estimate.append(best_pos)
-        uncovered &= ~masks[best_pos]
-    return sorted(estimate)
-
-
 def scomp(design: TestDesign, outcome: OutcomeVector) -> DecodeResult:
-    """DD plus greedy cover of the positive tests DD leaves unexplained."""
+    """DD plus greedy cover of the positive tests DD leaves unexplained
+    (:attr:`~model.PossibleDefectives.greedy_cover`)."""
     answer = _explained_pd(design, outcome)
     pd = answer.items
-    definite = _definite_defectives(answer.solo)
-    estimate = _scomp_estimate(answer.masks, answer.all_positive, definite)
     return DecodeResult(
         "scomp",
-        tuple(pd[j] for j in estimate),
+        tuple([pd[j] for j in answer.greedy_cover]),
         pd,
-        tuple(pd[j] for j in definite),
+        tuple([pd[j] for j in answer.definite]),
     )
+
+
+def _check_node_budget(node_budget: int) -> None:
+    # a plain int needs no further type test (a bool's type is bool)
+    if not ((type(node_budget) is int or model.is_integer(node_budget)) and node_budget >= 1):
+        raise ValueError(f"node_budget must be an integer >= 1, got {node_budget!r}")
 
 
 def sss(
@@ -158,19 +129,18 @@ def sss(
     :class:`UnresolvedSearchError` carrying the best incumbent; ValueError
     unless `node_budget` is an integer (not a bool) of at least 1.
     """
-    if not model.is_integer(node_budget) or node_budget < 1:
-        raise ValueError(f"node_budget must be an integer >= 1, got {node_budget!r}")
+    _check_node_budget(node_budget)
     answer = _explained_pd(design, outcome)
     pd, cover = answer.items, answer.masks
     target = answer.all_positive
-    best = tuple(_scomp_estimate(cover, target, _definite_defectives(answer.solo)))
+    best = answer.greedy_cover
     best_size = len(best)
     if best_size < 2:
         # no positive test, so no node; or the root alone, whose completion
         # is SCOMP's single mask: a DD item's solo test is in no other mask,
         # and the greedy pick is the lowest position among the masks holding
         # every test, so no single mask beats it in the tie-break
-        return DecodeResult("sss", tuple(pd[j] for j in best), tuple(pd), search_nodes=best_size)
+        return DecodeResult("sss", tuple([pd[j] for j in best]), tuple(pd), search_nodes=best_size)
 
     # the candidates of each positive test, as positions in the PD list and
     # as a set of them (bit j for position j)
@@ -217,11 +187,12 @@ def sss(
     # mask gains ceil(count / best_size) tests there and it is kept
     nodes = 1
 
-    def search(uncovered: int, count: int, chosen: list[int], hit: int) -> None:
+    def search(uncovered: int, count: int, chosen: list[int], hit: int, least: int) -> None:
         # a kept node, already counted, whose slack best_size - len(chosen)
-        # is at least 2: `count` tests are uncovered, and `hit` is the set of
+        # is at least 2: `count` tests are uncovered, `hit` is the set of
         # positions whose masks meet a chosen one, so the masks outside it
-        # gain their full size. Each child is decided here, before the call:
+        # gain their full size, and `least` is the smallest chosen position
+        # (len(cover) at the root). Each child is decided here, before the call:
         # only kept children of slack >= 2 are searched.
         nonlocal nodes, best, best_size
         for group in groups:
@@ -289,27 +260,29 @@ def sss(
             nodes += 1
             if nodes > node_budget:
                 raise UnresolvedSearchError(
-                    f"node budget {node_budget} exceeded", tuple(pd[j] for j in best), nodes
+                    f"node budget {node_budget} exceeded", tuple([pd[j] for j in best]), nodes
                 )
             if slack == 1:
                 # the cover has best_size items, so it can only win the
-                # tie-break
-                cand = tuple(sorted([*chosen, j, last]))
-                if cand < best:
-                    best = cand
+                # tie-break, which it loses when all its items lie above the
+                # incumbent's first
+                if least <= best[0] or j <= best[0] or last <= best[0]:
+                    cand = tuple(sorted([*chosen, j, last]))
+                    if cand < best:
+                        best = cand
             else:
                 chosen.append(j)
-                search(rest, left, chosen, child_hit)
+                search(rest, left, chosen, child_hit, least if least < j else j)
                 chosen.pop()
 
     try:
-        search(target, target.bit_count(), [], 0)
+        search(target, target.bit_count(), [], 0, len(cover))
     finally:
         # search refers to itself through its closure; emptying that cell
         # frees the decode's lists on return instead of at the next cyclic
         # garbage collection
         del search
-    return DecodeResult("sss", tuple(pd[j] for j in best), tuple(pd), search_nodes=nodes)
+    return DecodeResult("sss", tuple([pd[j] for j in best]), tuple(pd), search_nodes=nodes)
 
 
 # the decoders decode runs, by the names of their functions in this module
@@ -322,7 +295,8 @@ def decode(
     outcome: OutcomeVector,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> DecodeResult:
-    """Run the decoder named `alg`; `node_budget` applies to SSS only.
+    """Run the decoder named `alg`; `node_budget` applies to SSS only, but
+    every decoder refuses one that is not an integer >= 1 (ValueError).
 
     The decoder is looked up among the module's globals at call time, so a
     function patched onto this module (a tracer's wrapper) is the one run.
@@ -331,6 +305,7 @@ def decode(
         raise ValueError(f"unknown decoder {alg!r}; expected one of {ALGORITHMS}")
     if alg == "sss":
         return sss(design, outcome, node_budget)
+    _check_node_budget(node_budget)  # as SSS checks it
     return globals()[alg](design, outcome)
 
 
@@ -376,15 +351,25 @@ def invariant_violations(
             found.append("dd_subset_truth")
         if dd_exact != all(l > 0 for l in stats.solo_pd_tests):
             found.append("dd_iff_li_positive")
+    # compute_item_stats has found the truth satisfying; any other estimate
+    # is checked once, so equal SCOMP and SSS estimates share one check
+    satisfying = {truth.items: True}
+
+    def satisfies(estimate: tuple[int, ...]) -> bool:
+        estimate = tuple(estimate)
+        if estimate not in satisfying:
+            satisfying[estimate] = is_satisfying(design, outcome, estimate)
+        return satisfying[estimate]
+
     if "scomp" in estimates:
-        if not is_satisfying(design, outcome, estimates["scomp"]):
+        if not satisfies(estimates["scomp"]):
             found.append("scomp_satisfying")
         if dd_exact and set(estimates["scomp"]) != truth_set:
             found.append("dd_exact_implies_scomp")
     if "sss" in estimates:
         if len(estimates["sss"]) > truth.k:
             found.append("sss_size")
-        if not is_satisfying(design, outcome, estimates["sss"]):
+        if not satisfies(estimates["sss"]):
             found.append("sss_satisfying")
     for w_i, m_i, l_i in zip(
         stats.covered_without, stats.solo_defective_tests, stats.solo_pd_tests

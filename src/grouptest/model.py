@@ -92,6 +92,13 @@ MAX_ENTRIES = 1 << 31
 # indented 10^4-item, T=384 file is written in ten chunks of about 190 kB.
 _JSON_BLOCK = 1024
 
+# Tuples made per instance (a PD answer's items and solo tests, the item
+# counts, the decoders' estimates) are built from lists, not generators:
+# tuple() of a generator takes a 10-slot tuple and shrinks it, so when freed
+# it joins the free list of its final size. Over a long corpus pass those
+# free lists filled, about 4 MB at sizes 1 to 20, whenever no full garbage
+# collection (which empties them) happened to run.
+
 
 def is_integer(value: object) -> bool:
     """True for Python and numpy integers; bools are not integers here."""
@@ -356,24 +363,71 @@ class PossibleDefectives:
     Bit b of a mask is the b-th positive test, and ``all_positive`` has a bit
     per positive test. A PD item is in positive tests only, so its mask holds
     all its tests in fewer Python-int digits than a mask over all T tests.
-    ``solo`` holds, per mask, its tests that no other PD mask holds, and
-    ``explains`` is True iff the masks cover every positive test. Both are
-    found once with the answer, in one pass, so every decoder and
-    :func:`compute_item_stats` on one outcome share it.
+    ``solo`` holds, per mask, its tests that no other PD mask holds,
+    ``definite`` the positions of the masks holding such a test (DD's
+    picks: every test holding a PD item is positive, so no positivity check
+    is needed), and ``explains`` is True iff the masks cover every positive
+    test. They are found once with the answer, in one pass, so every decoder
+    and :func:`compute_item_stats` on one outcome share it. SCOMP's
+    positions (:attr:`greedy_cover`) are found on first use, once per answer.
     """
 
     items: tuple[int, ...]
     masks: tuple[int, ...]
     all_positive: int
     solo: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    definite: tuple[int, ...] = field(init=False, repr=False, compare=False)
     explains: bool = field(init=False, repr=False, compare=False)
+    # found on first use; functools.cached_property takes a lock at each
+    # first use on Python 3.11, which costs more than this None test
+    _greedy_cover: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         others = others_unions(self.masks)
-        solo = tuple(m & ~o for m, o in zip(self.masks, others))
+        solo = tuple([m & ~o for m, o in zip(self.masks, others)])
         union = self.masks[0] | others[0] if self.masks else 0
         object.__setattr__(self, "solo", solo)
+        object.__setattr__(self, "definite", tuple([j for j, s in enumerate(solo) if s]))
         object.__setattr__(self, "explains", union == self.all_positive)
+
+    @property
+    def greedy_cover(self) -> tuple[int, ...]:
+        """Positions of SCOMP's estimate: :attr:`definite` plus greedy picks
+        covering every positive test (`_scomp_estimate`), found on first use
+        and shared by SCOMP and SSS's incumbent. ValueError unless the masks
+        explain every positive test, which the greedy pass needs."""
+        if self._greedy_cover is None:
+            if not self.explains:
+                raise ValueError("a positive test holds no possible-defective item")
+            object.__setattr__(
+                self, "_greedy_cover", _scomp_estimate(self.masks, self.all_positive, self.definite)
+            )
+        return self._greedy_cover
+
+
+def _scomp_estimate(masks: Sequence[int], target: int, definite: Sequence[int]) -> tuple[int, ...]:
+    """Positions of `definite` plus greedy picks covering `target`, sorted.
+
+    While some test of `target` is uncovered, add the mask covering the most
+    uncovered tests (ties broken by lowest position); one exists as long as
+    the masks explain every test of `target`. A picked mask covers no
+    uncovered test, so it is never picked again.
+    """
+    estimate = list(definite)
+    uncovered = target
+    for j in estimate:
+        uncovered &= ~masks[j]
+    while uncovered:
+        best_pos = -1
+        best_gain = 0
+        for j, m in enumerate(masks):
+            gain = (m & uncovered).bit_count()
+            if gain > best_gain:
+                best_gain = gain
+                best_pos = j
+        estimate.append(best_pos)
+        uncovered &= ~masks[best_pos]
+    return tuple(sorted(estimate))
 
 
 def sample_defective_set(n_items: int, k: int, seed: int) -> DefectiveSet:
@@ -1007,14 +1061,19 @@ def block_instances(designs: Sequence[TestDesign], truths: Sequence[DefectiveSet
     """``Instance(d, truth, run_tests(d, truth))`` for each pair, each design
     carrying its PD answer from one `_pd_answers` pass. The designs' rows
     are laid back to back in the order given, one slice per design and a
-    fixed number of numpy calls, and so are their outcomes. ValueError on a
-    defective outside its design or on lists of unequal lengths."""
+    fixed number of numpy calls, and so are their outcomes, which one
+    scatter of the defectives' rows fills. ValueError on a defective outside
+    its design or on lists of unequal lengths."""
     if len(designs) != len(truths):
         raise ValueError("one defective set required per design")
     if not designs:
         return []
-    outcomes = [run_tests(d, truth) for d, truth in zip(designs, truths)]
     n_items, n_tests = [d.n_items for d in designs], [d.n_tests for d in designs]
+    for n, truth in zip(n_items, truths):
+        if truth.items and truth.items[-1] >= n:
+            bad = next(i for i in truth.items if i >= n)
+            raise ValueError(f"item {bad} out of range for {n} items")
+    item_at = list(accumulate(n_items, initial=0))
     test_at = list(accumulate(n_tests, initial=0))
     entry_at = list(accumulate((d.indices.shape[0] for d in designs), initial=0))
     # design j's rows from its first entry on, and each entry's place in the
@@ -1023,7 +1082,18 @@ def block_instances(designs: Sequence[TestDesign], truths: Sequence[DefectiveSet
     indptr += np.repeat(entry_at, [*n_items, 1])
     tests = np.concatenate([d.indices for d in designs], dtype=np.int64)
     tests += np.repeat(test_at[:-1], np.diff(entry_at))
-    positive = np.fromiter(chain.from_iterable(o.bits for o in outcomes), bool, test_at[-1])
+    # the defectives' rows, as block items, and their entries back to back
+    defective = np.fromiter(
+        chain.from_iterable(map(at.__add__, t.items) for at, t in zip(item_at, truths)), np.int64
+    )
+    starts = indptr[defective]
+    sizes = indptr[defective + 1] - starts
+    # entry e of them: its row's start plus its place in the row
+    entries = np.arange(sizes.sum()) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
+    positive = np.zeros(test_at[-1], dtype=bool)
+    positive[tests[entries]] = True
+    bits = positive.tolist()
+    outcomes = [OutcomeVector(tuple(bits[a:b])) for a, b in zip(test_at, test_at[1:])]
     for design, outcome, answer in zip(designs, outcomes, _pd_answers(n_items, n_tests, indptr, tests, positive)):
         design._pd = (outcome.bits, answer)
     return list(map(Instance, designs, truths, outcomes))
@@ -1055,7 +1125,7 @@ def _pd_answers(n_items, n_tests, indptr, tests, positive) -> list[PossibleDefec
     masks = _pd_masks(np.take(rank, tests[np.repeat(is_pd, sizes)]), sizes[pd], max(n_pos))
     pd = pd.tolist()
     return [
-        PossibleDefectives(tuple(i - at for i in pd[a:b]), masks[a:b], (1 << count) - 1)
+        PossibleDefectives(tuple([i - at for i in pd[a:b]]), masks[a:b], (1 << count) - 1)
         for a, b, at, count in zip(ends, ends[1:], item_at, n_pos)
     ]
 
@@ -1090,9 +1160,9 @@ def compute_item_stats(
     others = others_unions(masks)
     return ItemStats(
         covered_tests=answer.all_positive.bit_count(),
-        covered_without=tuple(o.bit_count() for o in others),
-        solo_defective_tests=tuple((m & ~o).bit_count() for m, o in zip(masks, others)),
-        solo_pd_tests=tuple(answer.solo[j].bit_count() for j in pos),
+        covered_without=tuple([o.bit_count() for o in others]),
+        solo_defective_tests=tuple([(m & ~o).bit_count() for m, o in zip(masks, others)]),
+        solo_pd_tests=tuple([answer.solo[j].bit_count() for j in pos]),
         masked_nondefectives=len(answer.items) - truth.k,
         pd_set=answer.items,
     )

@@ -304,6 +304,17 @@ class TestDecodeCommand:
              "--node-budget", budget],
         )
 
+    @pytest.mark.parametrize("alg", ["comp", "dd", "scomp", "sss"])
+    def test_every_decoder_refuses_a_node_budget_below_one(self, hand_design, capsys, alg):
+        """The budget is checked before the decoder runs, whichever it is;
+        a decode that ignored it would print its result and exit 0."""
+        err = _one_error_line(
+            capsys,
+            ["decode", "--design", str(hand_design), "--outcome", "10", "--alg", alg,
+             "--node-budget", "0"],
+        )
+        assert "node_budget must be an integer >= 1, got 0" in err
+
     def test_bad_outcome_length(self, hand_design):
         rc = main(["decode", "--design", str(hand_design), "--outcome", "101", "--alg", "comp"])
         assert rc == 1

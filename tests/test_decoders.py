@@ -38,9 +38,7 @@ from grouptest.cli import main
 from grouptest.decoders import (
     DEFAULT_NODE_BUDGET,
     DecodeResult,
-    _definite_defectives,
     _explained_pd,
-    _scomp_estimate,
     decode,
 )
 from grouptest.verify import exhaustive_smallest_satisfying, fuzz_instance
@@ -268,7 +266,7 @@ def reference_sss(design, outcome, node_budget):
             items_of_bit[bit_of_test[t]].append(j)
         cover.append(m)
     solo = [m & ~o for m, o in zip(cover, model.others_unions(cover))]
-    best = tuple(_scomp_estimate(cover, target, _definite_defectives(solo)))
+    best = model._scomp_estimate(cover, target, [j for j, s in enumerate(solo) if s])
     branch_order = [
         (1 << b, items_of_bit[b])
         for b in sorted(range(len(pos_tests)), key=lambda b: (len(items_of_bit[b]), b))
@@ -497,6 +495,40 @@ class TestKeptPdAnswer:
                 sum(1 << b for b, t in enumerate(positive) if t in rows[i] and pd_at[t] == 1)
                 for i in answer.items
             )
+
+
+def test_greedy_cover_runs_once_per_pd_answer(monkeypatch):
+    """SCOMP and SSS on one PD answer share one greedy pass, COMP and DD
+    run none, and a new outcome on the same design runs its own."""
+    passes = []
+    real = model._scomp_estimate
+
+    def counted(masks, target, definite):
+        passes.append(masks)
+        return real(masks, target, definite)
+
+    monkeypatch.setattr(model, "_scomp_estimate", counted)
+    # the four decoders give four estimates at outcome 11011001 (truth
+    # {5, 9, 12}); {0, 3} gives another outcome on the same design
+    d = gen_near_constant(16, 8, 2, 46)
+    for truth in (DefectiveSet((5, 9, 12)), DefectiveSet((0, 3))):
+        y = run_tests(d, truth)
+        passes.clear()
+        for alg in ("comp", "dd"):
+            decode(alg, d, y)
+        assert passes == [] and d.pd(y)._greedy_cover is None
+        got = [scomp(d, y), sss(d, y), decode("scomp", d, y), decode("sss", d, y)]
+        assert passes == [d.pd(y).masks]
+        fresh = TestDesign.from_csr(d.kind, d.n_items, d.n_tests, d.params, d.seed, d.indptr, d.indices)
+        assert got == [scomp(fresh, y), sss(fresh, y)] * 2
+    assert len(passes) == 2
+    # a corpus design carries its answer from the draw: one pass per instance
+    for idx in range(40):
+        inst = fuzz_instance(2024, idx, n_max=50, k_max=8, t_max=40)
+        passes.clear()
+        for alg in ALGORITHMS:
+            decode(alg, inst.design, inst.outcome)
+        assert passes == [inst.design.pd(inst.outcome).masks]
 
 
 class TestOutcomeLength:

@@ -450,6 +450,22 @@ class TestBlockDraws:
         with pytest.raises(ValueError, match="out of range"):
             model.block_instances(designs[:2], [DefectiveSet((1,)), DefectiveSet((3,))])
 
+    def test_block_instances_refuse_a_defective_as_run_tests_does(self):
+        """Outcomes of Python bools, and a defective outside its design
+        refused with `run_tests`'s message, naming the design's first item
+        out of range, before any answer is kept."""
+        designs = [gen_near_constant(6, 5, 2, seed=1), gen_bernoulli(4, 3, 0.5, seed=2)]
+        got = model.block_instances(designs, [DefectiveSet((0, 5)), DefectiveSet((3,))])
+        assert all(type(bit) is bool for inst in got for bit in inst.outcome.bits)
+        fresh = [gen_near_constant(6, 5, 2, seed=1), gen_bernoulli(4, 3, 0.5, seed=2)]
+        truths = [DefectiveSet((0, 5)), DefectiveSet((1, 4, 6, 9))]
+        with pytest.raises(ValueError) as caught:
+            run_tests(fresh[1], truths[1])
+        assert str(caught.value) == "item 4 out of range for 4 items"
+        with pytest.raises(ValueError, match="^item 4 out of range for 4 items$"):
+            model.block_instances(fresh, truths)
+        assert all(d._pd is None for d in fresh)
+
     def test_block_instances_take_designs_of_any_origin(self):
         """Designs of two `generate_designs` calls of the same shapes
         (near-constant, N = 6, T = 8, L = 3), interleaved with hand-built and

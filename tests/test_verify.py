@@ -218,3 +218,80 @@ def test_a_pass_draws_only_the_instances_it_reads(monkeypatch):
         (alone,) = real_block(2024, idx, idx + 1, 50, 8, 40)
         assert (inst.design, inst.truth, inst.outcome) == (alone.design, alone.truth, alone.outcome)
         _same_answer(inst.design.pd(inst.outcome), alone.design.pd(alone.outcome))
+
+
+def _alone(seed, idx, n_max, k_max, t_max):
+    """Instance idx of a corpus drawn in a block of its own."""
+    return verify._fuzz_block(seed, idx, idx + 1, n_max, k_max, t_max)[0]
+
+
+def _planted(inst, estimates):
+    """The identities the instance breaks, plus one chosen by its seed,
+    truth and SSS estimate, so a pass's tallies tell which instances it
+    decoded."""
+    mark = inst.design.seed + sum(inst.truth.items) + sum(estimates["sss"])
+    return [*_real_violations(inst, estimates), dec.INVARIANTS[mark % len(dec.INVARIANTS)]]
+
+
+_real_violations = dec.invariant_violations
+_COUNTS = (0, 1, 255, 256, 257, 600)
+
+
+@pytest.fixture(scope="module")
+def planted_tallies():
+    """Per index of the first 600 of the default corpus, drawn alone: the
+    keys `_planted` lists."""
+    found = []
+    for idx in range(max(_COUNTS)):
+        inst = _alone(2024, idx, 50, 8, 40)
+        estimates = {alg: dec.decode(alg, inst.design, inst.outcome).estimate for alg in dec.ALGORITHMS}
+        found.append(_planted(inst, estimates))
+    return found
+
+
+@pytest.mark.parametrize("block", [1, 7, 256])
+def test_a_pass_tallies_what_instances_drawn_alone_tally(monkeypatch, planted_tallies, block):
+    """At any block size, a pass over the first n instances tallies what
+    those instances, each drawn alone, give; and `fuzz_instance` after a
+    pass gives each index its own instance, at the pass's last index, past
+    it, and back at its start."""
+    monkeypatch.setattr(verify, "_BLOCK_INSTANCES", block)
+    monkeypatch.setattr(verify, "_kept", ((), 0, []))
+    monkeypatch.setattr(dec, "invariant_violations", _planted)
+    for count in _COUNTS:
+        want = dict.fromkeys(dec.INVARIANTS, 0)
+        for keys in planted_tallies[:count]:
+            for key in keys:
+                want[key] += 1
+        assert run_decoder_corpus(count).violations == want, count
+    for idx in (599, 600, 0, 255, 256):
+        inst, alone = fuzz_instance(2024, idx, n_max=50, k_max=8, t_max=40), _alone(2024, idx, 50, 8, 40)
+        assert (inst.design, inst.truth, inst.outcome) == (alone.design, alone.truth, alone.outcome)
+        _same_answer(inst.design.pd(inst.outcome), alone.design.pd(alone.outcome))
+
+
+@pytest.mark.parametrize("block,counts", [(1, (0, 1, 3)), (7, (6, 7, 8, 15)), (256, (255, 256, 257))])
+def test_a_walk_hands_out_each_instance_once_in_order(monkeypatch, block, counts):
+    """`_walk` yields instances 0 .. n - 1 as drawn alone, in blocks of the
+    block size, the last ending at n, and leaves `fuzz_instance`'s kept
+    block alone."""
+    sizes = (14, 4, 16)
+    monkeypatch.setattr(verify, "_BLOCK_INSTANCES", block)
+    kept = verify._kept
+    for count in counts:
+        drawn = []
+        real = verify._fuzz_block
+
+        def counted(seed, lo, hi, *args):
+            drawn.append((lo, hi))
+            return real(seed, lo, hi, *args)
+
+        monkeypatch.setattr(verify, "_fuzz_block", counted)
+        got = list(verify._walk(77, count, *sizes))
+        monkeypatch.setattr(verify, "_fuzz_block", real)
+        assert drawn == [(lo, min(lo + block, count)) for lo in range(0, count, block)]
+        assert len(got) == count
+        for idx, inst in enumerate(got):
+            alone = _alone(77, idx, *sizes)
+            assert (inst.design, inst.truth, inst.outcome) == (alone.design, alone.truth, alone.outcome)
+    assert verify._kept is kept
