@@ -102,7 +102,8 @@ _JSON_BLOCK = 1024
 
 def is_integer(value: object) -> bool:
     """True for Python and numpy integers; bools are not integers here."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    # a plain int needs no further type test (a bool's type is bool)
+    return type(value) is int or (isinstance(value, (int, np.integer)) and not isinstance(value, bool))
 
 
 def is_number(value: object) -> bool:
@@ -1083,9 +1084,8 @@ def block_instances(designs: Sequence[TestDesign], truths: Sequence[DefectiveSet
     tests = np.concatenate([d.indices for d in designs], dtype=np.int64)
     tests += np.repeat(test_at[:-1], np.diff(entry_at))
     # the defectives' rows, as block items, and their entries back to back
-    defective = np.fromiter(
-        chain.from_iterable(map(at.__add__, t.items) for at, t in zip(item_at, truths)), np.int64
-    )
+    defective = np.fromiter(chain.from_iterable(t.items for t in truths), np.int64)
+    defective += np.repeat(item_at[:-1], [t.k for t in truths])
     starts = indptr[defective]
     sizes = indptr[defective + 1] - starts
     # entry e of them: its row's start plus its place in the row

@@ -11,9 +11,9 @@ block of all kinds, drawn and checked once (`model.generate_designs`), one
 pass for the defective sets (`model.sample_defective_sets`), and one for
 the outcomes and PD answers of those designs (`model.block_instances`). A
 corpus pass ends its last block where the pass ends: :func:`run_decoder_corpus`
-fetches each index through :func:`fuzz_instance`, and
-:func:`check_sss_enumeration` walks the blocks itself (`_walk`). Instance
-idx depends only on the seed, idx and the sizes, never on the block.
+and :func:`check_sss_enumeration` fetch each index through
+:func:`fuzz_instance` with ``stop`` at the pass's end. Instance idx depends
+only on the seed, idx and the sizes, never on the block.
 
 Empirical distributions are sampled with numpy's own generator, keeping the
 sampling path independent of the package's counter-based streams.
@@ -25,7 +25,6 @@ import itertools
 import json
 import math
 import time
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -70,8 +69,7 @@ def _check_corpus_args(**values: int) -> None:
     bool is not) in its range (`_CORPUS_RANGES`)."""
     for name, value in values.items():
         low, top = _CORPUS_RANGES[name]
-        # a plain int needs no further type test (a bool's type is bool)
-        if not ((type(value) is int or model.is_integer(value)) and low <= value < top):
+        if not (model.is_integer(value) and low <= value < top):
             where = f">= {low}" if top == math.inf else "in [0, 2**64)"
             raise ValueError(f"{name} must be an integer {where}, got {value!r}")
 
@@ -83,10 +81,6 @@ def _check_corpus_args(**values: int) -> None:
 # blocks the better.
 _BLOCK_INSTANCES = 256
 _BLOCK_CELLS = 1 << 19
-
-
-def _block_size(n_max: int, t_max: int) -> int:
-    return max(1, min(_BLOCK_INSTANCES, _BLOCK_CELLS // (n_max * t_max)))
 
 
 def _fuzz_block(seed: int, lo: int, hi: int, n_max: int, k_max: int, t_max: int) -> list[model.Instance]:
@@ -142,27 +136,13 @@ def fuzz_instance(
     corpus, lo, insts = _kept
     key = (int(seed), int(n_max), int(k_max), int(t_max))
     if corpus != key or not lo <= idx < lo + len(insts) or insts[idx - lo] is None:
-        size = _block_size(n_max, t_max)
+        size = max(1, min(_BLOCK_INSTANCES, _BLOCK_CELLS // (n_max * t_max)))
         lo = idx - idx % size
         hi = min(lo + size, 1 << 64, math.inf if stop is None else stop)
         insts = _fuzz_block(key[0], lo, hi, *key[1:])
         _kept = (key, lo, insts)
     inst, insts[idx - lo] = insts[idx - lo], None
     return inst
-
-
-def _walk(seed: int, instances: int, n_max: int, k_max: int, t_max: int) -> Iterator[model.Instance]:
-    """Instances 0 .. instances - 1 of a corpus, in order, for a caller
-    that has checked the arguments: one `_fuzz_block` per block of
-    `_block_size` indices, the last ending at `instances`, each instance
-    dropped from its block as it is handed out. Leaves `fuzz_instance`'s
-    kept block alone."""
-    size = _block_size(n_max, t_max)
-    for lo in range(0, instances, size):
-        insts = _fuzz_block(seed, lo, min(lo + size, instances), n_max, k_max, t_max)
-        for j in range(len(insts)):
-            inst, insts[j] = insts[j], None
-            yield inst
 
 
 _STRUCTURAL, _SUCCESS = "decoder_structural_invariants", "success_condition_equivalences"
@@ -248,7 +228,8 @@ def check_sss_enumeration(instances: int = 500, seed: int = 77) -> CheckResult:
     ValueError on a negative count or a seed out of range."""
     _check_corpus_args(instances=instances, seed=seed)
     mismatches = 0
-    for inst in _walk(seed, instances, 14, 4, 16):
+    for idx in range(instances):
+        inst = fuzz_instance(seed, idx, n_max=14, k_max=4, t_max=16, stop=instances)
         got = dec.sss(inst.design, inst.outcome).estimate
         want = exhaustive_smallest_satisfying(inst.design, inst.outcome)
         if got != want:

@@ -457,6 +457,12 @@ class TestBlockDraws:
         designs = [gen_near_constant(6, 5, 2, seed=1), gen_bernoulli(4, 3, 0.5, seed=2)]
         got = model.block_instances(designs, [DefectiveSet((0, 5)), DefectiveSet((3,))])
         assert all(type(bit) is bool for inst in got for bit in inst.outcome.bits)
+        # numpy integer items give the outcomes of Python ones
+        wide = [gen_near_constant(6, 5, 2, seed=1), gen_bernoulli(4, 3, 0.5, seed=2)]
+        truths = [DefectiveSet(tuple(np.array([0, 5]))), DefectiveSet((np.int64(3),))]
+        assert [i.outcome for i in model.block_instances(wide, truths)] == [i.outcome for i in got]
+        with pytest.raises(ValueError, match="^item 4 out of range for 4 items$"):
+            model.block_instances(wide, [truths[0], DefectiveSet((np.int64(4),))])
         fresh = [gen_near_constant(6, 5, 2, seed=1), gen_bernoulli(4, 3, 0.5, seed=2)]
         truths = [DefectiveSet((0, 5)), DefectiveSet((1, 4, 6, 9))]
         with pytest.raises(ValueError) as caught:

@@ -145,6 +145,8 @@ def test_pd_trial_check_names_a_broken_identity(monkeypatch):
         ("stop", lambda: fuzz_instance(1, 5, n_max=5, k_max=2, t_max=4, stop=6.0)),
         ("instances", lambda: run_decoder_corpus(-3)),
         ("n_max", lambda: run_decoder_corpus(0, n_max=1)),
+        ("instances", lambda: verify.check_sss_enumeration(-1)),
+        ("seed", lambda: verify.check_sss_enumeration(0, seed=2**64)),
     ],
 )
 def test_corpus_refuses_arguments_out_of_range(name, call):
@@ -268,30 +270,3 @@ def test_a_pass_tallies_what_instances_drawn_alone_tally(monkeypatch, planted_ta
         inst, alone = fuzz_instance(2024, idx, n_max=50, k_max=8, t_max=40), _alone(2024, idx, 50, 8, 40)
         assert (inst.design, inst.truth, inst.outcome) == (alone.design, alone.truth, alone.outcome)
         _same_answer(inst.design.pd(inst.outcome), alone.design.pd(alone.outcome))
-
-
-@pytest.mark.parametrize("block,counts", [(1, (0, 1, 3)), (7, (6, 7, 8, 15)), (256, (255, 256, 257))])
-def test_a_walk_hands_out_each_instance_once_in_order(monkeypatch, block, counts):
-    """`_walk` yields instances 0 .. n - 1 as drawn alone, in blocks of the
-    block size, the last ending at n, and leaves `fuzz_instance`'s kept
-    block alone."""
-    sizes = (14, 4, 16)
-    monkeypatch.setattr(verify, "_BLOCK_INSTANCES", block)
-    kept = verify._kept
-    for count in counts:
-        drawn = []
-        real = verify._fuzz_block
-
-        def counted(seed, lo, hi, *args):
-            drawn.append((lo, hi))
-            return real(seed, lo, hi, *args)
-
-        monkeypatch.setattr(verify, "_fuzz_block", counted)
-        got = list(verify._walk(77, count, *sizes))
-        monkeypatch.setattr(verify, "_fuzz_block", real)
-        assert drawn == [(lo, min(lo + block, count)) for lo in range(0, count, block)]
-        assert len(got) == count
-        for idx, inst in enumerate(got):
-            alone = _alone(77, idx, *sizes)
-            assert (inst.design, inst.truth, inst.outcome) == (alone.design, alone.truth, alone.outcome)
-    assert verify._kept is kept
